@@ -10,6 +10,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 
 from .errors import QhScatterError, ResonanceError, ResonantAngleError
@@ -32,6 +34,35 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESONANT = 3
 EXIT_IO = 4
+
+# glibc mallopt(3) parameters and the values set by _keep_freed_heap
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 2 << 20
+_TRIM_THRESHOLD_BYTES = 8 << 20
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let glibc keep freed heap memory instead of returning it to the kernel.
+
+    A numeric point at N = 8000 allocates and frees about 1.5 MB of arrays.
+    With glibc's default thresholds the freed memory goes back to the
+    kernel after every point and the next point faults it in again: a
+    240-point sweep at N up to 8000 took 37,000 to 65,000 page faults per
+    run, a quarter of its wall time in the kernel, and that share varied
+    with the load on the machine.  Blocks under 2 MB (every array of a
+    point up to N of about 20,000) now come from the heap, which keeps up
+    to 8 MB free; larger blocks, such as a rendered table, still go back
+    to the kernel when freed, so peak memory stays where it was.  Does
+    nothing where the C library has no mallopt.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -243,6 +274,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

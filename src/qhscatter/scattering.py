@@ -181,19 +181,17 @@ def build_matching_system(bonds: BondMap, phi: float | EnergyAngle, radius: int)
 def _wave_from_solution(
     radius: int, phi: float, x: np.ndarray, h: float, extra: int = 2
 ) -> WaveSample:
-    a = radius
-    half = a + extra
-    window = SiteWindow(half, h)
+    """psi over [-(radius+extra), radius+extra]: the solved interior, asymptotic flanks."""
+    window = SiteWindow(radius + extra, h)
     sites = window.sites
     vals = np.empty(window.n_sites, dtype=np.complex128)
+    vals[extra + 1 : -(extra + 1)] = x[1:-1]
     R, T = x[0], x[-1]
-    for i, k in enumerate(sites):
-        if abs(k) <= a - 1:
-            vals[i] = x[k + a]
-        elif k < 0:
-            vals[i] = cmath.exp(1j * k * phi) + R * cmath.exp(-1j * k * phi)
-        else:
-            vals[i] = T * cmath.exp(1j * k * phi)
+    for i in range(extra + 1):
+        k = sites[i]
+        vals[i] = cmath.exp(1j * k * phi) + R * cmath.exp(-1j * k * phi)
+        k = sites[-1 - i]
+        vals[-1 - i] = T * cmath.exp(1j * k * phi)
     return WaveSample(window, vals)
 
 
@@ -207,9 +205,16 @@ def matching_row_residual(spec: ScattererSpec, phi: float | EnergyAngle, wave: W
     bonds = spec.bond_map()
     vals = wave.values
     m = wave.window.half_width
-    sites = np.arange(-(m - 1), m)
-    gamma_left = np.array([bonds.get(int(k) - 1, 0.0) for k in sites])
-    gamma_right = np.array([bonds.get(int(k), 0.0) for k in sites])
+    # row r is site k = r - (m - 1); bond b is gamma_left of row b + m
+    # and gamma_right of row b + m - 1
+    rows = 2 * m - 1
+    gamma_left = np.zeros(rows)
+    gamma_right = np.zeros(rows)
+    for b, gamma in bonds.items():
+        if 0 <= b + m < rows:
+            gamma_left[b + m] = gamma
+        if 0 <= b + m - 1 < rows:
+            gamma_right[b + m - 1] = gamma
     wl = -1.0 + gamma_left
     wr = -1.0 - gamma_right
     wd = 2.0 * math.cos(p)
@@ -396,18 +401,13 @@ def closed_form_wave(
     g = spec.g
     a = spec.matching_radius
     window = SiteWindow(a + 2, h)
-    vals = np.empty(window.n_sites, dtype=np.complex128)
-    for i, k in enumerate(window.sites):
-        if abs(k) <= N + 1:
-            vals[i] = breakdown.C * cmath.exp(1j * k * p) + breakdown.D * cmath.exp(-1j * k * p)
-        elif k == -(N + 2):
-            vals[i] = (cmath.exp(1j * k * p) + amp.R * cmath.exp(-1j * k * p)) / (1.0 + g)
-        elif k == N + 2:
-            vals[i] = amp.T * cmath.exp(1j * k * p) / (1.0 + g)
-        elif k < 0:
-            vals[i] = cmath.exp(1j * k * p) + amp.R * cmath.exp(-1j * k * p)
-        else:
-            vals[i] = amp.T * cmath.exp(1j * k * p)
+    ks = window.sites
+    out, back = np.exp(1j * ks * p), np.exp(-1j * ks * p)
+    vals = np.where(ks < 0, out + amp.R * back, amp.T * out)
+    inner = np.abs(ks) <= N + 1
+    vals[inner] = breakdown.C * out[inner] + breakdown.D * back[inner]
+    vals[window.index_of(-(N + 2))] /= 1.0 + g
+    vals[window.index_of(N + 2)] /= 1.0 + g
     return WaveSample(window, vals)
 
 
@@ -422,7 +422,7 @@ def interior_plane_wave_fit(
         raise DomainError(f"interior fit needs N >= 1 (at least 3 sites), got {N}")
     p = as_angle(phi).phi
     ks = np.arange(-N, N + 1)
-    vals = np.array([wave.value_at(int(k)) for k in ks])
+    vals = wave.values[wave.window.index_of(-N) : wave.window.index_of(N) + 1]
     design = np.stack([np.exp(1j * ks * p), np.exp(-1j * ks * p)], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
     misfit = float(np.max(np.abs(design @ coeffs - vals)))

@@ -217,11 +217,13 @@ def sweep_records(config: SweepConfig) -> list[dict]:
 
 
 def _thread_count() -> int:
+    """THREADS from the environment, clamped to [1, os.cpu_count()]."""
     raw = os.environ.get("THREADS", "1")
     try:
-        return max(1, int(raw))
+        requested = max(1, int(raw))
     except ValueError:
         return 1
+    return min(requested, os.cpu_count() or 1)
 
 
 def render_csv(records: list[dict]) -> str:

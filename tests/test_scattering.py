@@ -1,7 +1,9 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,8 @@ from qhscatter import (
     solve_numeric,
     unitarity_defect,
 )
+from qhscatter.lattice import SiteWindow, WaveSample
+from qhscatter.scattering import _wave_from_solution, build_matching_system
 
 angles = st.floats(min_value=0.05, max_value=math.pi - 0.05)
 couplings = st.floats(min_value=-0.9, max_value=0.9)
@@ -292,3 +296,71 @@ class TestContinuumProbe:
             continuum_probe(0.5, 1.0, [0.2])
         with pytest.raises(DomainError):
             continuum_probe(0.5, 40.0, [0.2, 0.1])
+
+
+def _reference_wave(radius, phi, x, h, extra=2):
+    """Per-site reference for _wave_from_solution."""
+    window = SiteWindow(radius + extra, h)
+    vals = np.empty(window.n_sites, dtype=np.complex128)
+    R, T = x[0], x[-1]
+    for i, k in enumerate(window.sites):
+        if abs(k) <= radius - 1:
+            vals[i] = x[k + radius]
+        elif k < 0:
+            vals[i] = cmath.exp(1j * k * phi) + R * cmath.exp(-1j * k * phi)
+        else:
+            vals[i] = T * cmath.exp(1j * k * phi)
+    return vals
+
+
+def _reference_row_residual(spec, phi, wave):
+    """Per-row bond lookup reference for matching_row_residual."""
+    bonds = spec.bond_map()
+    vals = wave.values
+    m = wave.window.half_width
+    sites = np.arange(-(m - 1), m)
+    gamma_left = np.array([bonds.get(int(k) - 1, 0.0) for k in sites])
+    gamma_right = np.array([bonds.get(int(k), 0.0) for k in sites])
+    tl = (-1.0 + gamma_left) * vals[:-2]
+    tc = 2.0 * math.cos(phi) * vals[1:-1]
+    tr = (-1.0 - gamma_right) * vals[2:]
+    num = np.abs(tl + tc + tr)
+    den = np.abs(tl) + np.abs(tc) + np.abs(tr)
+    return float(np.max(num / np.maximum(den, 1e-30)))
+
+
+TWO_CENTER_SPECS = [TwoCenterSpec(g, n) for g in (0.5, -0.9) for n in (-1, 0, 1, 50, 2000)]
+CHAIN_AND_MULTI_SPECS = [
+    *(ChainSpec(c) for c in ((0.5,), (0.5, -0.3), (0.2, 0.7, -0.4), (-0.6, 0.1, 0.3, 0.8))),
+    MultiCenterSpec((-4, 4), (0.6, 0.6)),
+    MultiCenterSpec((-6, 0, 7), (0.3, 0.5, -0.4)),
+    MultiCenterSpec((-9, -3, 2, 11), (0.1, -0.8, 0.45, 0.7)),
+]
+
+
+class TestSelfCheckBitExact:
+    """The loop-free wave rebuild and row residual equal the old loops bit for bit."""
+
+    @pytest.mark.parametrize("spec", TWO_CENTER_SPECS + CHAIN_AND_MULTI_SPECS, ids=repr)
+    @pytest.mark.parametrize("phi, h", [(0.37, 1.0), (1.9, 1.0), (2.8, 0.05)])
+    def test_matches_per_site_loops(self, spec, phi, h):
+        system = build_matching_system(spec.bond_map(), phi, spec.matching_radius)
+        x = scipy.linalg.solve_banded((1, 1), system.ab, system.rhs)
+        wave = _wave_from_solution(system.radius, phi, x, h)
+        assert wave.window.spacing == h
+        assert wave.values.tobytes() == _reference_wave(system.radius, phi, x, h).tobytes()
+        assert matching_row_residual(spec, phi, wave) == _reference_row_residual(spec, phi, wave)
+        _, solved = solve_numeric(spec, phi, h=h)
+        assert solved.values.tobytes() == wave.values.tobytes()
+
+    @pytest.mark.parametrize("spec", CHAIN_AND_MULTI_SPECS, ids=repr)
+    def test_bonds_on_and_beyond_the_window_edge(self, spec):
+        # windows from one row up to past the scatterer, so bond sites land on
+        # the first and last rows and outside the sample
+        rng = np.random.default_rng(7)
+        for m in range(1, spec.matching_radius + 3):
+            window = SiteWindow(m)
+            vals = rng.normal(size=window.n_sites) + 1j * rng.normal(size=window.n_sites)
+            wave = WaveSample(window, vals)
+            got = matching_row_residual(spec, 1.3, wave)
+            assert got == _reference_row_residual(spec, 1.3, wave)
