@@ -12,7 +12,9 @@ discrete Schroedinger equation
 with psi at |j| >= A replaced by the asymptotic forms
 psi_j = exp(i j phi) + R exp(-i j phi) (left) and psi_j = T exp(i j phi)
 (right); the incoming unit-amplitude parts move to the right-hand side.
-For the two-center model (A = N + 3) the system has size 2N + 7.
+For the two-center model (A = N + 3) the system has size 2N + 7.  The
+systems of many angles of one scatterer are stacked block-diagonally and
+solved together, up to CHUNK_UNKNOWNS unknowns per solve.
 
 Closed forms for the two-center family:
 
@@ -53,6 +55,10 @@ from .potentials import BondMap, ScattererSpec, TwoCenterSpec
 RESONANCE_GUARD = 1e-10
 # |u| or |v| below this makes the branch ratios meaningless
 BRANCH_GUARD = 1e-13
+# unknowns per banded solve: a batch's arrays (ab takes 48 bytes per unknown)
+# stay far under the 2 MB mmap threshold that cli.main sets, and a sweep's
+# peak memory stays where the one-angle route had it
+CHUNK_UNKNOWNS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -99,37 +105,43 @@ class ClosedFormBreakdown:
 
 @dataclass(frozen=True)
 class MatchingSystem:
-    """Banded matching conditions M x = rhs with x = [R, psi interior, T].
+    """Banded matching conditions M x = rhs, one block x = [R, psi interior, T] per angle.
 
     ab holds the matrix in banded (1, 1) storage: ab[0, 1:] upper diagonal,
-    ab[1, :] main diagonal, ab[2, :-1] lower diagonal.
+    ab[1, :] main diagonal, ab[2, :-1] lower diagonal.  The blocks of
+    several angles follow one another with no coupling between them.
     """
 
     radius: int
-    phi: float
+    phi: np.ndarray  # one angle per block
     ab: np.ndarray
     rhs: np.ndarray
 
     @property
     def size(self) -> int:
-        return 2 * self.radius + 1
-
-    @property
-    def interior_sites(self) -> np.ndarray:
-        return np.arange(-(self.radius - 1), self.radius)
-
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[np.arange(n), np.arange(n)] = self.ab[1]
-        m[np.arange(n - 1), np.arange(1, n)] = self.ab[0, 1:]
-        m[np.arange(1, n), np.arange(n - 1)] = self.ab[2, :-1]
-        return m
+        """Unknowns over all blocks."""
+        return self.rhs.shape[0]
 
 
-def build_matching_system(bonds: BondMap, phi: float | EnergyAngle, radius: int) -> MatchingSystem:
-    """Assemble the matching conditions for a bond-coupling layout."""
-    p = as_angle(phi).phi
+def _angle_array(phi) -> np.ndarray:
+    """One angle or a sequence of angles as a 1-D float array, each inside (0, pi)."""
+    if not isinstance(phi, (np.ndarray, list, tuple)):
+        return np.array([as_angle(phi).phi])
+    phis = np.asarray(phi, dtype=np.float64).reshape(-1)
+    for p in phis.tolist():
+        if not 0.0 < p < math.pi:
+            as_angle(p)  # raises BandError
+    return phis
+
+
+def build_matching_system(bonds: BondMap, phi, radius: int) -> MatchingSystem:
+    """Assemble the matching conditions of a bond layout at one angle or an array of angles.
+
+    Row k is the lattice equation of site k.  In rows -A, -A+1, A-1 and A
+    the sites beyond the radius take their asymptotic forms, with the
+    incoming wave on the right-hand side.
+    """
+    phis = _angle_array(phi)
     a = int(radius)
     if a < 1:
         raise DomainError("matching radius must be >= 1")
@@ -137,117 +149,169 @@ def build_matching_system(bonds: BondMap, phi: float | EnergyAngle, radius: int)
         if k < -a or k + 1 > a:
             raise DomainError(f"bond ({k}, {k + 1}) outside matching radius {a}")
     n = 2 * a + 1
-    two_cos = 2.0 * math.cos(p)
-    ab = np.zeros((3, n), dtype=np.complex128)
-    rhs = np.zeros(n, dtype=np.complex128)
-    ab[1, :] = two_cos
-    ab[0, 1:] = -1.0
-    ab[2, :-1] = -1.0
+    ab = np.empty((3, len(phis), n), dtype=np.complex128)
+    # the first angle's off-diagonals, copied to the other angles: bond b sits
+    # above the diagonal in row b + a and below it in row b + a + 1; the first
+    # upper and the last lower slot would couple neighbouring blocks
+    upper, lower = ab[0, 0], ab[2, 0]
+    upper.fill(-1.0)
+    lower.fill(-1.0)
+    for b, gamma in bonds.items():
+        upper[b + a + 1], lower[b + a] = -1.0 - gamma, -1.0 + gamma
+    upper[0] = lower[-1] = 0.0
+    ab[0, 1:], ab[2, 1:] = upper, lower
+    two_cos = 2.0 * np.cos(phis)
+    ab[1] = two_cos[:, None]
+    rhs = np.zeros((len(phis), n), dtype=np.complex128)
+    # Beyond the radius psi_j = e(j) + R e(-j) for j <= -a and T e(j) for
+    # j >= a, e(j) = exp(i j phi): a term w psi_j puts w e(-j) into the R
+    # column and -w e(j) on the right-hand side, or w e(j) into the T column.
+    w_outer_left = -1.0 + bonds.get(-a - 1, 0.0)  # site -a-1 in row -a
+    w_left = -1.0 + bonds.get(-a, 0.0)  # site -a in row -a+1
+    w_right = -1.0 - bonds.get(a - 1, 0.0)  # site a in row a-1
+    w_outer_right = -1.0 - bonds.get(a, 0.0)  # site a+1 in row a
+    e_a1, e_a, e_ma1, e_ma = np.exp(np.array([1j * (a + 1), 1j * a, -1j * (a + 1), -1j * a])[:, None] * phis)
+    diag = two_cos * e_a  # site -a in row -a and site a in row a
+    ab[1, :, 0] = w_outer_left * e_a1 + diag
+    rhs[:, 0] = -w_outer_left * e_ma1 - two_cos * e_ma
+    ab[2, :, 0] = w_left * e_a
+    rhs[:, 1] = -w_left * e_ma
+    ab[0, :, -1] = w_right * e_a
+    ab[1, :, -1] = diag + w_outer_right * e_a1
+    return MatchingSystem(radius=a, phi=phis, ab=ab.reshape(3, -1), rhs=rhs.reshape(-1))
 
-    special = {-a, -a + 1, a - 1, a}
-    for b in bonds:
-        special.update((b, b + 1))
-    for k in sorted(special):
-        r = k + a
-        contrib: dict[int, complex] = {}
-        row_rhs = 0.0 + 0.0j
-        weights = (
-            (k - 1, -1.0 + bonds.get(k - 1, 0.0)),
-            (k, two_cos),
-            (k + 1, -1.0 - bonds.get(k, 0.0)),
-        )
-        for j, w in weights:
-            if abs(j) <= a - 1:
-                col = j + a
-                contrib[col] = contrib.get(col, 0.0) + w
-            elif j <= -a:
-                contrib[0] = contrib.get(0, 0.0) + w * cmath.exp(-1j * j * p)
-                row_rhs -= w * cmath.exp(1j * j * p)
-            else:
-                contrib[n - 1] = contrib.get(n - 1, 0.0) + w * cmath.exp(1j * j * p)
-        rhs[r] = row_rhs
-        for col, v in contrib.items():
-            if col == r:
-                ab[1, r] = v
-            elif col == r + 1:
-                ab[0, col] = v
-            elif col == r - 1:
-                ab[2, col] = v
-            else:  # pragma: no cover - bandwidth-1 layout cannot reach here
-                raise AssertionError("matching system lost its banded structure")
-    return MatchingSystem(radius=a, phi=p, ab=ab, rhs=rhs)
+
+def _wave_values(radius: int, phis: np.ndarray, x: np.ndarray, extra: int = 2) -> np.ndarray:
+    """psi over [-(radius+extra), radius+extra], one row per angle.
+
+    The interior is the solved block x[:, 1:-1]; for k = radius, ...,
+    radius + extra the flanks are e(-k) + R e(k) at site -k and T e(k) at
+    site k, with e(k) = exp(i k phi).
+    """
+    out = np.empty((len(phis), x.shape[1] + 2 * extra), dtype=np.complex128)
+    out[:, extra + 1 : -(extra + 1)] = x[:, 1:-1]
+    ks = range(radius, radius + extra + 1)
+    waves = np.exp(np.array([[1j * k for k in ks], [-1j * k for k in ks]]) * phis[:, None, None])
+    fwd, back = waves[:, :1], waves[:, 1]
+    coef = x[:, :: x.shape[1] - 1, None]  # R for the left flank, T for the right
+    # c e(k) as Re(c) e(k) + Im(c) i e(k): numpy's array complex product may
+    # use fused multiply-adds and round differently from the scalar product,
+    # while these real-by-complex products round each part as it does
+    flanks = coef.real * fwd + coef.imag * (1j * fwd)
+    out[:, extra::-1] = back + flanks[:, 0]  # sites -radius, ..., -(radius+extra)
+    out[:, -(extra + 1) :] = flanks[:, 1]
+    return out
 
 
 def _wave_from_solution(
     radius: int, phi: float, x: np.ndarray, h: float, extra: int = 2
 ) -> WaveSample:
     """psi over [-(radius+extra), radius+extra]: the solved interior, asymptotic flanks."""
-    window = SiteWindow(radius + extra, h)
-    sites = window.sites
-    vals = np.empty(window.n_sites, dtype=np.complex128)
-    vals[extra + 1 : -(extra + 1)] = x[1:-1]
-    R, T = x[0], x[-1]
-    for i in range(extra + 1):
-        k = sites[i]
-        vals[i] = cmath.exp(1j * k * phi) + R * cmath.exp(-1j * k * phi)
-        k = sites[-1 - i]
-        vals[-1 - i] = T * cmath.exp(1j * k * phi)
-    return WaveSample(window, vals)
+    vals = _wave_values(radius, np.array([phi]), x[None, :], extra)
+    return WaveSample(SiteWindow(radius + extra, h), vals[0])
 
 
-def matching_row_residual(spec: ScattererSpec, phi: float | EnergyAngle, wave: WaveSample) -> float:
+def matching_row_residual(spec: ScattererSpec | BondMap, phi, wave):
     """Max relative residual of the discrete Schroedinger rows over the sample.
 
     Every site with both neighbors inside the sample window contributes one
     row; each residual is normalized by the sum of its term magnitudes.
+    spec may be its bond map.  A WaveSample at one angle gives a float; an
+    array of angles with a 2-D array of sampled waves (one per row, sites
+    -m, ..., m) gives one residual per angle.
     """
-    p = as_angle(phi).phi
-    bonds = spec.bond_map()
-    vals = wave.values
-    m = wave.window.half_width
-    # row r is site k = r - (m - 1); bond b is gamma_left of row b + m
-    # and gamma_right of row b + m - 1
+    bonds = spec if isinstance(spec, dict) else spec.bond_map()
+    one = isinstance(wave, WaveSample)
+    vals = wave.values[None, :] if one else wave
+    m = (vals.shape[1] - 1) // 2
+    # row r is site k = r - (m - 1); bond b weighs the left neighbour of
+    # row b + m and the right neighbour of row b + m - 1
     rows = 2 * m - 1
-    gamma_left = np.zeros(rows)
-    gamma_right = np.zeros(rows)
+    wl, wr = np.full((2, rows), -1.0)
     for b, gamma in bonds.items():
         if 0 <= b + m < rows:
-            gamma_left[b + m] = gamma
+            wl[b + m] = -1.0 + gamma
         if 0 <= b + m - 1 < rows:
-            gamma_right[b + m - 1] = gamma
-    wl = -1.0 + gamma_left
-    wr = -1.0 - gamma_right
-    wd = 2.0 * math.cos(p)
-    tl = wl * vals[:-2]
-    tc = wd * vals[1:-1]
-    tr = wr * vals[2:]
-    num = np.abs(tl + tc + tr)
-    den = np.abs(tl) + np.abs(tc) + np.abs(tr)
-    return float(np.max(num / np.maximum(den, 1e-30)))
+            wr[b + m - 1] = -1.0 - gamma
+    tl = wl * vals[:, :-2]
+    tc = 2.0 * np.cos(_angle_array(phi))[:, None] * vals[:, 1:-1]
+    tr = wr * vals[:, 2:]
+    # (tl + tc + tr) and |tl| + |tc| + |tr|, summed in place to hold fewer temporaries
+    total = tl + tc
+    total += tr
+    num = np.abs(total)
+    den = np.abs(tl)
+    den += np.abs(tc)
+    den += np.abs(tr)
+    num /= np.maximum(den, 1e-30, out=den)
+    worst = num.max(axis=1)
+    return float(worst[0]) if one else worst
+
+
+def _solve_block_batch(bonds: BondMap, radius: int, phis: np.ndarray):
+    """(x, wave values) of a batch of angles: one banded solve, one row self-check.
+
+    Raises ResonanceError for the first angle, in order, whose block is
+    singular, whose solution is not finite, or whose rows fail the check.
+    """
+    system = build_matching_system(bonds, phis, radius)
+    try:
+        # finite by construction and not needed after the solve: no check, no copy
+        x = scipy.linalg.solve_banded(
+            (1, 1), system.ab, system.rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+        )
+        failure = None if np.isfinite(x).all() else "matching solve produced non-finite values at phi={!r}"
+    except np.linalg.LinAlgError as exc:
+        failure = f"matching system singular at phi={{!r}}: {exc}"
+    if failure is not None:
+        if len(phis) == 1:
+            raise ResonanceError(failure.format(float(phis[0])))
+        # a failing block can spill into the blocks before it: solve one angle
+        # at a time, so that the first failing angle raises its own error
+        parts = [_solve_block_batch(bonds, radius, phis[i : i + 1]) for i in range(len(phis))]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    x = x.reshape(len(phis), -1)
+    vals = _wave_values(radius, phis, x)
+    residual = matching_row_residual(bonds, phis, vals)
+    if (residual > 1e-9).any():
+        i = int((residual > 1e-9).argmax())
+        raise ResonanceError(f"matching rows violated (residual {residual[i]:.2e}) at phi={float(phis[i])!r}")
+    return x, vals
+
+
+def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
+    """Matching-solver amplitudes of one scatterer at every angle of phis, in order.
+
+    The angles go in batches of up to CHUNK_UNKNOWNS unknowns: one
+    block-diagonal banded LU solve and one row self-check per batch, O(N)
+    work per angle.  Raises ResonanceError for the first angle whose solve
+    degenerates or fails its own rows, as solve_numeric would.
+    """
+    phis = _angle_array(phis)
+    bonds, radius = spec.bond_map(), spec.matching_radius
+    step = max(1, CHUNK_UNKNOWNS // (2 * radius + 1))
+    amps = []
+    for start in range(0, len(phis), step):
+        batch = phis[start : start + step]
+        x, _ = _solve_block_batch(bonds, radius, batch)
+        amps += map(Amplitudes, x[:, 0].tolist(), x[:, -1].tolist(), batch.tolist())
+    return amps
 
 
 def solve_numeric(
     spec: ScattererSpec, phi: float | EnergyAngle, h: float = 1.0
 ) -> tuple[Amplitudes, WaveSample]:
-    """Solve the matching conditions by banded LU; the brute-force route.
+    """Solve the matching conditions at one angle; the brute-force route.
 
-    Works for every scatterer family.  Raises ResonanceError when the
-    factorization degenerates or the solution fails its own rows.
+    The one-angle case of solve_numeric_batch, plus the sampled wave over
+    [-(A+2), A+2] with spacing h.  Works for every scatterer family.
+    Raises ResonanceError when the factorization degenerates or the
+    solution fails its own rows.
     """
     p = as_angle(phi).phi
-    system = build_matching_system(spec.bond_map(), p, spec.matching_radius)
-    try:
-        x = scipy.linalg.solve_banded((1, 1), system.ab, system.rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ResonanceError(f"matching system singular at phi={p!r}: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise ResonanceError(f"matching solve produced non-finite values at phi={p!r}")
-    amp = Amplitudes(R=complex(x[0]), T=complex(x[-1]), phi=p)
-    wave = _wave_from_solution(system.radius, p, x, h)
-    residual = matching_row_residual(spec, p, wave)
-    if residual > 1e-9:
-        raise ResonanceError(f"matching rows violated (residual {residual:.2e}) at phi={p!r}")
-    return amp, wave
+    x, vals = _solve_block_batch(spec.bond_map(), spec.matching_radius, np.array([p]))
+    amp = Amplitudes(R=complex(x[0, 0]), T=complex(x[0, -1]), phi=p)
+    return amp, WaveSample(SiteWindow(spec.matching_radius + 2, h), vals[0])
 
 
 def _moebius(den: float, num: float) -> complex:

@@ -3,7 +3,8 @@
 Sweep output is one flat record per evaluation with a fixed column order.
 Numbers are printed with 17 significant digits so a re-parsed file
 reproduces the original doubles exactly; identical configurations produce
-byte-identical files, also when evaluated on a thread pool.
+byte-identical files, also when evaluated on a thread pool.  Sweeps and the
+amplitude suites solve each scatterer's angles in one batched numeric call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .potentials import (
     build_potential,
 )
 from .lattice import SiteWindow
-from .scattering import Amplitudes, closed_form, solve_numeric
+from .scattering import Amplitudes, closed_form, solve_numeric, solve_numeric_batch
 
 COLUMNS = (
     "g",
@@ -110,6 +111,45 @@ def _coupling_label(spec: ScattererSpec):
     return ":".join(_fmt(c) for c in spec.couplings)
 
 
+def _closed_or_none(spec: ScattererSpec, phi: float, method: str, resonance_fallback: bool = True):
+    """Closed amplitudes when the method asks for them; None at a guarded angle or for 'numeric'."""
+    if method == "numeric":
+        return None
+    try:
+        return closed_form(spec, phi)[0]
+    except ResonantAngleError:
+        if not resonance_fallback:
+            raise
+        return None
+
+
+def _check_method(spec: ScattererSpec, method: str) -> None:
+    if method not in ("numeric", "closed", "both"):
+        raise DomainError(f"unknown method {method!r}")
+    if method != "numeric" and not isinstance(spec, TwoCenterSpec):
+        raise DomainError("closed forms exist only for the two-center model")
+
+
+def _point_records(spec: ScattererSpec, phi: float, method: str, amp_closed, amp_num) -> list[dict]:
+    """The rows of one point from its closed and numeric amplitudes (either may be None).
+
+    A numeric row without its closed partner under 'closed' or 'both' is a
+    resonance fallback and carries resonance_flag=1.
+    """
+    base = {"g": _coupling_label(spec), "N": spec.N if isinstance(spec, TwoCenterSpec) else None, "phi": phi}
+    if amp_num is None:
+        rows = ((amp_closed, "closed", 0, None),)
+    elif amp_closed is None:
+        rows = ((amp_num, "numeric", int(method != "numeric"), None),)
+    else:
+        gap = max(abs(amp_closed.R - amp_num.R), abs(amp_closed.T - amp_num.T))
+        rows = ((amp_closed, "closed", 0, gap), (amp_num, "numeric", 0, gap))
+    return [
+        {**base, **_amp_fields(amp), "method": used, "resonance_flag": flag, "discrepancy": gap}
+        for amp, used, flag, gap in rows
+    ]
+
+
 def evaluate_point(
     spec: ScattererSpec, phi: float, method: str, resonance_fallback: bool = True
 ) -> list[dict]:
@@ -119,52 +159,35 @@ def evaluate_point(
     solver with resonance_flag=1 unless resonance_fallback is False, in
     which case ResonantAngleError propagates to the caller.
     """
-    n_field = spec.N if isinstance(spec, TwoCenterSpec) else None
-    base = {"g": _coupling_label(spec), "N": n_field, "phi": phi}
-    records: list[dict] = []
+    _check_method(spec, method)
+    amp_closed = _closed_or_none(spec, phi, method, resonance_fallback)
+    amp_num = None
+    if method != "closed" or amp_closed is None:
+        amp_num, _ = solve_numeric(spec, phi)
+    return _point_records(spec, phi, method, amp_closed, amp_num)
 
-    def record(amp: Amplitudes, used: str, flag: int, discrepancy=None) -> dict:
-        row = dict(base)
-        row.update(_amp_fields(amp))
-        row.update(method=used, resonance_flag=flag, discrepancy=discrepancy)
-        return row
 
-    if method not in ("numeric", "closed", "both"):
-        raise DomainError(f"unknown method {method!r}")
-    wants_closed = method in ("closed", "both")
-    if wants_closed and not isinstance(spec, TwoCenterSpec):
-        raise DomainError("closed forms exist only for the two-center model")
+def _scatterer_records(spec: ScattererSpec, phis: list[float], method: str) -> list[dict]:
+    """Records of one scatterer at the angles phis, in order.
 
-    amp_closed = None
-    resonant = False
-    if wants_closed:
-        try:
-            amp_closed, _ = closed_form(spec, phi)
-        except ResonantAngleError:
-            if not resonance_fallback:
-                raise
-            resonant = True
+    One batched numeric solve covers every angle that needs it: all angles,
+    or under 'closed' only the resonance-guarded ones.
+    """
+    _check_method(spec, method)
+    closed = [_closed_or_none(spec, phi, method) for phi in phis]
+    wanted = [i for i, amp in enumerate(closed) if method != "closed" or amp is None]
+    numeric = dict(zip(wanted, solve_numeric_batch(spec, [phis[i] for i in wanted]))) if wanted else {}
+    return [
+        row
+        for i, (phi, amp_closed) in enumerate(zip(phis, closed))
+        for row in _point_records(spec, phi, method, amp_closed, numeric.get(i))
+    ]
 
-    if method == "closed" and not resonant:
-        records.append(record(amp_closed, "closed", 0))
-        return records
-    if method == "closed" and resonant:
-        # sweeps force the numeric path at guarded angles
-        amp, _ = solve_numeric(spec, phi)
-        records.append(record(amp, "numeric", 1))
-        return records
 
-    amp_num, _ = solve_numeric(spec, phi)
-    if method == "numeric":
-        records.append(record(amp_num, "numeric", 0))
-        return records
-    if resonant:
-        records.append(record(amp_num, "numeric", 1))
-        return records
-    gap = max(abs(amp_closed.R - amp_num.R), abs(amp_closed.T - amp_num.T))
-    records.append(record(amp_closed, "closed", 0, gap))
-    records.append(record(amp_num, "numeric", 0, gap))
-    return records
+def _scatterer_groups(specs, angles) -> list[tuple[ScattererSpec, list[float]]]:
+    """One (scatterer, angles) group per scatterer, in grid order; angles as floats."""
+    phis = [float(phi) for phi in angles]
+    return [(spec, phis) for spec in specs]
 
 
 @dataclass(frozen=True)
@@ -203,16 +226,18 @@ class SweepConfig:
 
 
 def sweep_records(config: SweepConfig) -> list[dict]:
-    """Evaluate the full grid: couplings outer, N middle, phi inner."""
-    points = [
-        (spec, float(phi)) for spec in config.specs() for phi in config.angles()
-    ]
+    """Evaluate the full grid: couplings outer, N middle, phi inner.
+
+    Each scatterer is one task; with THREADS > 1 the tasks run on a thread
+    pool and their records are joined in grid order.
+    """
+    groups = _scatterer_groups(config.specs(), config.angles())
     workers = _thread_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda sp: evaluate_point(sp[0], sp[1], config.method), points))
+            chunks = list(pool.map(lambda group: _scatterer_records(*group, config.method), groups))
     else:
-        chunks = [evaluate_point(spec, phi, config.method) for spec, phi in points]
+        chunks = [_scatterer_records(spec, phis, config.method) for spec, phis in groups]
     return [row for chunk in chunks for row in chunk]
 
 
@@ -304,14 +329,10 @@ def metric_suite(
     return checks
 
 
-def _two_center_grid_points(g_grid, n_grid, phi_count):
+def _two_center_groups(g_grid, n_grid, phi_count):
     # strictly inside (DEFAULT_PHI_MIN, DEFAULT_PHI_MAX)
     angles = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, phi_count + 2)[1:-1]
-    for g in g_grid:
-        for n in n_grid:
-            spec = TwoCenterSpec(g, n)
-            for phi in angles:
-                yield spec, float(phi)
+    return _scatterer_groups((TwoCenterSpec(g, n) for g in g_grid for n in n_grid), angles)
 
 
 def unitarity_suite(
@@ -323,16 +344,16 @@ def unitarity_suite(
     """| |R|^2 + |T|^2 - 1 | over the grid, numeric and closed paths."""
     worst_n, at_n = 0.0, ""
     worst_c, at_c = 0.0, ""
-    for spec, phi in _two_center_grid_points(g_grid, n_grid, phi_count):
-        amp, _ = solve_numeric(spec, phi)
-        if amp.unitarity_defect > worst_n:
-            worst_n, at_n = amp.unitarity_defect, f"g={spec.g} N={spec.N} phi={phi:.6f}"
-        try:
-            amp_c, _ = closed_form(spec, phi)
-        except ResonantAngleError:
-            continue
-        if amp_c.unitarity_defect > worst_c:
-            worst_c, at_c = amp_c.unitarity_defect, f"g={spec.g} N={spec.N} phi={phi:.6f}"
+    for spec, phis in _two_center_groups(g_grid, n_grid, phi_count):
+        for phi, amp in zip(phis, solve_numeric_batch(spec, phis)):
+            if amp.unitarity_defect > worst_n:
+                worst_n, at_n = amp.unitarity_defect, f"g={spec.g} N={spec.N} phi={phi:.6f}"
+            try:
+                amp_c, _ = closed_form(spec, phi)
+            except ResonantAngleError:
+                continue
+            if amp_c.unitarity_defect > worst_c:
+                worst_c, at_c = amp_c.unitarity_defect, f"g={spec.g} N={spec.N} phi={phi:.6f}"
     return [
         SuiteCheck("unitarity", "numeric", worst_n, tolerance, at_n),
         SuiteCheck("unitarity", "closed", worst_c, tolerance, at_c),
@@ -345,18 +366,20 @@ def closed_vs_numeric_suite(
     n_grid=DEFAULT_N_GRID,
     phi_count=DEFAULT_PHI_COUNT,
 ) -> list[SuiteCheck]:
-    """Componentwise closed-form vs matching-solver agreement, per family."""
+    """Componentwise closed-form vs matching-solver agreement, per family.
+
+    Guarded angles, where the closed form refuses, are left out.
+    """
     worst = {"N=-1": (0.0, ""), "N=0": (0.0, ""), "N>=1": (0.0, "")}
-    for spec, phi in _two_center_grid_points(g_grid, n_grid, phi_count):
-        try:
-            amp_c, _ = closed_form(spec, phi)
-        except ResonantAngleError:
-            continue
-        amp_n, _ = solve_numeric(spec, phi)
-        gap = max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T))
+    for spec, phis in _two_center_groups(g_grid, n_grid, phi_count):
         key = "N=-1" if spec.N == -1 else ("N=0" if spec.N == 0 else "N>=1")
-        if gap > worst[key][0]:
-            worst[key] = (gap, f"g={spec.g} N={spec.N} phi={phi:.6f}")
+        closed = [(phi, _closed_or_none(spec, phi, "closed")) for phi in phis]
+        closed = [(phi, amp) for phi, amp in closed if amp is not None]
+        numeric = solve_numeric_batch(spec, [phi for phi, _ in closed])
+        for (phi, amp_c), amp_n in zip(closed, numeric):
+            gap = max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T))
+            if gap > worst[key][0]:
+                worst[key] = (gap, f"g={spec.g} N={spec.N} phi={phi:.6f}")
     return [
         SuiteCheck("closed-vs-numeric", key, val, tolerance, at)
         for key, (val, at) in worst.items()
