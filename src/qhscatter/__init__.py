@@ -20,20 +20,15 @@ from .lattice import (
     SiteWindow,
     WaveSample,
     as_angle,
-    asymptotic_left,
-    asymptotic_right,
     energy_from_phi,
     phi_from_energy,
 )
 from .metric import (
     DiagonalMetric,
     asymmetry_ratio,
-    chain_metric,
-    identity_metric,
-    multi_center_metric,
+    build_metric,
     positivity_check,
     quasi_hermiticity_residual,
-    two_center_metric,
 )
 from .potentials import (
     BandedOperator,
@@ -41,11 +36,8 @@ from .potentials import (
     MultiCenterSpec,
     TwoCenterSpec,
     assemble_hamiltonian,
-    build_chain_potential,
     build_laplacian,
-    build_multi_center_potential,
     build_potential,
-    build_two_center_potential,
 )
 from .scattering import (
     Amplitudes,
@@ -63,7 +55,6 @@ from .scattering import (
     matching_row_residual,
     solve_numeric,
     solve_numeric_batch,
-    unitarity_defect,
 )
 from .sweeps import SweepConfig, sweep_records, write_table
 
@@ -92,16 +83,11 @@ __all__ = [
     "WindowError",
     "as_angle",
     "asymmetry_ratio",
-    "asymptotic_left",
-    "asymptotic_right",
     "assemble_hamiltonian",
-    "build_chain_potential",
     "build_laplacian",
     "build_matching_system",
-    "build_multi_center_potential",
+    "build_metric",
     "build_potential",
-    "build_two_center_potential",
-    "chain_metric",
     "closed_form",
     "closed_form_N0",
     "closed_form_Nminus1",
@@ -109,17 +95,13 @@ __all__ = [
     "closed_form_wave",
     "continuum_probe",
     "energy_from_phi",
-    "identity_metric",
     "interior_plane_wave_fit",
     "matching_row_residual",
-    "multi_center_metric",
     "phi_from_energy",
     "positivity_check",
     "quasi_hermiticity_residual",
     "solve_numeric",
     "solve_numeric_batch",
     "sweep_records",
-    "two_center_metric",
-    "unitarity_defect",
     "write_table",
 ]

@@ -15,7 +15,6 @@ import functools
 import sys
 
 from .errors import QhScatterError, ResonanceError, ResonantAngleError
-from .potentials import ChainSpec, MultiCenterSpec, TwoCenterSpec
 from .scattering import continuum_probe
 from .sweeps import (
     DEFAULT_PHI_COUNT,
@@ -23,6 +22,7 @@ from .sweeps import (
     closed_vs_numeric_suite,
     evaluate_point,
     metric_suite,
+    scatterer_specs,
     sweep_records,
     unitarity_suite,
     write_table,
@@ -84,27 +84,29 @@ def _phi_grid_spec(text: str) -> tuple[int, float | None, float | None]:
     raise ValueError("--phi-grid expects COUNT or COUNT:MIN:MAX")
 
 
-def _build_spec(args):
-    if args.model == "two-center":
-        if args.g is None or args.N is None:
-            raise QhScatterError("two-center model needs --g and --N")
-        return TwoCenterSpec(args.g[0], args.N[0])
-    if args.model == "chain":
-        if not args.couplings:
-            raise QhScatterError("chain model needs --couplings a,b,...")
-        return ChainSpec(args.couplings[0])
-    if args.model == "multi-center":
-        if not args.centers or args.g is None:
-            raise QhScatterError("multi-center model needs --centers and --g")
-        return MultiCenterSpec(args.centers, (args.g[0],) * len(args.centers))
-    raise QhScatterError(f"unknown model {args.model!r}")
+def _grid(args) -> dict:
+    """The scatterer grid that --model, --g/--couplings, --N and --centers describe."""
+    return dict(
+        model=args.model,
+        couplings=(args.couplings if args.model == "chain" else args.g) or (),
+        n_values=args.N or (),
+        centers=args.centers or (),
+    )
+
+
+def _one_spec(grid: dict):
+    """The only scatterer of the grid; more than one is a usage error."""
+    specs = scatterer_specs(**grid)
+    if len(specs) != 1:
+        raise QhScatterError(f"this command takes one scatterer, the flags give {len(specs)}")
+    return specs[0]
 
 
 def cmd_amplitudes(args) -> int:
-    spec = _build_spec(args)
+    spec = _one_spec(_grid(args))
     method = args.method
     if method is None:
-        method = "both" if isinstance(spec, TwoCenterSpec) else "numeric"
+        method = "both" if args.model == "two-center" else "numeric"
     records = evaluate_point(spec, args.phi, method, resonance_fallback=False)
     for row in records:
         bits = [f"{key}={_fmt(row[key])}" for key in
@@ -119,24 +121,10 @@ def cmd_sweep(args) -> int:
     if args.out is None:
         raise QhScatterError("--out required for sweep")
     count, lo, hi = args.phi_grid if args.phi_grid else (DEFAULT_PHI_COUNT, None, None)
-    if args.model == "chain":
-        couplings: tuple = args.couplings if args.couplings else ()
-    else:
-        couplings = args.g if args.g is not None else ()
     method = args.method
     if method is None:
         method = "both" if args.model == "two-center" else "numeric"
-    config = SweepConfig(
-        model=args.model,
-        couplings=couplings,
-        n_values=args.N if args.N is not None else (),
-        phi_count=count,
-        phi_min=lo,
-        phi_max=hi,
-        method=method,
-        fmt=args.format,
-        centers=args.centers if args.centers else (),
-    )
+    config = SweepConfig(**_grid(args), phi_count=count, phi_min=lo, phi_max=hi, method=method)
     records = sweep_records(config)
     write_table(records, args.format, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
@@ -174,9 +162,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe_continuum(args) -> int:
-    if args.g is None:
-        raise QhScatterError("--g required")
-    g = args.g[0]
+    g = _one_spec(dict(model="two-center", couplings=args.g, n_values=(-1,))).g
     if g == 0.0:
         raise QhScatterError("free model has no wall limit (g must be nonzero)")
     if args.h_list:

@@ -1,4 +1,4 @@
-"""Site indexing, band energies and plane-wave asymptotics on the 1D lattice.
+"""Site indexing, band energies and sampled waves on the 1D lattice.
 
 Sites are integers k in [-M, M] at coordinates x_k = k*h.  All matching
 algebra downstream is dimensionless (diagonal entries 2*cos(phi)); the
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandError, DomainError, WindowError
+from .errors import BandError, WindowError
 
 
 @dataclass(frozen=True)
@@ -71,22 +71,6 @@ def phi_from_energy(energy: float, h: float = 1.0) -> EnergyAngle:
     if x <= 2.0:
         return EnergyAngle(2.0 * math.asin(math.sqrt(x) / 2.0))
     return EnergyAngle(math.pi - 2.0 * math.asin(math.sqrt(4.0 - x) / 2.0))
-
-
-def asymptotic_left(m: int, phi: float | EnergyAngle, reflection: complex) -> complex:
-    """Left-side free wave U_{-m} = exp(-i m phi) + R exp(+i m phi), m >= 1."""
-    if m < 1:
-        raise DomainError(f"asymptotic site index m={m} must be >= 1")
-    p = as_angle(phi).phi
-    return complex(np.exp(-1j * m * p) + reflection * np.exp(1j * m * p))
-
-
-def asymptotic_right(m: int, phi: float | EnergyAngle, transmission: complex) -> complex:
-    """Right-side free wave L_m = T exp(+i m phi), m >= 1."""
-    if m < 1:
-        raise DomainError(f"asymptotic site index m={m} must be >= 1")
-    p = as_angle(phi).phi
-    return complex(transmission * np.exp(1j * m * p))
 
 
 @dataclass(frozen=True)

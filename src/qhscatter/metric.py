@@ -3,34 +3,40 @@
 A positive diagonal Theta renders the non-Hermitian H self-adjoint in the
 weighted inner product <psi|Theta|phi>, provided H^dagger Theta = Theta H.
 For bandwidth-1 real H and diagonal Theta this reduces to one condition per
-bond: H[k+1,k] theta_{k+1} = theta_k H[k,k+1].
+bond: H[k+1,k] theta_{k+1} = theta_k H[k,k+1], that is
+theta_{k+1} = theta_k (1 + gamma_k)/(1 - gamma_k) on a bond of coupling
+gamma_k.  build_metric solves it for every family at once as the split
+product
 
-Closed forms implemented here:
+    theta_k = prod_{b < k} (1 + gamma_b) * prod_{b >= k} (1 - gamma_b)
 
-* chain model, with sites relabeled by odd integers outward from the
-  central bond (our site m >= 0 carries label 2m+1, site m < 0 carries
-  label -(2|m|-1)):
+over the bonds b of the scatterer's bond map.  It has no division and
+every factor lies in (0, 2).  The metric is defined only up to a positive
+constant; this normalisation gives
+
+* chains: the closed product pattern, with sites relabeled by odd integers
+  outward from the central bond,
 
       theta_{+-1} = (1 +- a)(1 - b^2)(1 - c^2) ...
       theta_{+-3} = (1 +- a)(1 +- b)^2 (1 - c^2) ...
       theta_{+-5} = (1 +- a)(1 +- b)^2 (1 +- c)^2 ...
 
-  continuing the same pattern for longer chains and saturating to a
-  constant beyond the last coupling;
+  saturating to a constant beyond the last coupling;
 
-* scatterer blocks: theta_k = 1 everywhere except (1+g)/(1-g) at each
-  block center.
+* scatterer blocks: prod_i (1 - g_i^2) away from the blocks and that
+  constant times (1+g)/(1-g) at each block center.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import WindowError
 from .lattice import SiteWindow
-from .potentials import BandedOperator, ChainSpec, MultiCenterSpec, TwoCenterSpec
+from .potentials import BandedOperator, ScattererSpec
 
 
 @dataclass(frozen=True)
@@ -51,46 +57,16 @@ class DiagonalMetric:
         return float(self.theta[self.window.index_of(k)])
 
 
-def identity_metric(window: SiteWindow) -> DiagonalMetric:
-    return DiagonalMetric(window, np.ones(window.n_sites))
-
-
-def chain_metric(spec: ChainSpec, window: SiteWindow) -> DiagonalMetric:
-    """Closed-form chain metric, normalized by the product form itself."""
-    cs = spec.couplings
-    nc = len(cs)
-    theta = np.empty(window.n_sites)
-    for i, k in enumerate(window.sites):
-        if k >= 0:
-            sign, m = +1.0, int(k)
-        else:
-            sign, m = -1.0, int(-k - 1)
-        v = 1.0 + sign * cs[0]
-        for j in range(2, nc + 1):
-            g = cs[j - 1]
-            if j <= m + 1:
-                v *= (1.0 + sign * g) ** 2
-            else:
-                v *= 1.0 - g * g
-        theta[i] = v
-    return DiagonalMetric(window, theta)
-
-
-def two_center_metric(spec: TwoCenterSpec, window: SiteWindow) -> DiagonalMetric:
-    """Identity except theta = (1+g)/(1-g) at the two block centers."""
-    if window.half_width < spec.N + 2:
-        raise WindowError(f"window does not hold the centers +-{spec.N + 2}")
+def build_metric(spec: ScattererSpec, window: SiteWindow) -> DiagonalMetric:
+    """The split product metric over the spec's bond map; the window must hold every bond."""
+    bonds = spec.bond_map()
+    if any(not -window.half_width <= k < window.half_width for k in bonds):
+        raise WindowError(f"window of half-width {window.half_width} does not hold every bond")
     theta = np.ones(window.n_sites)
-    for c in spec.centers:
-        theta[window.index_of(c)] = (1.0 + spec.g) / (1.0 - spec.g)
-    return DiagonalMetric(window, theta)
-
-
-def multi_center_metric(spec: MultiCenterSpec, window: SiteWindow) -> DiagonalMetric:
-    """Identity except (1+g_i)/(1-g_i) at each block center."""
-    theta = np.ones(window.n_sites)
-    for c, g in zip(spec.centers, spec.couplings):
-        theta[window.index_of(c)] = (1.0 + g) / (1.0 - g)
+    for k, g in bonds.items():
+        # bond k lies right of the sites up to k and left of the sites from k+1 on
+        theta[: k + window.half_width + 1] *= 1.0 - g
+        theta[k + window.half_width + 1 :] *= 1.0 + g
     return DiagonalMetric(window, theta)
 
 
@@ -115,15 +91,13 @@ def quasi_hermiticity_residual(h: BandedOperator, metric: DiagonalMetric) -> flo
     return float(max(res_up.max(initial=0.0), res_lo.max(initial=0.0), res_diag.max(initial=0.0)))
 
 
-def asymmetry_ratio(spec: ChainSpec) -> float:
-    """Saturated left/right metric ratio theta_{-k}/theta_{+k} beyond the chain."""
-    num = 1.0
-    den = 1.0
-    for j, g in enumerate(spec.couplings, start=1):
-        p = 1 if j == 1 else 2
-        num *= (1.0 - g) ** p
-        den *= (1.0 + g) ** p
-    return num / den
+def asymmetry_ratio(spec: ScattererSpec) -> float:
+    """Saturated left/right metric ratio theta_L/theta_R = prod over bonds of (1-gamma)/(1+gamma).
+
+    Each block contributes (1-g)(1+g)/((1+g)(1-g)), so blocks give 1.
+    """
+    gammas = spec.bond_map().values()
+    return math.prod(1.0 - g for g in gammas) / math.prod(1.0 + g for g in gammas)
 
 
 def positivity_check(metric: DiagonalMetric) -> bool:

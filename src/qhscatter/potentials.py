@@ -13,8 +13,10 @@ bandwidth 1:
   two-center model places such blocks at c = +-(N+2); for N = -1 the blocks
   overlap at the origin and their entries superpose.
 
-The Hamiltonian is H = -Delta + V with the dimensionless kinetic part
-diag = 2, off-diag = -1.
+Every spec reduces to its bond map {bond k: coupling gamma} and its
+matching radius; build_potential, build_metric and the numeric solver read
+nothing else.  The Hamiltonian is H = -Delta + V with the dimensionless
+kinetic part diag = 2, off-diag = -1.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class ChainSpec:
     @property
     def matching_radius(self) -> int:
         """Smallest m with psi guaranteed free-form on |k| >= m."""
-        return max(len(self.couplings), 1)
+        return len(self.couplings)
 
 
 @dataclass(frozen=True)
@@ -194,52 +196,24 @@ def build_laplacian(window: SiteWindow) -> BandedOperator:
     )
 
 
-def _potential_from_bonds(bonds: BondMap, window: SiteWindow) -> BandedOperator:
+def build_potential(spec: ScattererSpec, window: SiteWindow) -> BandedOperator:
+    """V[k,k+1] = -gamma, V[k+1,k] = +gamma on every bond k of the spec's bond map.
+
+    Requires half_width >= matching_radius + 1, one free site beyond the
+    outermost bond on each side.
+    """
+    if window.half_width < spec.matching_radius + 1:
+        raise WindowError(
+            f"half_width {window.half_width} too small for matching radius {spec.matching_radius}"
+        )
     n = window.n_sites
     upper = np.zeros(n - 1, dtype=np.complex128)
     lower = np.zeros(n - 1, dtype=np.complex128)
-    for k, gamma in bonds.items():
-        i = window.index_of(k)  # bond (k, k+1) sits at the band index of site k
-        window.index_of(k + 1)  # right end must also lie inside the window
-        upper[i] = -gamma
-        lower[i] = +gamma
+    for k, gamma in spec.bond_map().items():
+        # bond (k, k+1) sits at the band index of site k
+        upper[k + window.half_width] = -gamma
+        lower[k + window.half_width] = +gamma
     return BandedOperator(window, diag=np.zeros(n, dtype=np.complex128), upper=upper, lower=lower)
-
-
-def build_chain_potential(spec: ChainSpec, window: SiteWindow) -> BandedOperator:
-    """Antisymmetric chain potential; requires half_width >= len(couplings) + 1."""
-    if window.half_width < len(spec.couplings) + 1:
-        raise WindowError(
-            f"half_width {window.half_width} too small for {len(spec.couplings)} couplings"
-        )
-    return _potential_from_bonds(spec.bond_map(), window)
-
-
-def build_two_center_potential(spec: TwoCenterSpec, window: SiteWindow) -> BandedOperator:
-    """Two three-site blocks at +-(N+2); requires half_width >= N + 4."""
-    if window.half_width < spec.N + 4:
-        raise WindowError(f"half_width {window.half_width} too small for N={spec.N}")
-    return _potential_from_bonds(spec.bond_map(), window)
-
-
-def build_multi_center_potential(spec: MultiCenterSpec, window: SiteWindow) -> BandedOperator:
-    """Superposed three-site blocks; requires one free row beyond the outermost block."""
-    if window.half_width < spec.matching_radius + 1:
-        raise WindowError(
-            f"half_width {window.half_width} too small for centers {spec.centers}"
-        )
-    return _potential_from_bonds(spec.bond_map(), window)
-
-
-def build_potential(spec: ScattererSpec, window: SiteWindow) -> BandedOperator:
-    """Dispatch on the scatterer family."""
-    if isinstance(spec, ChainSpec):
-        return build_chain_potential(spec, window)
-    if isinstance(spec, TwoCenterSpec):
-        return build_two_center_potential(spec, window)
-    if isinstance(spec, MultiCenterSpec):
-        return build_multi_center_potential(spec, window)
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
 
 def assemble_hamiltonian(potential: BandedOperator, window: SiteWindow | None = None) -> BandedOperator:

@@ -77,10 +77,6 @@ class Amplitudes:
         return abs(r2 + t2 - 1.0)
 
 
-def unitarity_defect(amp: Amplitudes) -> float:
-    return amp.unitarity_defect
-
-
 @dataclass(frozen=True)
 class ClosedFormBreakdown:
     """Intermediates of a closed-form evaluation.

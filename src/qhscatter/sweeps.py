@@ -3,8 +3,8 @@
 Sweep output is one flat record per evaluation with a fixed column order.
 Numbers are printed with 17 significant digits so a re-parsed file
 reproduces the original doubles exactly; identical configurations produce
-byte-identical files, also when evaluated on a thread pool.  Sweeps and the
-amplitude suites solve each scatterer's angles in one batched numeric call.
+byte-identical files.  Sweeps and the amplitude suites solve each
+scatterer's angles in one batched numeric call.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, ResonantAngleError
-from .metric import chain_metric, quasi_hermiticity_residual, two_center_metric
+from .metric import build_metric, quasi_hermiticity_residual
 from .potentials import (
     ChainSpec,
     MultiCenterSpec,
@@ -184,10 +182,26 @@ def _scatterer_records(spec: ScattererSpec, phis: list[float], method: str) -> l
     ]
 
 
-def _scatterer_groups(specs, angles) -> list[tuple[ScattererSpec, list[float]]]:
-    """One (scatterer, angles) group per scatterer, in grid order; angles as floats."""
-    phis = [float(phi) for phi in angles]
-    return [(spec, phis) for spec in specs]
+def scatterer_specs(model: str, couplings, n_values=(), centers=()) -> list[ScattererSpec]:
+    """The scatterers of a grid in grid order: couplings outer, N inner.
+
+    couplings are g values ("two-center", "multi-center") or chain coupling
+    vectors ("chain"); n_values are two-center separations and centers the
+    multi-center block centers, each ignored by the other models.
+    """
+    if model == "two-center":
+        if not couplings or not n_values:
+            raise DomainError("two-center model needs g and N values")
+        return [TwoCenterSpec(g, n) for g in couplings for n in n_values]
+    if model == "chain":
+        if not couplings:
+            raise DomainError("chain model needs at least one coupling vector")
+        return [ChainSpec(tuple(v)) for v in couplings]
+    if model == "multi-center":
+        if not centers or not couplings:
+            raise DomainError("multi-center model needs centers and g values")
+        return [MultiCenterSpec(centers, (g,) * len(centers)) for g in couplings]
+    raise DomainError(f"unknown model {model!r}")
 
 
 @dataclass(frozen=True)
@@ -201,54 +215,19 @@ class SweepConfig:
     phi_min: float | None = None
     phi_max: float | None = None
     method: str = "numeric"
-    fmt: str = "csv"
     centers: tuple[int, ...] = ()  # multi-center only
 
     def specs(self) -> list[ScattererSpec]:
-        if self.model == "two-center":
-            if not self.couplings or not self.n_values:
-                raise DomainError("two-center sweep needs g and N grids")
-            return [TwoCenterSpec(g, n) for g in self.couplings for n in self.n_values]
-        if self.model == "chain":
-            if not self.couplings:
-                raise DomainError("chain sweep needs at least one coupling vector")
-            return [ChainSpec(tuple(v)) for v in self.couplings]
-        if self.model == "multi-center":
-            if not self.centers or not self.couplings:
-                raise DomainError("multi-center sweep needs centers and a g grid")
-            return [
-                MultiCenterSpec(self.centers, (g,) * len(self.centers)) for g in self.couplings
-            ]
-        raise DomainError(f"unknown model {self.model!r}")
+        return scatterer_specs(self.model, self.couplings, self.n_values, self.centers)
 
     def angles(self) -> np.ndarray:
         return phi_grid(self.phi_count, self.phi_min, self.phi_max)
 
 
 def sweep_records(config: SweepConfig) -> list[dict]:
-    """Evaluate the full grid: couplings outer, N middle, phi inner.
-
-    Each scatterer is one task; with THREADS > 1 the tasks run on a thread
-    pool and their records are joined in grid order.
-    """
-    groups = _scatterer_groups(config.specs(), config.angles())
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda group: _scatterer_records(*group, config.method), groups))
-    else:
-        chunks = [_scatterer_records(spec, phis, config.method) for spec, phis in groups]
-    return [row for chunk in chunks for row in chunk]
-
-
-def _thread_count() -> int:
-    """THREADS from the environment, clamped to [1, os.cpu_count()]."""
-    raw = os.environ.get("THREADS", "1")
-    try:
-        requested = max(1, int(raw))
-    except ValueError:
-        return 1
-    return min(requested, os.cpu_count() or 1)
+    """Evaluate the full grid: couplings outer, N middle, phi inner."""
+    phis = config.angles().tolist()
+    return [row for spec in config.specs() for row in _scatterer_records(spec, phis, config.method)]
 
 
 def render_csv(records: list[dict]) -> str:
@@ -303,36 +282,43 @@ def metric_suite(
     n_grid=DEFAULT_N_GRID,
     chain_specs=DEFAULT_CHAIN_SPECS,
 ) -> list[SuiteCheck]:
-    """Quasi-Hermiticity residuals of the closed-form metrics."""
+    """Quasi-Hermiticity residuals of build_metric on each family's grid."""
     checks = []
     if g_grid and n_grid:
-        worst, worst_at = 0.0, ""
-        for g in g_grid:
-            for n in n_grid:
-                spec = TwoCenterSpec(g, n)
-                window = SiteWindow(n + 5)
-                h = assemble_hamiltonian(build_potential(spec, window))
-                res = quasi_hermiticity_residual(h, two_center_metric(spec, window))
-                if res > worst:
-                    worst, worst_at = res, f"g={g} N={n}"
+        labelled = ((f"g={g} N={n}", TwoCenterSpec(g, n)) for g in g_grid for n in n_grid)
+        worst, worst_at = _worst_residual(labelled)
         checks.append(SuiteCheck("metric", "two-center", worst, tolerance_two_center, worst_at))
     if chain_specs:
-        worst, worst_at = 0.0, ""
-        for cs in chain_specs:
-            spec = ChainSpec(tuple(cs))
-            window = SiteWindow(len(cs) + 3)
-            h = assemble_hamiltonian(build_potential(spec, window))
-            res = quasi_hermiticity_residual(h, chain_metric(spec, window))
-            if res > worst:
-                worst, worst_at = res, f"couplings={cs}"
+        labelled = ((f"couplings={cs}", ChainSpec(tuple(cs))) for cs in chain_specs)
+        worst, worst_at = _worst_residual(labelled)
         checks.append(SuiteCheck("metric", "chain", worst, tolerance_chain, worst_at))
     return checks
 
 
+def _worst_residual(labelled) -> tuple[float, str]:
+    """(largest residual, its label) over (label, spec) pairs.
+
+    Each spec is checked on a window two sites past its matching radius.  A
+    residual that is not finite ends the scan and is returned with its
+    label: it fails any tolerance, where a NaN would slip past a max.
+    """
+    worst, worst_at = 0.0, ""
+    for label, spec in labelled:
+        window = SiteWindow(spec.matching_radius + 2)
+        h = assemble_hamiltonian(build_potential(spec, window))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = quasi_hermiticity_residual(h, build_metric(spec, window))
+        if not math.isfinite(res):
+            return res, label
+        if res > worst:
+            worst, worst_at = res, label
+    return worst, worst_at
+
+
 def _two_center_groups(g_grid, n_grid, phi_count):
     # strictly inside (DEFAULT_PHI_MIN, DEFAULT_PHI_MAX)
-    angles = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, phi_count + 2)[1:-1]
-    return _scatterer_groups((TwoCenterSpec(g, n) for g in g_grid for n in n_grid), angles)
+    phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, phi_count + 2)[1:-1].tolist()
+    return [(TwoCenterSpec(g, n), phis) for g in g_grid for n in n_grid]
 
 
 def unitarity_suite(

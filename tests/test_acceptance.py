@@ -15,14 +15,13 @@ from qhscatter import (
     SiteWindow,
     TwoCenterSpec,
     assemble_hamiltonian,
+    build_metric,
     build_potential,
-    chain_metric,
     closed_form,
     continuum_probe,
     interior_plane_wave_fit,
     quasi_hermiticity_residual,
     solve_numeric,
-    two_center_metric,
 )
 from qhscatter.cli import main
 from qhscatter.sweeps import (
@@ -76,7 +75,7 @@ def test_criterion_3_quasi_hermiticity():
         spec = ChainSpec(cs)
         window = SiteWindow(7)  # 15 sites
         h = assemble_hamiltonian(build_potential(spec, window))
-        closed = chain_metric(spec, window)
+        closed = build_metric(spec, window)
         assert quasi_hermiticity_residual(h, closed) <= 1e-13
         oracle = metric_oracle(h.to_dense(), far_left=closed.theta[0])
         scale = np.maximum(np.abs(closed.theta), 1.0)
@@ -102,14 +101,14 @@ def test_criterion_4_free_model_identity():
                 continue  # guarded angles belong to the numeric path
             worst = max(worst, abs(amp_c.R), abs(abs(amp_c.T) - 1.0))
         window = SiteWindow(n + 5)
-        theta = two_center_metric(spec, window).theta
+        theta = build_metric(spec, window).theta
         worst = max(worst, float(np.max(np.abs(theta - 1.0))))
     free_chain = ChainSpec((0.0, 0.0))
     for phi in PHI_SAMPLE:
         amp, _ = solve_numeric(free_chain, float(phi))
         worst = max(worst, abs(amp.R), abs(abs(amp.T) - 1.0))
     worst = max(
-        worst, float(np.max(np.abs(chain_metric(free_chain, SiteWindow(5)).theta - 1.0)))
+        worst, float(np.max(np.abs(build_metric(free_chain, SiteWindow(5)).theta - 1.0)))
     )
     report(4, "free-model identity", worst <= 1e-13, f"max deviation {worst:.2e} <= 1e-13")
 
@@ -136,8 +135,10 @@ def test_criterion_6_g_sign_symmetry():
                 am, _ = solve_numeric(minus, float(phi))
                 worst_amp = max(worst_amp, abs(ap.R - am.R), abs(ap.T - am.T))
             window = SiteWindow(n + 5)
-            tp = two_center_metric(plus, window).theta_at(n + 2)
-            tm = two_center_metric(minus, window).theta_at(n + 2)
+            # centre-to-outside ratios: build_metric fixes theta only up to a constant
+            mp, mm = build_metric(plus, window), build_metric(minus, window)
+            tp = mp.theta_at(n + 2) / mp.theta_at(n + 5)
+            tm = mm.theta_at(n + 2) / mm.theta_at(n + 5)
             worst_metric = max(worst_metric, abs(tp * tm - 1.0))
     ok = worst_amp <= 1e-13 and worst_metric <= 1e-13
     report(

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from qhscatter import (
     BandError,
-    DomainError,
     EnergyAngle,
     SiteWindow,
     WaveSample,
     WindowError,
-    asymptotic_left,
-    asymptotic_right,
     energy_from_phi,
     phi_from_energy,
 )
@@ -79,56 +76,6 @@ class TestEnergyConversion:
     def test_energy_increasing(self, phi_lo, delta):
         phi_hi = min(phi_lo + delta, math.pi - 0.01)
         assert energy_from_phi(phi_hi) > energy_from_phi(phi_lo)
-
-
-class TestAsymptoticForms:
-    def test_left_no_reflection(self):
-        assert asymptotic_left(1, math.pi / 2, 0.0) == pytest.approx(-1j, abs=1e-15)
-
-    def test_left_full_reflection_is_cosine(self):
-        phi = 0.8371
-        val = asymptotic_left(2, phi, 1.0)
-        assert val == pytest.approx(2 * math.cos(2 * phi), abs=1e-14)
-
-    def test_left_direct_value(self):
-        val = asymptotic_left(3, math.pi / 3, 0.5j)
-        assert val == pytest.approx(-1.0 - 0.5j, abs=1e-14)
-
-    def test_right_zero_transmission(self):
-        assert asymptotic_right(1, 1.234, 0.0) == 0.0
-
-    def test_right_quarter_turn(self):
-        assert asymptotic_right(2, math.pi / 4, 1.0) == pytest.approx(1j, abs=1e-15)
-
-    def test_right_direct_value(self):
-        expected = 2.0 * np.exp(2j * math.pi / 3)
-        assert asymptotic_right(4, math.pi / 6, 2.0) == pytest.approx(expected, abs=1e-14)
-
-    @pytest.mark.parametrize("m", [0, -1])
-    def test_requires_positive_site(self, m):
-        with pytest.raises(DomainError):
-            asymptotic_left(m, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            asymptotic_right(m, 1.0, 1.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        m=st.integers(min_value=1, max_value=60),
-        phi=st.floats(min_value=0.01, max_value=math.pi - 0.01),
-        t_re=st.floats(min_value=-2, max_value=2),
-        t_im=st.floats(min_value=-2, max_value=2),
-    )
-    def test_right_modulus_preserved(self, m, phi, t_re, t_im):
-        t = complex(t_re, t_im)
-        assert abs(abs(asymptotic_right(m, phi, t)) - abs(t)) <= 1e-14 * max(1.0, abs(t))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        m=st.integers(min_value=1, max_value=60),
-        phi=st.floats(min_value=0.01, max_value=math.pi - 0.01),
-    )
-    def test_left_unimodular_without_reflection(self, m, phi):
-        assert abs(abs(asymptotic_left(m, phi, 0.0)) - 1.0) <= 1e-14
 
 
 class TestWindowAndSample:

@@ -231,11 +231,9 @@ class TestFailuresInGridOrder:
         monkeypatch.setattr(scattering, "build_matching_system", singular_at_targets)
 
     @pytest.mark.parametrize("force", ["_force_refusal", "_force_singular"])
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_sweep_raises_what_the_per_point_loop_raises(self, monkeypatch, force, threads):
+    def test_sweep_raises_what_the_per_point_loop_raises(self, monkeypatch, force):
         config = self._config()
         getattr(self, force)(monkeypatch, self._targets(config))
-        monkeypatch.setenv("THREADS", threads)
         expected = _first_error(lambda: _per_point_loop(config))
         assert expected.endswith(f"at phi={float(config.angles()[4])!r}" + (
             ": singular matrix" if force == "_force_singular" else ""))

@@ -13,11 +13,8 @@ from qhscatter import (
     TwoCenterSpec,
     WindowError,
     assemble_hamiltonian,
-    build_chain_potential,
     build_laplacian,
-    build_multi_center_potential,
     build_potential,
-    build_two_center_potential,
 )
 
 couplings_in_band = st.floats(min_value=-0.9, max_value=0.9)
@@ -40,7 +37,7 @@ class TestLaplacian:
 
 class TestChainPotential:
     def test_single_coupling_entries(self):
-        v = build_chain_potential(ChainSpec((0.7,)), SiteWindow(2))
+        v = build_potential(ChainSpec((0.7,)), SiteWindow(2))
         dense = v.to_dense()
         w = v.window
         assert dense[w.index_of(0), w.index_of(-1)] == 0.7
@@ -50,27 +47,27 @@ class TestChainPotential:
         assert np.all(dense == 0)
 
     def test_two_couplings_layout(self):
-        v = build_chain_potential(ChainSpec((0.5, 0.25)), SiteWindow(3))
+        v = build_potential(ChainSpec((0.5, 0.25)), SiteWindow(3))
         # central bond carries a, both neighbors carry b
         assert v.entry(0, -1) == 0.5 and v.entry(-1, 0) == -0.5
         assert v.entry(1, 0) == 0.25 and v.entry(0, 1) == -0.25
         assert v.entry(-1, -2) == 0.25 and v.entry(-2, -1) == -0.25
 
     def test_zero_couplings_zero_operator(self):
-        v = build_chain_potential(ChainSpec((0.0, 0.0)), SiteWindow(4))
+        v = build_potential(ChainSpec((0.0, 0.0)), SiteWindow(4))
         assert np.all(v.to_dense() == 0)
 
     @settings(max_examples=60, deadline=None)
     @given(cs=st.lists(couplings_in_band, min_size=1, max_size=4))
     def test_antisymmetric(self, cs):
-        v = build_chain_potential(ChainSpec(tuple(cs)), SiteWindow(len(cs) + 2)).to_dense()
+        v = build_potential(ChainSpec(tuple(cs)), SiteWindow(len(cs) + 2)).to_dense()
         assert np.array_equal(v.T, -v)
         assert np.all(v.imag == 0)
         assert np.all(np.diag(v) == 0)
 
     def test_window_too_small(self):
         with pytest.raises(WindowError):
-            build_chain_potential(ChainSpec((0.1, 0.2, 0.3)), SiteWindow(3))
+            build_potential(ChainSpec((0.1, 0.2, 0.3)), SiteWindow(3))
 
     @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5])
     def test_coupling_out_of_range(self, bad):
@@ -109,15 +106,15 @@ class TestTwoCenterPotential:
         assert h.entry(-3, -2) == -1.0 and h.entry(3, 2) == -1.0
 
     def test_zero_coupling(self):
-        v = build_two_center_potential(TwoCenterSpec(0.0, 2), SiteWindow(8))
+        v = build_potential(TwoCenterSpec(0.0, 2), SiteWindow(8))
         assert np.all(v.to_dense() == 0)
 
     @settings(max_examples=60, deadline=None)
     @given(g=couplings_in_band, n=st.integers(min_value=0, max_value=6))
     def test_disjoint_blocks_and_sign_flip_transposes(self, g, n):
         w = SiteWindow(n + 5)
-        v_plus = build_two_center_potential(TwoCenterSpec(g, n), w).to_dense()
-        v_minus = build_two_center_potential(TwoCenterSpec(-g, n), w).to_dense()
+        v_plus = build_potential(TwoCenterSpec(g, n), w).to_dense()
+        v_minus = build_potential(TwoCenterSpec(-g, n), w).to_dense()
         assert np.array_equal(v_minus, v_plus.T)
         # support confined to the two blocks
         for i, ki in enumerate(w.sites):
@@ -129,7 +126,7 @@ class TestTwoCenterPotential:
 
     def test_window_too_small(self):
         with pytest.raises(WindowError):
-            build_two_center_potential(TwoCenterSpec(0.5, 2), SiteWindow(5))
+            build_potential(TwoCenterSpec(0.5, 2), SiteWindow(5))
 
     def test_invalid_parameters(self):
         with pytest.raises(PositivityError):
@@ -141,19 +138,19 @@ class TestTwoCenterPotential:
 class TestMultiCenter:
     def test_matches_two_center(self):
         w = SiteWindow(7)
-        a = build_two_center_potential(TwoCenterSpec(0.6, 1), w).to_dense()
-        b = build_multi_center_potential(MultiCenterSpec((-3, 3), (0.6, 0.6)), w).to_dense()
+        a = build_potential(TwoCenterSpec(0.6, 1), w).to_dense()
+        b = build_potential(MultiCenterSpec((-3, 3), (0.6, 0.6)), w).to_dense()
         assert np.array_equal(a, b)
 
     def test_merged_matches_n_minus_one(self):
         w = SiteWindow(4)
-        a = build_two_center_potential(TwoCenterSpec(0.6, -1), w).to_dense()
-        b = build_multi_center_potential(MultiCenterSpec((-1, 1), (0.6, 0.6)), w).to_dense()
+        a = build_potential(TwoCenterSpec(0.6, -1), w).to_dense()
+        b = build_potential(MultiCenterSpec((-1, 1), (0.6, 0.6)), w).to_dense()
         assert np.array_equal(a, b)
 
     def test_three_centers_disjoint_entries(self):
         spec = MultiCenterSpec((-6, 0, 5), (0.2, -0.4, 0.6))
-        v = build_multi_center_potential(spec, SiteWindow(9))
+        v = build_potential(spec, SiteWindow(9))
         for c, g in zip(spec.centers, spec.couplings):
             assert v.entry(c - 1, c) == pytest.approx(-g)
             assert v.entry(c, c - 1) == pytest.approx(g)
@@ -172,7 +169,7 @@ class TestMultiCenter:
 class TestAssembly:
     def test_zero_potential_gives_laplacian(self):
         w = SiteWindow(5)
-        v = build_chain_potential(ChainSpec((0.0,)), w)
+        v = build_potential(ChainSpec((0.0,)), w)
         assert np.array_equal(assemble_hamiltonian(v).to_dense(), build_laplacian(w).to_dense())
 
     def test_two_center_asymmetry_magnitude(self):
@@ -187,6 +184,6 @@ class TestAssembly:
         assert h.entry(0, -1) + h.entry(-1, 0) == -2.0
 
     def test_window_mismatch(self):
-        v = build_chain_potential(ChainSpec((0.5,)), SiteWindow(3))
+        v = build_potential(ChainSpec((0.5,)), SiteWindow(3))
         with pytest.raises(WindowError):
             assemble_hamiltonian(v, SiteWindow(4))

@@ -23,7 +23,6 @@ from qhscatter import (
     interior_plane_wave_fit,
     matching_row_residual,
     solve_numeric,
-    unitarity_defect,
 )
 from qhscatter.lattice import SiteWindow, WaveSample
 from qhscatter.scattering import _wave_from_solution, build_matching_system
@@ -227,14 +226,75 @@ class TestGSignSymmetry:
 
 class TestUnitarityDefect:
     def test_perfect_transmission(self):
-        assert unitarity_defect(Amplitudes(R=0.0, T=1.0, phi=1.0)) == 0.0
+        assert Amplitudes(R=0.0, T=1.0, phi=1.0).unitarity_defect == 0.0
 
     def test_pythagorean_pair(self):
-        assert unitarity_defect(Amplitudes(R=0.6, T=0.8j, phi=1.0)) <= 1e-16
+        assert Amplitudes(R=0.6, T=0.8j, phi=1.0).unitarity_defect <= 1e-16
 
     def test_solver_output_is_unitary(self):
         amp, _ = solve_numeric(TwoCenterSpec(0.7, 5), 2.0)
         assert amp.unitarity_defect <= 1e-12
+
+
+def _flanked_wave(phi, R, T, radius=1, extra=60, interior=None):
+    """The numeric route's wave for a solution x = (R, interior..., T)."""
+    inner = np.zeros(2 * radius - 1) if interior is None else interior
+    x = np.concatenate([[R], inner, [T]]).astype(np.complex128)
+    return _wave_from_solution(radius, phi, x, 1.0, extra)
+
+
+class TestAsymptoticFlanks:
+    """psi_{-m} = exp(-i m phi) + R exp(i m phi) and psi_m = T exp(i m phi) outside the block."""
+
+    def test_left_no_reflection(self):
+        assert _flanked_wave(math.pi / 2, 0.0, 1.0).value_at(-1) == pytest.approx(-1j, abs=1e-15)
+
+    def test_left_full_reflection_is_cosine(self):
+        phi = 0.8371
+        val = _flanked_wave(phi, 1.0, 0.0).value_at(-2)
+        assert val == pytest.approx(2 * math.cos(2 * phi), abs=1e-14)
+
+    def test_left_direct_value(self):
+        val = _flanked_wave(math.pi / 3, 0.5j, 0.0).value_at(-3)
+        assert val == pytest.approx(-1.0 - 0.5j, abs=1e-14)
+
+    def test_right_zero_transmission(self):
+        assert _flanked_wave(1.234, 1.0, 0.0).value_at(1) == 0.0
+
+    def test_right_quarter_turn(self):
+        assert _flanked_wave(math.pi / 4, 0.0, 1.0).value_at(2) == pytest.approx(1j, abs=1e-15)
+
+    def test_right_direct_value(self):
+        expected = 2.0 * np.exp(2j * math.pi / 3)
+        assert _flanked_wave(math.pi / 6, 0.0, 2.0).value_at(4) == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("radius", [1, 3])
+    def test_interior_is_the_solved_block(self, radius):
+        interior = np.arange(1, 2 * radius) * (1.0 + 0.5j)
+        wave = _flanked_wave(0.9, 0.3, 0.7j, radius=radius, extra=2, interior=interior)
+        assert wave.window.half_width == radius + 2
+        got = [wave.value_at(k) for k in range(-radius + 1, radius)]
+        assert got == interior.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=60),
+        phi=st.floats(min_value=0.01, max_value=math.pi - 0.01),
+        t_re=st.floats(min_value=-2, max_value=2),
+        t_im=st.floats(min_value=-2, max_value=2),
+    )
+    def test_right_modulus_preserved(self, m, phi, t_re, t_im):
+        t = complex(t_re, t_im)
+        val = _flanked_wave(phi, 0.0, t).value_at(m)
+        assert abs(abs(val) - abs(t)) <= 1e-14 * max(1.0, abs(t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=60),
+        phi=st.floats(min_value=0.01, max_value=math.pi - 0.01),
+    )
+    def test_left_unimodular_without_reflection(self, m, phi):
+        assert abs(abs(_flanked_wave(phi, 0.0, 1.0).value_at(-m)) - 1.0) <= 1e-14
 
 
 class TestInteriorFit:

@@ -7,7 +7,7 @@ import resource
 
 import pytest
 
-from qhscatter import DomainError, TwoCenterSpec, sweeps
+from qhscatter import DomainError, TwoCenterSpec
 from qhscatter.cli import main
 from qhscatter.sweeps import (
     SweepConfig,
@@ -28,7 +28,6 @@ def small_config(**overrides):
         phi_min=0.2,
         phi_max=2.9,
         method="both",
-        fmt="csv",
     )
     base.update(overrides)
     return SweepConfig(**base)
@@ -104,22 +103,6 @@ class TestTables:
     def test_deterministic_rendering(self):
         config = small_config()
         assert render_csv(sweep_records(config)) == render_csv(sweep_records(config))
-
-    def test_parallel_evaluation_identical(self, monkeypatch):
-        config = small_config(phi_count=4)
-        serial = render_csv(sweep_records(config))
-        monkeypatch.setenv("THREADS", "3")
-        assert render_csv(sweep_records(config)) == serial
-
-    @pytest.mark.parametrize(
-        ("raw", "cpus", "expected"),
-        [("100000", 8, 8), ("3", 8, 3), ("0", 8, 1), ("many", 8, 1), ("4", None, 1)],
-    )
-    def test_thread_count_capped_at_cpu_count(self, monkeypatch, raw, cpus, expected):
-        # only the count is computed: no pool is started with these values
-        monkeypatch.setenv("THREADS", raw)
-        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
-        assert sweeps._thread_count() == expected
 
     def test_full_grid_defects(self):
         config = SweepConfig(
@@ -267,11 +250,43 @@ class TestCliVerify:
         assert code == 0
         assert "suite=metric" in out and "PASS" in out
 
+    def test_non_finite_residual_fails_and_names_its_chain(self, capsys):
+        # theta overflows on a chain of 1,000 couplings and the residual is NaN
+        long_chain = ",".join(["0.5"] * 1000)
+        code = main(["verify", "--suite", "metric", "--model", "chain",
+                     "--couplings", f"0.5,0.3;{long_chain};0.4"])
+        line = capsys.readouterr().out.strip()
+        assert code == 1
+        assert "max=nan" in line and line.endswith("FAIL")
+        assert "worst=[couplings=(0.5, 0.5, 0.5," in line
+
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["verify", "--suite", "unitarity", "--tolerance", "1e-16"])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
+
+
+class TestCliOneScatterer:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["amplitudes", "--g", "0.3,0.5", "--N", "1,7", "--phi", "1.0"],
+            ["amplitudes", "--g", "0.3,0.5", "--N", "1", "--phi", "1.0"],
+            ["amplitudes", "--g", "0.3", "--N", "1,7", "--phi", "1.0"],
+            ["amplitudes", "--model", "chain", "--couplings", "0.5;0.9,0.1", "--phi", "1.0"],
+            ["amplitudes", "--model", "multi-center", "--centers", "-4,0,5", "--g", "0.4,0.6",
+             "--phi", "0.9"],
+            ["probe-continuum", "--g", "0.5,0.9"],
+        ],
+    )
+    def test_more_than_one_scatterer_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "one scatterer" in capsys.readouterr().err
+
+    def test_missing_separation_rejected(self, capsys):
+        assert main(["amplitudes", "--g", "0.3", "--phi", "1.0"]) == 2
+        assert "needs g and N" in capsys.readouterr().err
 
 
 class TestCliProbe:
