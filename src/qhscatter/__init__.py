@@ -53,6 +53,7 @@ from .scattering import (
     continuum_probe,
     interior_plane_wave_fit,
     matching_row_residual,
+    numeric_wave,
     solve_numeric,
     solve_numeric_batch,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "energy_from_phi",
     "interior_plane_wave_fit",
     "matching_row_residual",
+    "numeric_wave",
     "phi_from_energy",
     "positivity_check",
     "quasi_hermiticity_residual",

@@ -1,6 +1,23 @@
-"""Reflection/transmission amplitudes: matching solver and closed forms.
+"""Reflection/transmission amplitudes: matching solvers and closed forms.
 
-The numeric path assembles the matching conditions as a banded complex
+Two numeric routes solve the matching conditions of a scatterer's bond map.
+
+The one-angle route (solve_numeric, numeric_wave) solves the Hermitian
+partner h = Theta^(1/2) H Theta^(-1/2), the real symmetric lattice whose
+row k reads
+
+    -t_{k-1} psi_{k-1} + 2 cos(phi) psi_k - t_k psi_{k+1} = 0,
+
+t_b = sqrt((1 - gamma_b)(1 + gamma_b)) on a bond b and 1 elsewhere.  The
+unknowns are psi on each bond cluster (the rows that touch a bond, one site
+beyond on each side, and any free stretch of fewer than JUMP_ROWS rows),
+two plane-wave coefficients per longer free stretch, R and T_h; one banded
+LU with partial pivoting solves them, so the cost grows with the number of
+bonds and not with N.  h reflects as H does, and T = T_h sqrt(theta_L/theta_R).
+Its self-check is the partner's unitarity |R|^2 + |T_h|^2 = 1.
+
+The batched route (solve_numeric_batch, used by sweeps and the verify
+suites) assembles the matching conditions of H itself as a banded complex
 linear system and solves it by banded LU with partial pivoting.  Unknowns
 are ordered [R, psi_{-(A-1)}, ..., psi_{A-1}, T] where A is the matching
 radius of the scatterer (the smallest m such that psi is guaranteed to take
@@ -14,7 +31,8 @@ psi_j = exp(i j phi) + R exp(-i j phi) (left) and psi_j = T exp(i j phi)
 (right); the incoming unit-amplitude parts move to the right-hand side.
 For the two-center model (A = N + 3) the system has size 2N + 7.  The
 systems of many angles of one scatterer are stacked block-diagonally and
-solved together, up to CHUNK_UNKNOWNS unknowns per solve.
+solved together, up to CHUNK_UNKNOWNS unknowns per solve; each solution
+must satisfy its own rows (matching_row_residual).
 
 Closed forms for the two-center family:
 
@@ -46,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgbsv
 
 from .errors import DomainError, ResonanceError, ResonantAngleError
 from .lattice import EnergyAngle, SiteWindow, WaveSample, as_angle
@@ -59,6 +78,9 @@ BRANCH_GUARD = 1e-13
 # stay far under the 2 MB mmap threshold that cli.main sets, and a sweep's
 # peak memory stays where the one-angle route had it
 CHUNK_UNKNOWNS = 1 << 12
+# the one-angle route jumps a free stretch of at least this many rows
+# between bond clusters; shorter stretches stay in the cluster as plain rows
+JUMP_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -199,14 +221,6 @@ def _wave_values(radius: int, phis: np.ndarray, x: np.ndarray, extra: int = 2) -
     return out
 
 
-def _wave_from_solution(
-    radius: int, phi: float, x: np.ndarray, h: float, extra: int = 2
-) -> WaveSample:
-    """psi over [-(radius+extra), radius+extra]: the solved interior, asymptotic flanks."""
-    vals = _wave_values(radius, np.array([phi]), x[None, :], extra)
-    return WaveSample(SiteWindow(radius + extra, h), vals[0])
-
-
 def matching_row_residual(spec: ScattererSpec | BondMap, phi, wave):
     """Max relative residual of the discrete Schroedinger rows over the sample.
 
@@ -279,9 +293,9 @@ def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
     """Matching-solver amplitudes of one scatterer at every angle of phis, in order.
 
     The angles go in batches of up to CHUNK_UNKNOWNS unknowns: one
-    block-diagonal banded LU solve and one row self-check per batch, O(N)
-    work per angle.  Raises ResonanceError for the first angle whose solve
-    degenerates or fails its own rows, as solve_numeric would.
+    block-diagonal banded LU solve of H's matching rows and one row
+    self-check per batch, O(N) work per angle.  Raises ResonanceError for
+    the first angle whose solve degenerates or fails its own rows.
     """
     phis = _angle_array(phis)
     bonds, radius = spec.bond_map(), spec.matching_radius
@@ -294,20 +308,174 @@ def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
     return amps
 
 
-def solve_numeric(
-    spec: ScattererSpec, phi: float | EnergyAngle, h: float = 1.0
-) -> tuple[Amplitudes, WaveSample]:
-    """Solve the matching conditions at one angle; the brute-force route.
+def _bond_clusters(bonds: BondMap) -> list[list[int]]:
+    """[first, last] touched row of each bond cluster, left to right.
 
-    The one-angle case of solve_numeric_batch, plus the sampled wave over
-    [-(A+2), A+2] with spacing h.  Works for every scatterer family.
-    Raises ResonanceError when the factorization degenerates or the
-    solution fails its own rows.
+    Row k touches bonds k - 1 and k.  Touched rows with fewer than
+    JUMP_ROWS free rows between them share a cluster.
+    """
+    rows = sorted({r for b in bonds for r in (b, b + 1)})
+    clusters = [[rows[0], rows[0]]]
+    for r in rows[1:]:
+        if r - clusters[-1][1] - 1 < JUMP_ROWS:
+            clusters[-1][1] = r
+        else:
+            clusters.append([r, r])
+    return clusters
+
+
+def _exact_product(k, p: float):
+    """(hi, lo) with hi = k*p rounded and hi + lo = k p exactly, for integers |k| < 2^26.
+
+    k may be an integer array.  Splitting p in halves (Dekker) makes every
+    partial product exact.
+    """
+    hi = k * p
+    c = 134217729.0 * p  # 2^27 + 1
+    p_hi = c - (c - p)
+    return hi, (k * p_hi - hi) + k * (p - p_hi)
+
+
+def _phase(k: int, p: float) -> complex:
+    """e(k) = exp(i k p) of the exact product k p.
+
+    The rounded product k*p is off by up to half an ulp of itself.  Near
+    p = 0 or pi, where e(k) and e(-k) nearly coincide, the matching rows
+    amplify that by about 1/sin(p).  exp(i (hi + lo)) equals
+    exp(i hi) (1 + i lo) to double precision, lo being that rounding error.
+    """
+    hi, lo = _exact_product(k, p)
+    cos_hi, sin_hi = math.cos(hi), math.sin(hi)
+    return complex(cos_hi - sin_hi * lo, sin_hi + cos_hi * lo)
+
+
+def _solve_partner(bonds: BondMap, p: float):
+    """Solve the compressed matching system of the Hermitian partner at angle p.
+
+    Returns (x, layout): x = [R, cluster sites..., a, b, cluster sites..., T_h]
+    and layout the (first site, last site, column of the first site) of each
+    cluster; the plane-wave coefficients (a, b) of a jumped stretch sit in
+    the two columns before the cluster on its right.  Raises ResonanceError
+    when the system is singular or the solution breaks the partner's
+    unitarity |R|^2 + |T_h|^2 = 1 by more than 1e-9; a non-finite value
+    anywhere in x reaches R in the back substitution and breaks it too.
+    """
+    c2 = 2.0 * math.cos(p)
+    hop = {b: math.sqrt((1.0 - g) * (1.0 + g)) for b, g in bonds.items()}
+    clusters = _bond_clusters(bonds)
+    n = 2 + sum(r1 - r0 + 3 for r0, r1 in clusters) + 2 * (len(clusters) - 1)
+    # LAPACK band storage, column-major, for 2 sub- and 2 superdiagonals and
+    # 2 rows of fill-in: entry (i, j) at flat index 7 j + 4 + i - j
+    ab = [0.0] * (7 * n)
+    rhs = [0j] * n
+    layout = []
+    col = 1  # column of the next unknown; a cluster's row of site k has the column of psi_k
+    for r0, r1 in clusters:
+        s, e = r0 - 1, r1 + 1
+        if not layout:
+            # rows 0, 1: psi_j = e(j) + R e(-j) at the first two sites
+            for i, j in ((0, s), (1, s + 1)):
+                w = _phase(j, p)
+                ab[4 + i] = -w.conjugate()
+                ab[6 * (col + i) + i + 4] = 1.0
+                rhs[i] = w
+        else:
+            # free rows g1..g2 jumped: psi_j = a e(j - g1) + b e(g1 - j) at sites
+            # g1 - 1, g1 (the last two of the cluster before) and g2, g2 + 1
+            g1, g2, a = layout[-1][1], s, col
+            col += 2
+            relations = ((a - 1, g1 - 1, a - 2), (a, g1, a - 1), (a + 1, g2, col), (a + 2, g2 + 1, col + 1))
+            for i, j, cj in relations:  # row, site, column of the site
+                w = _phase(j - g1, p)
+                ab[6 * cj + i + 4] = 1.0
+                ab[6 * a + i + 4] = -w
+                ab[6 * a + i + 10] = -w.conjugate()
+        layout.append((s, e, col))
+        for i in range(col + 1, col + e - s):
+            # row of site k = i - col + s: -t_{k-1} psi_{k-1} + 2 cos(phi) psi_k - t_k psi_{k+1}
+            k = i - col + s
+            ab[7 * i - 2] = -hop.get(k - 1, 1.0)
+            ab[7 * i + 4] = c2
+            ab[7 * i + 10] = -hop.get(k, 1.0)
+        col += e - s + 1
+    # the last two rows: psi_j = T_h e(j) at the last two sites
+    for i, j in ((col - 1, e - 1), (col, e)):
+        ab[6 * (i - 1) + i + 4] = 1.0
+        ab[6 * col + i + 4] = -_phase(j, p)
+    band = np.array(ab, dtype=np.complex128).reshape(n, 7).T
+    _, _, x, info = zgbsv(2, 2, band, np.array(rhs), overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise ResonanceError(f"matching system singular at phi={p!r}")
+    x = x.tolist()
+    R, T_h = x[0], x[-1]
+    defect = abs(R.real**2 + R.imag**2 + T_h.real**2 + T_h.imag**2 - 1.0)
+    if not defect <= 1e-9:
+        raise ResonanceError(f"partner unitarity violated (defect {defect:.2e}) at phi={p!r}")
+    return x, layout
+
+
+def _half_log_ratio(gamma: float) -> float:
+    """log sqrt((1 - gamma)/(1 + gamma)): one bond's term of log sqrt(theta_L/theta_R)."""
+    return 0.5 * (math.log1p(-gamma) - math.log1p(gamma))
+
+
+def _partner_amplitudes(x: list[complex], bonds: BondMap, p: float) -> Amplitudes:
+    """R = R_h and T = T_h sqrt(theta_L/theta_R), the scale summed in log form.
+
+    The scale is exactly 1 for blocks, whose two bonds cancel.  Below the
+    double range T is 0; above it a DomainError is raised.
+    """
+    try:
+        scale = math.exp(math.fsum(_half_log_ratio(g) for g in bonds.values()))
+    except OverflowError:
+        raise DomainError(f"|T| exceeds the double range at phi={p!r}") from None
+    T_h = x[-1]
+    return Amplitudes(R=x[0], T=complex(T_h.real * scale, T_h.imag * scale), phi=p)
+
+
+def solve_numeric(spec: ScattererSpec, phi: float | EnergyAngle) -> Amplitudes:
+    """Matching-solver amplitudes at one angle, on the Hermitian partner; the one-angle route.
+
+    Solves the compressed matching system of the partner h (one banded LU
+    with partial pivoting, O(#bonds) unknowns whatever N) and maps T back.
+    Works for every scatterer family.  Raises ResonanceError when the
+    system is singular or the solution breaks the partner's unitarity.
     """
     p = as_angle(phi).phi
-    x, vals = _solve_block_batch(spec.bond_map(), spec.matching_radius, np.array([p]))
-    amp = Amplitudes(R=complex(x[0, 0]), T=complex(x[0, -1]), phi=p)
-    return amp, WaveSample(SiteWindow(spec.matching_radius + 2, h), vals[0])
+    bonds = spec.bond_map()
+    x, _ = _solve_partner(bonds, p)
+    return _partner_amplitudes(x, bonds, p)
+
+
+def numeric_wave(
+    spec: ScattererSpec, phi: float | EnergyAngle, h: float = 1.0
+) -> tuple[Amplitudes, WaveSample]:
+    """solve_numeric plus the sampled wave over [-(A+2), A+2] with spacing h.
+
+    The partner's wave comes from the solved cluster sites, the plane waves
+    of the jumped stretches and the asymptotic flanks; it maps back to H
+    site by site as psi_k = psi_h,k sqrt(theta_L/theta_k).
+    """
+    p = as_angle(phi).phi
+    bonds = spec.bond_map()
+    x, layout = _solve_partner(bonds, p)
+    window = SiteWindow(spec.matching_radius + 2, h)
+    m, ks = window.half_width, window.sites
+    hi, lo = _exact_product(ks, p)
+    phases = np.exp(1j * hi) * (1.0 + 1j * lo)  # e(k) as _phase gives it, to rounding
+    vals = np.where(ks < layout[0][0], phases + x[0] * phases.conj(), x[-1] * phases)
+    for (_, g1, _), (s, _, col) in zip(layout, layout[1:]):
+        hi, lo = _exact_product(np.arange(1, s - g1), p)
+        w = np.exp(1j * hi) * (1.0 + 1j * lo)  # e(k - g1) inside the stretch
+        vals[g1 + m + 1 : s + m] = x[col - 2] * w + x[col - 1] * w.conj()
+    for s, e, col in layout:
+        vals[s + m : e + m + 1] = x[col : col + e - s + 1]
+    # bond b lies left of the sites from b + 1 on
+    half_log = np.zeros(window.n_sites)
+    for b, g in bonds.items():
+        half_log[b + m + 1] = _half_log_ratio(g)
+    vals *= np.exp(np.cumsum(half_log))
+    return _partner_amplitudes(x, bonds, p), WaveSample(window, vals)
 
 
 def _moebius(den: float, num: float) -> complex:
@@ -388,7 +556,7 @@ def closed_form_generalN(
 
     Raises ResonantAngleError when any of sin(N phi), sin((N+1) phi),
     cos(N phi), cos((N+1) phi) falls below the guard, or when u or v
-    degenerates; callers fall back to solve_numeric there.
+    degenerates; callers fall back to a numeric route there.
     """
     if N < 1:
         raise DomainError(f"general-N closed form needs N >= 1, got {N}")
@@ -530,7 +698,7 @@ def continuum_probe(g: float, kappa: float, h_list) -> ContinuumProbeResult:
     gap = 0.0
     for h in hs:
         p = kappa * h
-        amp_num, wave = solve_numeric(spec, p, h=h)
+        amp_num, wave = numeric_wave(spec, p, h=h)
         amp_cf, _ = closed_form_Nminus1(g, p)
         gap = max(gap, abs(amp_cf.R - amp_num.R), abs(amp_cf.T - amp_num.T))
         rows.append(

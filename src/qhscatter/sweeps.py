@@ -4,7 +4,8 @@ Sweep output is one flat record per evaluation with a fixed column order.
 Numbers are printed with 17 significant digits so a re-parsed file
 reproduces the original doubles exactly; identical configurations produce
 byte-identical files.  Sweeps and the amplitude suites solve each
-scatterer's angles in one batched numeric call.
+scatterer's angles in one batched numeric call; evaluate_point solves its
+one angle on the Hermitian partner.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def evaluate_point(
     amp_closed = _closed_or_none(spec, phi, method, resonance_fallback)
     amp_num = None
     if method != "closed" or amp_closed is None:
-        amp_num, _ = solve_numeric(spec, phi)
+        amp_num = solve_numeric(spec, phi)
     return _point_records(spec, phi, method, amp_closed, amp_num)
 
 
@@ -289,10 +290,17 @@ def metric_suite(
         worst, worst_at = _worst_residual(labelled)
         checks.append(SuiteCheck("metric", "two-center", worst, tolerance_two_center, worst_at))
     if chain_specs:
-        labelled = ((f"couplings={cs}", ChainSpec(tuple(cs))) for cs in chain_specs)
+        labelled = ((_chain_label(tuple(cs)), ChainSpec(tuple(cs))) for cs in chain_specs)
         worst, worst_at = _worst_residual(labelled)
         checks.append(SuiteCheck("metric", "chain", worst, tolerance_chain, worst_at))
     return checks
+
+
+def _chain_label(couplings: tuple) -> str:
+    """couplings=(a, b, ...) of a chain; past 8 couplings the first 4 and the length."""
+    if len(couplings) <= 8:
+        return f"couplings={couplings}"
+    return f"couplings=({', '.join(map(repr, couplings[:4]))}, ...) length={len(couplings)}"
 
 
 def _worst_residual(labelled) -> tuple[float, str]:

@@ -20,6 +20,7 @@ from qhscatter import (
     closed_form,
     continuum_probe,
     interior_plane_wave_fit,
+    numeric_wave,
     quasi_hermiticity_residual,
     solve_numeric,
 )
@@ -93,7 +94,7 @@ def test_criterion_4_free_model_identity():
     for n in DEFAULT_N_GRID:
         spec = TwoCenterSpec(0.0, n)
         for phi in PHI_SAMPLE:
-            amp, _ = solve_numeric(spec, float(phi))
+            amp = solve_numeric(spec, float(phi))
             worst = max(worst, abs(amp.R), abs(abs(amp.T) - 1.0))
             try:
                 amp_c, _ = closed_form(spec, float(phi))
@@ -105,7 +106,7 @@ def test_criterion_4_free_model_identity():
         worst = max(worst, float(np.max(np.abs(theta - 1.0))))
     free_chain = ChainSpec((0.0, 0.0))
     for phi in PHI_SAMPLE:
-        amp, _ = solve_numeric(free_chain, float(phi))
+        amp = solve_numeric(free_chain, float(phi))
         worst = max(worst, abs(amp.R), abs(abs(amp.T) - 1.0))
     worst = max(
         worst, float(np.max(np.abs(build_metric(free_chain, SiteWindow(5)).theta - 1.0)))
@@ -131,8 +132,8 @@ def test_criterion_6_g_sign_symmetry():
         for n in DEFAULT_N_GRID:
             plus, minus = TwoCenterSpec(g, n), TwoCenterSpec(-g, n)
             for phi in PHI_SAMPLE:
-                ap, _ = solve_numeric(plus, float(phi))
-                am, _ = solve_numeric(minus, float(phi))
+                ap = solve_numeric(plus, float(phi))
+                am = solve_numeric(minus, float(phi))
                 worst_amp = max(worst_amp, abs(ap.R - am.R), abs(ap.T - am.T))
             window = SiteWindow(n + 5)
             # centre-to-outside ratios: build_metric fixes theta only up to a constant
@@ -154,7 +155,7 @@ def test_criterion_7_interior_free_motion():
     for g in DEFAULT_G_GRID:
         for n in (1, 2, 5, 10, 25, 50):
             for phi in (0.4, 1.2, 2.3):
-                _, wave = solve_numeric(TwoCenterSpec(g, n), phi)
+                _, wave = numeric_wave(TwoCenterSpec(g, n), phi)
                 _, _, residual = interior_plane_wave_fit(wave, n, phi)
                 worst = max(worst, residual)
     report(7, "interior free motion", worst <= 1e-10, f"max fit residual {worst:.2e} <= 1e-10")

@@ -1,11 +1,13 @@
 """The batched numeric route: one banded solve per batch of a scatterer's angles.
 
 Every amplitude, wave value and self-check value of a batch must equal the
-one-angle route bit for bit, and the per-site scalar references below
+one-angle LU block bit for bit, and the per-site scalar references below
 (the matching build as a row loop with cmath, and the wave and row
 residual references of test_scattering) pin both to the scalar complex
 arithmetic.  Failures must surface as the first failing angle in grid
-order, exactly as a loop over solve_numeric would raise them.
+order, exactly as a loop over the one-angle block would raise them.  The
+one-angle route solve_numeric (the compressed system of the Hermitian
+partner) agrees with the batch to rounding.
 """
 
 import cmath
@@ -30,8 +32,9 @@ from qhscatter import (
     sweep_records,
 )
 from qhscatter.cli import main
-from qhscatter.scattering import CHUNK_UNKNOWNS, _wave_values
-from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID, evaluate_point
+from qhscatter.lattice import SiteWindow, WaveSample
+from qhscatter.scattering import CHUNK_UNKNOWNS, _solve_block_batch, _wave_values
+from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID
 from test_scattering import CHAIN_AND_MULTI_SPECS, _reference_row_residual, _reference_wave
 
 VERIFY_ANGLES = np.linspace(0.05, math.pi - 0.05, 42)[1:-1]
@@ -96,20 +99,27 @@ def _assert_batch_matches_scalar_route(spec, phis):
         x_ref = scipy.linalg.solve_banded((1, 1), ab_ref, rhs_ref)
         assert x[i].tobytes() == x_ref.tobytes()
         assert vals[i].tobytes() == _reference_wave(a, phi, x_ref, 1.0).tobytes()
-        wave = scattering._wave_from_solution(a, phi, x_ref, 1.0)
+        wave = WaveSample(SiteWindow(a + 2), _wave_values(a, np.array([phi]), x_ref[None, :])[0])
         assert checks[i] == _reference_row_residual(spec, phi, wave)
     return checks
 
 
-def _assert_batch_matches_solve_numeric(spec, phis):
+def _one_angle_block(spec, phi):
+    """(R, T, wave) of the LU block of one angle."""
+    x, vals = _solve_block_batch(spec.bond_map(), spec.matching_radius, np.array([phi]))
+    wave = WaveSample(SiteWindow(spec.matching_radius + 2), vals[0])
+    return complex(x[0, 0]), complex(x[0, -1]), wave
+
+
+def _assert_batch_matches_one_angle_blocks(spec, phis):
     amps = solve_numeric_batch(spec, phis)
     _, vals, checks = _batch_pieces(spec, np.asarray(phis, dtype=float))
     assert [a.phi for a in amps] == [float(p) for p in phis]
     for i, (phi, amp) in enumerate(zip(phis, amps)):
-        one, wave = solve_numeric(spec, float(phi))
-        assert (amp.R, amp.T) == (one.R, one.T)
+        R, T, wave = _one_angle_block(spec, float(phi))
+        assert (amp.R, amp.T) == (R, T)
         assert np.array_equal(np.signbit([amp.R.real, amp.R.imag, amp.T.real, amp.T.imag]),
-                              np.signbit([one.R.real, one.R.imag, one.T.real, one.T.imag]))
+                              np.signbit([R.real, R.imag, T.real, T.imag]))
         assert vals[i].tobytes() == wave.values.tobytes()
         assert checks[i] == matching_row_residual(spec, float(phi), wave)
 
@@ -119,12 +129,12 @@ class TestBitForBit:
     def test_verify_grid(self, g):
         for n in DEFAULT_N_GRID:
             spec = TwoCenterSpec(g, n)
-            _assert_batch_matches_solve_numeric(spec, VERIFY_ANGLES)
+            _assert_batch_matches_one_angle_blocks(spec, VERIFY_ANGLES)
             _assert_batch_matches_scalar_route(spec, VERIFY_ANGLES[::7])
 
     @pytest.mark.parametrize("spec", CHAINS + CHAIN_AND_MULTI_SPECS, ids=repr)
     def test_chains_and_multi_center(self, spec):
-        _assert_batch_matches_solve_numeric(spec, RANDOM_ANGLES)
+        _assert_batch_matches_one_angle_blocks(spec, RANDOM_ANGLES)
         _assert_batch_matches_scalar_route(spec, RANDOM_ANGLES)
 
     def test_refused_angles_have_the_same_check_value(self):
@@ -154,10 +164,9 @@ class TestBitForBit:
         assert len(sizes) > 1
         monkeypatch.setattr(scipy.linalg, "solve_banded", solve)
         for phi, amp in zip(phis, amps):
-            one, _ = solve_numeric(spec, float(phi))
-            assert (amp.R, amp.T) == (one.R, one.T)
+            assert (amp.R, amp.T) == _one_angle_block(spec, float(phi))[:2]
         _, vals, checks = _batch_pieces(spec, phis[:2])
-        _, wave = solve_numeric(spec, float(phis[1]))
+        wave = _one_angle_block(spec, float(phis[1]))[2]
         assert vals[1].tobytes() == wave.values.tobytes()
         assert checks[1] == matching_row_residual(spec, float(phis[1]), wave)
 
@@ -167,6 +176,25 @@ class TestBitForBit:
 
     def test_empty_angle_list(self):
         assert solve_numeric_batch(TwoCenterSpec(0.5, 2), []) == []
+
+
+def _assert_one_angle_route_agrees(spec, phis):
+    for phi, amp in zip(phis.tolist(), solve_numeric_batch(spec, phis)):
+        one = solve_numeric(spec, phi)
+        assert max(abs(one.R - amp.R), abs(one.T - amp.T)) <= 1e-12
+
+
+class TestOneAngleRouteAgreesWithTheBatch:
+    """solve_numeric solves the Hermitian partner, the batch solves H: equal to rounding."""
+
+    @pytest.mark.parametrize("g", DEFAULT_G_GRID)
+    def test_verify_grid(self, g):
+        for n in DEFAULT_N_GRID:
+            _assert_one_angle_route_agrees(TwoCenterSpec(g, n), VERIFY_ANGLES)
+
+    @pytest.mark.parametrize("spec", CHAINS + CHAIN_AND_MULTI_SPECS, ids=repr)
+    def test_chains_and_multi_center(self, spec):
+        _assert_one_angle_route_agrees(spec, RANDOM_ANGLES)
 
 
 def _first_error(fn):
@@ -180,7 +208,7 @@ def _first_error(fn):
 def _per_point_loop(config):
     for spec in config.specs():
         for phi in config.angles():
-            evaluate_point(spec, float(phi), config.method)
+            _one_angle_block(spec, float(phi))
 
 
 class TestFailuresInGridOrder:
@@ -188,7 +216,7 @@ class TestFailuresInGridOrder:
         spec = TwoCenterSpec(0.999999, 3)
         phis = [0.4, 1.3, 1e-8, 2.2, math.pi - 1e-8]
         got = _first_error(lambda: solve_numeric_batch(spec, phis))
-        assert got == _first_error(lambda: [solve_numeric(spec, p) for p in phis])
+        assert got == _first_error(lambda: [_one_angle_block(spec, p) for p in phis])
         assert got.endswith("at phi=1e-08")
 
     def _config(self):
@@ -276,4 +304,4 @@ class TestClosedMethodSolvesOnlyGuardedAngles:
             *[(0, "closed", 0)] * 5,
         ]
         assert records[2]["discrepancy"] is None
-        assert records[2]["re_R"] == solve_numeric(TwoCenterSpec(0.4, 1), mid)[0].R.real
+        assert records[2]["re_R"] == batch(TwoCenterSpec(0.4, 1), [mid])[0].R.real

@@ -22,10 +22,11 @@ from qhscatter import (
     continuum_probe,
     interior_plane_wave_fit,
     matching_row_residual,
+    numeric_wave,
     solve_numeric,
 )
 from qhscatter.lattice import SiteWindow, WaveSample
-from qhscatter.scattering import _wave_from_solution, build_matching_system
+from qhscatter.scattering import _solve_block_batch, _wave_values, build_matching_system
 
 angles = st.floats(min_value=0.05, max_value=math.pi - 0.05)
 couplings = st.floats(min_value=-0.9, max_value=0.9)
@@ -34,26 +35,26 @@ couplings = st.floats(min_value=-0.9, max_value=0.9)
 class TestNumericSolver:
     @pytest.mark.parametrize("n", [-1, 0, 1, 4, 10])
     def test_free_lattice_transparent(self, n):
-        amp, _ = solve_numeric(TwoCenterSpec(0.0, n), 1.3)
+        amp = solve_numeric(TwoCenterSpec(0.0, n), 1.3)
         assert abs(amp.R) <= 1e-13
         assert abs(amp.T - 1.0) <= 1e-13
 
     def test_rows_satisfied(self):
         spec = TwoCenterSpec(0.5, 3)
-        amp, wave = solve_numeric(spec, 0.9)
+        amp, wave = numeric_wave(spec, 0.9)
         assert matching_row_residual(spec, 0.9, wave) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(g=couplings, n=st.integers(min_value=-1, max_value=15), phi=angles)
     def test_unitary_and_consistent(self, g, n, phi):
         spec = TwoCenterSpec(g, n)
-        amp, wave = solve_numeric(spec, phi)
+        amp, wave = numeric_wave(spec, phi)
         assert amp.unitarity_defect <= 1e-11
         assert matching_row_residual(spec, phi, wave) <= 1e-12
 
     def test_wave_matches_asymptotics(self):
         spec = TwoCenterSpec(0.4, 1)
-        amp, wave = solve_numeric(spec, 1.1)
+        amp, wave = numeric_wave(spec, 1.1)
         m = spec.matching_radius + 2
         left = cmath.exp(-1j * m * 1.1) + amp.R * cmath.exp(1j * m * 1.1)
         assert wave.value_at(-m) == pytest.approx(left, abs=1e-13)
@@ -68,20 +69,20 @@ class TestNumericSolver:
 
     def test_chain_runs_but_is_not_unitary(self):
         spec = ChainSpec((0.5,))
-        amp, wave = solve_numeric(spec, 1.1)
+        amp, wave = numeric_wave(spec, 1.1)
         assert matching_row_residual(spec, 1.1, wave) <= 1e-12
         assert amp.unitarity_defect > 0.1
 
     def test_multi_center_matches_two_center(self):
         phi = 0.7
-        amp_a, _ = solve_numeric(TwoCenterSpec(0.6, 2), phi)
-        amp_b, _ = solve_numeric(MultiCenterSpec((-4, 4), (0.6, 0.6)), phi)
+        amp_a = solve_numeric(TwoCenterSpec(0.6, 2), phi)
+        amp_b = solve_numeric(MultiCenterSpec((-4, 4), (0.6, 0.6)), phi)
         assert abs(amp_a.R - amp_b.R) <= 1e-14
         assert abs(amp_a.T - amp_b.T) <= 1e-14
 
     def test_three_centers_solve(self):
         spec = MultiCenterSpec((-6, 0, 7), (0.3, 0.5, -0.4))
-        amp, wave = solve_numeric(spec, 1.9)
+        amp, wave = numeric_wave(spec, 1.9)
         assert matching_row_residual(spec, 1.9, wave) <= 1e-12
 
 
@@ -100,7 +101,7 @@ class TestClosedFormMergedBlocks:
 
     def test_agrees_with_solver(self):
         amp_c, _ = closed_form_Nminus1(0.5, math.pi / 3)
-        amp_n, _ = solve_numeric(TwoCenterSpec(0.5, -1), math.pi / 3)
+        amp_n = solve_numeric(TwoCenterSpec(0.5, -1), math.pi / 3)
         assert abs(amp_c.R - amp_n.R) <= 1e-12
         assert abs(amp_c.T - amp_n.T) <= 1e-12
 
@@ -114,7 +115,7 @@ class TestClosedFormMergedBlocks:
         g = 0.5
         phi = 0.5 * math.acos((1 - 3 * g * g) / (1 + g * g))
         amp_c, breakdown = closed_form_Nminus1(g, phi)
-        amp_n, _ = solve_numeric(TwoCenterSpec(g, -1), phi)
+        amp_n = solve_numeric(TwoCenterSpec(g, -1), phi)
         assert abs(amp_c.R - amp_n.R) <= 1e-12
         assert abs(amp_c.T - amp_n.T) <= 1e-12
         assert abs(breakdown.mu) > 1e10
@@ -135,7 +136,7 @@ class TestClosedFormAdjacentBlocks:
 
     def test_agrees_with_solver(self):
         amp_c, _ = closed_form_N0(0.5, math.pi / 4)
-        amp_n, _ = solve_numeric(TwoCenterSpec(0.5, 0), math.pi / 4)
+        amp_n = solve_numeric(TwoCenterSpec(0.5, 0), math.pi / 4)
         assert abs(amp_c.R - amp_n.R) <= 1e-12
         assert abs(amp_c.T - amp_n.T) <= 1e-12
 
@@ -143,7 +144,7 @@ class TestClosedFormAdjacentBlocks:
     @given(g=couplings, phi=angles)
     def test_unitary_and_matches_solver(self, g, phi):
         amp_c, _ = closed_form_N0(g, phi)
-        amp_n, _ = solve_numeric(TwoCenterSpec(g, 0), phi)
+        amp_n = solve_numeric(TwoCenterSpec(g, 0), phi)
         assert amp_c.unitarity_defect <= 1e-12
         assert abs(amp_c.R - amp_n.R) <= 1e-11
         assert abs(amp_c.T - amp_n.T) <= 1e-11
@@ -177,7 +178,7 @@ class TestClosedFormSeparatedBlocks:
 
     def test_agrees_with_solver(self):
         amp_c, _ = closed_form_generalN(0.3, 2, 1.0)
-        amp_n, _ = solve_numeric(TwoCenterSpec(0.3, 2), 1.0)
+        amp_n = solve_numeric(TwoCenterSpec(0.3, 2), 1.0)
         assert abs(amp_c.R - amp_n.R) <= 1e-10
         assert abs(amp_c.T - amp_n.T) <= 1e-10
 
@@ -203,7 +204,7 @@ class TestClosedFormSeparatedBlocks:
             amp_c, _ = closed_form_generalN(g, n, phi)
         except ResonantAngleError:
             return
-        amp_n, _ = solve_numeric(TwoCenterSpec(g, n), phi)
+        amp_n = solve_numeric(TwoCenterSpec(g, n), phi)
         assert amp_c.unitarity_defect <= 1e-11
         assert abs(amp_c.R - amp_n.R) <= 1e-10
         assert abs(amp_c.T - amp_n.T) <= 1e-10
@@ -214,8 +215,8 @@ class TestGSignSymmetry:
     def test_amplitudes_even_in_g(self, n):
         phi = 1.17
         for g in (0.2, 0.5, 0.85):
-            plus, _ = solve_numeric(TwoCenterSpec(g, n), phi)
-            minus, _ = solve_numeric(TwoCenterSpec(-g, n), phi)
+            plus = solve_numeric(TwoCenterSpec(g, n), phi)
+            minus = solve_numeric(TwoCenterSpec(-g, n), phi)
             assert abs(plus.R - minus.R) <= 1e-13
             assert abs(plus.T - minus.T) <= 1e-13
             cf_plus, _ = closed_form(TwoCenterSpec(g, n), phi)
@@ -232,15 +233,21 @@ class TestUnitarityDefect:
         assert Amplitudes(R=0.6, T=0.8j, phi=1.0).unitarity_defect <= 1e-16
 
     def test_solver_output_is_unitary(self):
-        amp, _ = solve_numeric(TwoCenterSpec(0.7, 5), 2.0)
+        amp = solve_numeric(TwoCenterSpec(0.7, 5), 2.0)
         assert amp.unitarity_defect <= 1e-12
 
 
+def _lu_wave(radius, phi, x, h=1.0, extra=2):
+    """The LU route's wave over [-(radius+extra), radius+extra] for x = (R, interior..., T)."""
+    vals = _wave_values(radius, np.array([phi]), x[None, :], extra)
+    return WaveSample(SiteWindow(radius + extra, h), vals[0])
+
+
 def _flanked_wave(phi, R, T, radius=1, extra=60, interior=None):
-    """The numeric route's wave for a solution x = (R, interior..., T)."""
+    """The LU route's wave for a solution x = (R, interior..., T)."""
     inner = np.zeros(2 * radius - 1) if interior is None else interior
     x = np.concatenate([[R], inner, [T]]).astype(np.complex128)
-    return _wave_from_solution(radius, phi, x, 1.0, extra)
+    return _lu_wave(radius, phi, x, extra=extra)
 
 
 class TestAsymptoticFlanks:
@@ -299,7 +306,7 @@ class TestAsymptoticFlanks:
 
 class TestInteriorFit:
     def test_free_lattice(self):
-        _, wave = solve_numeric(TwoCenterSpec(0.0, 3), 0.77)
+        _, wave = numeric_wave(TwoCenterSpec(0.0, 3), 0.77)
         c, d, residual = interior_plane_wave_fit(wave, 3, 0.77)
         assert c == pytest.approx(1.0, abs=1e-12)
         assert abs(d) <= 1e-12
@@ -307,20 +314,20 @@ class TestInteriorFit:
 
     def test_interior_motion_free(self):
         spec = TwoCenterSpec(0.5, 4)
-        _, wave = solve_numeric(spec, 1.2)
+        _, wave = numeric_wave(spec, 1.2)
         _, _, residual = interior_plane_wave_fit(wave, 4, 1.2)
         assert residual <= 1e-10
 
     def test_fit_matches_closed_form_coefficients(self):
         g, n, phi = 0.5, 4, 1.2
-        _, wave = solve_numeric(TwoCenterSpec(g, n), phi)
+        _, wave = numeric_wave(TwoCenterSpec(g, n), phi)
         c_fit, d_fit, _ = interior_plane_wave_fit(wave, n, phi)
         _, breakdown = closed_form_generalN(g, n, phi)
         assert abs(c_fit - breakdown.C) <= 1e-9
         assert abs(d_fit - breakdown.D) <= 1e-9
 
     def test_too_few_sites(self):
-        _, wave = solve_numeric(TwoCenterSpec(0.5, 1), 1.0)
+        _, wave = numeric_wave(TwoCenterSpec(0.5, 1), 1.0)
         with pytest.raises(DomainError):
             interior_plane_wave_fit(wave, 0, 1.0)
 
@@ -359,7 +366,7 @@ class TestContinuumProbe:
 
 
 def _reference_wave(radius, phi, x, h, extra=2):
-    """Per-site reference for _wave_from_solution."""
+    """Per-site reference for the LU route's wave (_wave_values)."""
     window = SiteWindow(radius + extra, h)
     vals = np.empty(window.n_sites, dtype=np.complex128)
     R, T = x[0], x[-1]
@@ -406,12 +413,11 @@ class TestSelfCheckBitExact:
     def test_matches_per_site_loops(self, spec, phi, h):
         system = build_matching_system(spec.bond_map(), phi, spec.matching_radius)
         x = scipy.linalg.solve_banded((1, 1), system.ab, system.rhs)
-        wave = _wave_from_solution(system.radius, phi, x, h)
-        assert wave.window.spacing == h
+        wave = _lu_wave(system.radius, phi, x, h)
         assert wave.values.tobytes() == _reference_wave(system.radius, phi, x, h).tobytes()
         assert matching_row_residual(spec, phi, wave) == _reference_row_residual(spec, phi, wave)
-        _, solved = solve_numeric(spec, phi, h=h)
-        assert solved.values.tobytes() == wave.values.tobytes()
+        _, solved = _solve_block_batch(spec.bond_map(), system.radius, np.array([phi]))
+        assert solved[0].tobytes() == wave.values.tobytes()
 
     @pytest.mark.parametrize("spec", CHAIN_AND_MULTI_SPECS, ids=repr)
     def test_bonds_on_and_beyond_the_window_edge(self, spec):
@@ -424,3 +430,18 @@ class TestSelfCheckBitExact:
             wave = WaveSample(window, vals)
             got = matching_row_residual(spec, 1.3, wave)
             assert got == _reference_row_residual(spec, 1.3, wave)
+
+
+class TestNumericWave:
+    """numeric_wave: the partner's wave mapped back to H site by site, jumped stretches included."""
+
+    @pytest.mark.parametrize("spec", TWO_CENTER_SPECS + CHAIN_AND_MULTI_SPECS, ids=repr)
+    @pytest.mark.parametrize("phi, h", [(1e-6, 1.0), (1.9, 1.0), (math.pi - 1e-6, 0.05)])
+    def test_numeric_wave_is_the_lu_wave(self, spec, phi, h):
+        amp, wave = numeric_wave(spec, phi, h=h)
+        _, vals = _solve_block_batch(spec.bond_map(), spec.matching_radius, np.array([phi]))
+        one = solve_numeric(spec, phi)
+        assert wave.window == SiteWindow(spec.matching_radius + 2, h)
+        assert (amp.R, amp.T) == (one.R, one.T)
+        scale = max(1.0, float(np.abs(vals[0]).max()))
+        assert np.abs(wave.values - vals[0]).max() <= 1e-12 * scale

@@ -11,6 +11,7 @@ from qhscatter import DomainError, TwoCenterSpec
 from qhscatter.cli import main
 from qhscatter.sweeps import (
     SweepConfig,
+    _chain_label,
     evaluate_point,
     phi_grid,
     render_csv,
@@ -259,6 +260,17 @@ class TestCliVerify:
         assert code == 1
         assert "max=nan" in line and line.endswith("FAIL")
         assert "worst=[couplings=(0.5, 0.5, 0.5," in line
+
+    def test_long_chain_label_is_abbreviated(self, capsys):
+        long_chain = ",".join(["0.5"] * 1000)
+        code = main(["verify", "--suite", "metric", "--model", "chain", "--couplings", long_chain])
+        line = capsys.readouterr().out.strip()
+        assert code == 1
+        assert line.endswith("worst=[couplings=(0.5, 0.5, 0.5, 0.5, ...) length=1000] FAIL")
+        assert _chain_label((0.1,) * 8) == "couplings=(0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)"
+        assert _chain_label((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)) == (
+            "couplings=(0.1, 0.2, 0.3, 0.4, ...) length=9"
+        )
 
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["verify", "--suite", "unitarity", "--tolerance", "1e-16"])
