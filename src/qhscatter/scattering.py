@@ -1,10 +1,9 @@
-"""Reflection/transmission amplitudes: matching solvers and closed forms.
+"""Reflection/transmission amplitudes: the matching solver and closed forms.
 
-Two numeric routes solve the matching conditions of a scatterer's bond map.
-
-The one-angle route (solve_numeric, numeric_wave) solves the Hermitian
-partner h = Theta^(1/2) H Theta^(-1/2), the real symmetric lattice whose
-row k reads
+One numeric route solves every scatterer (solve_numeric at one angle,
+solve_numeric_batch at many, numeric_wave for the sampled wave).  It works
+on the Hermitian partner h = Theta^(1/2) H Theta^(-1/2), the real symmetric
+lattice whose row k reads
 
     -t_{k-1} psi_{k-1} + 2 cos(phi) psi_k - t_k psi_{k+1} = 0,
 
@@ -13,26 +12,15 @@ unknowns are psi on each bond cluster (the rows that touch a bond, one site
 beyond on each side, and any free stretch of fewer than JUMP_ROWS rows),
 two plane-wave coefficients per longer free stretch, R and T_h; one banded
 LU with partial pivoting solves them, so the cost grows with the number of
-bonds and not with N.  h reflects as H does, and T = T_h sqrt(theta_L/theta_R).
-Its self-check is the partner's unitarity |R|^2 + |T_h|^2 = 1.
+bonds and not with N.  Many angles of one scatterer are solved in one call,
+their systems stacked block-diagonally with no coupling between blocks, up
+to CHUNK_UNKNOWNS unknowns per call.  h reflects as H does, and
+T = T_h sqrt(theta_L/theta_R).  The self-check is the partner's unitarity
+|R|^2 + |T_h|^2 = 1, per angle.
 
-The batched route (solve_numeric_batch, used by sweeps and the verify
-suites) assembles the matching conditions of H itself as a banded complex
-linear system and solves it by banded LU with partial pivoting.  Unknowns
-are ordered [R, psi_{-(A-1)}, ..., psi_{A-1}, T] where A is the matching
-radius of the scatterer (the smallest m such that psi is guaranteed to take
-the free plane-wave form on |k| >= m).  One row per site k in [-A, A]: the
-discrete Schroedinger equation
-
-    (-1 + V[k,k-1]) psi_{k-1} + 2 cos(phi) psi_k + (-1 + V[k,k+1]) psi_{k+1} = 0
-
-with psi at |j| >= A replaced by the asymptotic forms
-psi_j = exp(i j phi) + R exp(-i j phi) (left) and psi_j = T exp(i j phi)
-(right); the incoming unit-amplitude parts move to the right-hand side.
-For the two-center model (A = N + 3) the system has size 2N + 7.  The
-systems of many angles of one scatterer are stacked block-diagonally and
-solved together, up to CHUNK_UNKNOWNS unknowns per solve; each solution
-must satisfy its own rows (matching_row_residual).
+H's own matching rows over its matching radius (build_matching_system) and
+their residual (matching_row_residual) stay public as an independent
+reference for tests and diagnostics; no library route solves them.
 
 Closed forms for the two-center family:
 
@@ -63,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import zgbsv
 
 from .errors import DomainError, ResonanceError, ResonantAngleError
@@ -74,9 +61,8 @@ from .potentials import BondMap, ScattererSpec, TwoCenterSpec
 RESONANCE_GUARD = 1e-10
 # |u| or |v| below this makes the branch ratios meaningless
 BRANCH_GUARD = 1e-13
-# unknowns per banded solve: a batch's arrays (ab takes 48 bytes per unknown)
-# stay far under the 2 MB mmap threshold that cli.main sets, and a sweep's
-# peak memory stays where the one-angle route had it
+# partner unknowns per batched solve: a batch's band (112 bytes per unknown,
+# about 460 KB) stays under the 2 MB mmap threshold that cli.main sets
 CHUNK_UNKNOWNS = 1 << 12
 # the one-angle route jumps a free stretch of at least this many rows
 # between bond clusters; shorter stretches stay in the cluster as plain rows
@@ -199,28 +185,6 @@ def build_matching_system(bonds: BondMap, phi, radius: int) -> MatchingSystem:
     return MatchingSystem(radius=a, phi=phis, ab=ab.reshape(3, -1), rhs=rhs.reshape(-1))
 
 
-def _wave_values(radius: int, phis: np.ndarray, x: np.ndarray, extra: int = 2) -> np.ndarray:
-    """psi over [-(radius+extra), radius+extra], one row per angle.
-
-    The interior is the solved block x[:, 1:-1]; for k = radius, ...,
-    radius + extra the flanks are e(-k) + R e(k) at site -k and T e(k) at
-    site k, with e(k) = exp(i k phi).
-    """
-    out = np.empty((len(phis), x.shape[1] + 2 * extra), dtype=np.complex128)
-    out[:, extra + 1 : -(extra + 1)] = x[:, 1:-1]
-    ks = range(radius, radius + extra + 1)
-    waves = np.exp(np.array([[1j * k for k in ks], [-1j * k for k in ks]]) * phis[:, None, None])
-    fwd, back = waves[:, :1], waves[:, 1]
-    coef = x[:, :: x.shape[1] - 1, None]  # R for the left flank, T for the right
-    # c e(k) as Re(c) e(k) + Im(c) i e(k): numpy's array complex product may
-    # use fused multiply-adds and round differently from the scalar product,
-    # while these real-by-complex products round each part as it does
-    flanks = coef.real * fwd + coef.imag * (1j * fwd)
-    out[:, extra::-1] = back + flanks[:, 0]  # sites -radius, ..., -(radius+extra)
-    out[:, -(extra + 1) :] = flanks[:, 1]
-    return out
-
-
 def matching_row_residual(spec: ScattererSpec | BondMap, phi, wave):
     """Max relative residual of the discrete Schroedinger rows over the sample.
 
@@ -258,61 +222,12 @@ def matching_row_residual(spec: ScattererSpec | BondMap, phi, wave):
     return float(worst[0]) if one else worst
 
 
-def _solve_block_batch(bonds: BondMap, radius: int, phis: np.ndarray):
-    """(x, wave values) of a batch of angles: one banded solve, one row self-check.
-
-    Raises ResonanceError for the first angle, in order, whose block is
-    singular, whose solution is not finite, or whose rows fail the check.
-    """
-    system = build_matching_system(bonds, phis, radius)
-    try:
-        # finite by construction and not needed after the solve: no check, no copy
-        x = scipy.linalg.solve_banded(
-            (1, 1), system.ab, system.rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
-        )
-        failure = None if np.isfinite(x).all() else "matching solve produced non-finite values at phi={!r}"
-    except np.linalg.LinAlgError as exc:
-        failure = f"matching system singular at phi={{!r}}: {exc}"
-    if failure is not None:
-        if len(phis) == 1:
-            raise ResonanceError(failure.format(float(phis[0])))
-        # a failing block can spill into the blocks before it: solve one angle
-        # at a time, so that the first failing angle raises its own error
-        parts = [_solve_block_batch(bonds, radius, phis[i : i + 1]) for i in range(len(phis))]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    x = x.reshape(len(phis), -1)
-    vals = _wave_values(radius, phis, x)
-    residual = matching_row_residual(bonds, phis, vals)
-    if (residual > 1e-9).any():
-        i = int((residual > 1e-9).argmax())
-        raise ResonanceError(f"matching rows violated (residual {residual[i]:.2e}) at phi={float(phis[i])!r}")
-    return x, vals
-
-
-def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
-    """Matching-solver amplitudes of one scatterer at every angle of phis, in order.
-
-    The angles go in batches of up to CHUNK_UNKNOWNS unknowns: one
-    block-diagonal banded LU solve of H's matching rows and one row
-    self-check per batch, O(N) work per angle.  Raises ResonanceError for
-    the first angle whose solve degenerates or fails its own rows.
-    """
-    phis = _angle_array(phis)
-    bonds, radius = spec.bond_map(), spec.matching_radius
-    step = max(1, CHUNK_UNKNOWNS // (2 * radius + 1))
-    amps = []
-    for start in range(0, len(phis), step):
-        batch = phis[start : start + step]
-        x, _ = _solve_block_batch(bonds, radius, batch)
-        amps += map(Amplitudes, x[:, 0].tolist(), x[:, -1].tolist(), batch.tolist())
-    return amps
-
-
-def _bond_clusters(bonds: BondMap) -> list[list[int]]:
-    """[first, last] touched row of each bond cluster, left to right.
+def _bond_clusters(bonds: BondMap) -> tuple[list[list[int]], int]:
+    """([first, last] touched row of each bond cluster, left to right; partner unknowns).
 
     Row k touches bonds k - 1 and k.  Touched rows with fewer than
-    JUMP_ROWS free rows between them share a cluster.
+    JUMP_ROWS free rows between them share a cluster.  The partner system
+    solves R, T_h, each cluster's sites and (a, b) per jumped stretch.
     """
     rows = sorted({r for b in bonds for r in (b, b + 1)})
     clusters = [[rows[0], rows[0]]]
@@ -321,14 +236,14 @@ def _bond_clusters(bonds: BondMap) -> list[list[int]]:
             clusters[-1][1] = r
         else:
             clusters.append([r, r])
-    return clusters
+    return clusters, 2 + sum(r1 - r0 + 3 for r0, r1 in clusters) + 2 * (len(clusters) - 1)
 
 
-def _exact_product(k, p: float):
+def _exact_product(k, p):
     """(hi, lo) with hi = k*p rounded and hi + lo = k p exactly, for integers |k| < 2^26.
 
-    k may be an integer array.  Splitting p in halves (Dekker) makes every
-    partial product exact.
+    k may be an integer array or p a float array.  Splitting p in halves
+    (Dekker) makes every partial product exact.
     """
     hi = k * p
     c = 134217729.0 * p  # 2^27 + 1
@@ -336,8 +251,8 @@ def _exact_product(k, p: float):
     return hi, (k * p_hi - hi) + k * (p - p_hi)
 
 
-def _phase(k: int, p: float) -> complex:
-    """e(k) = exp(i k p) of the exact product k p.
+def _phase(k, p):
+    """e(k) = exp(i k p) of the exact product k p; an array when k or p is one.
 
     The rounded product k*p is off by up to half an ulp of itself.  Near
     p = 0 or pi, where e(k) and e(-k) nearly coincide, the matching rows
@@ -345,29 +260,46 @@ def _phase(k: int, p: float) -> complex:
     exp(i hi) (1 + i lo) to double precision, lo being that rounding error.
     """
     hi, lo = _exact_product(k, p)
-    cos_hi, sin_hi = math.cos(hi), math.sin(hi)
-    return complex(cos_hi - sin_hi * lo, sin_hi + cos_hi * lo)
+    if isinstance(hi, float):
+        cos_hi, sin_hi = math.cos(hi), math.sin(hi)
+        return complex(cos_hi - sin_hi * lo, sin_hi + cos_hi * lo)
+    cos_hi, sin_hi = np.cos(hi), np.sin(hi)
+    # each part set on its own, as the scalar complex() above does
+    w = (cos_hi - sin_hi * lo).astype(np.complex128)
+    w.imag = sin_hi + cos_hi * lo
+    return w
 
 
-def _solve_partner(bonds: BondMap, p: float):
+def _solve_partner(bonds: BondMap, p):
     """Solve the compressed matching system of the Hermitian partner at angle p.
 
-    Returns (x, layout): x = [R, cluster sites..., a, b, cluster sites..., T_h]
-    and layout the (first site, last site, column of the first site) of each
-    cluster; the plane-wave coefficients (a, b) of a jumped stretch sit in
-    the two columns before the cluster on its right.  Raises ResonanceError
-    when the system is singular or the solution breaks the partner's
-    unitarity |R|^2 + |T_h|^2 = 1 by more than 1e-9; a non-finite value
-    anywhere in x reaches R in the back substitution and breaks it too.
+    p is one angle or a 1-D array of angles.  Returns (x, layout): x =
+    [R, cluster sites..., a, b, cluster sites..., T_h], a list for one angle
+    and an array with one column per angle otherwise, and layout the (first
+    site, last site, column of the first site) of each cluster; the
+    plane-wave coefficients (a, b) of a jumped stretch sit in the two
+    columns before the cluster on its right.  The systems of an array of
+    angles sit uncoupled on the diagonal of one band and share one LAPACK
+    call, so each angle's solution is the one it gets alone.
+
+    Raises ResonanceError for the first angle, in order, whose system is
+    singular or whose solution breaks the partner's unitarity
+    |R|^2 + |T_h|^2 = 1 by more than 1e-9; a non-finite value in x reaches
+    R in the back substitution and breaks it too (in a batch, possibly the
+    R of an earlier angle).
     """
-    c2 = 2.0 * math.cos(p)
+    one = isinstance(p, float)
+    c2 = 2.0 * (math.cos(p) if one else np.cos(p))
     hop = {b: math.sqrt((1.0 - g) * (1.0 + g)) for b, g in bonds.items()}
-    clusters = _bond_clusters(bonds)
-    n = 2 + sum(r1 - r0 + 3 for r0, r1 in clusters) + 2 * (len(clusters) - 1)
+    clusters, n = _bond_clusters(bonds)
     # LAPACK band storage, column-major, for 2 sub- and 2 superdiagonals and
-    # 2 rows of fill-in: entry (i, j) at flat index 7 j + 4 + i - j
-    ab = [0.0] * (7 * n)
-    rhs = [0j] * n
+    # 2 rows of fill-in: entry (i, j) at flat index 7 j + 4 + i - j; for an
+    # array of angles each flat index is a row holding one entry per angle
+    if one:
+        ab, rhs = [0.0] * (7 * n), [0j] * n
+    else:
+        ab = np.zeros((7 * n, len(p)), dtype=np.complex128, order="F")
+        rhs = np.zeros((n, len(p)), dtype=np.complex128, order="F")
     layout = []
     col = 1  # column of the next unknown; a cluster's row of site k has the column of psi_k
     for r0, r1 in clusters:
@@ -402,15 +334,25 @@ def _solve_partner(bonds: BondMap, p: float):
     for i, j in ((col - 1, e - 1), (col, e)):
         ab[6 * (i - 1) + i + 4] = 1.0
         ab[6 * col + i + 4] = -_phase(j, p)
-    band = np.array(ab, dtype=np.complex128).reshape(n, 7).T
-    _, _, x, info = zgbsv(2, 2, band, np.array(rhs), overwrite_ab=1, overwrite_b=1)
+    if one:
+        band, b = np.array(ab, dtype=np.complex128).reshape(n, 7).T, np.array(rhs)
+    else:  # the angles' (7, n) blocks one after another
+        band, b = ab.reshape(7, -1, order="F"), rhs.reshape(-1, order="F")
+    _, _, x, info = zgbsv(2, 2, band, b, overwrite_ab=1, overwrite_b=1)
     if info != 0:
-        raise ResonanceError(f"matching system singular at phi={p!r}")
-    x = x.tolist()
+        # info is the first zero pivot; the angles before its block factored
+        # cleanly but were not solved, and one of them may fail first
+        singular = (info - 1) // n
+        if singular:
+            _solve_partner(bonds, p[:singular])
+        raise ResonanceError(f"matching system singular at phi={p if one else float(p[singular])!r}")
+    x = x.tolist() if one else x.reshape(-1, n).T
     R, T_h = x[0], x[-1]
     defect = abs(R.real**2 + R.imag**2 + T_h.real**2 + T_h.imag**2 - 1.0)
-    if not defect <= 1e-9:
-        raise ResonanceError(f"partner unitarity violated (defect {defect:.2e}) at phi={p!r}")
+    if not (defect <= 1e-9 if one else (defect <= 1e-9).all()):
+        for d, q in zip(np.atleast_1d(defect).tolist(), np.atleast_1d(p).tolist()):
+            if not d <= 1e-9:
+                raise ResonanceError(f"partner unitarity violated (defect {d:.2e}) at phi={q!r}")
     return x, layout
 
 
@@ -419,32 +361,56 @@ def _half_log_ratio(gamma: float) -> float:
     return 0.5 * (math.log1p(-gamma) - math.log1p(gamma))
 
 
-def _partner_amplitudes(x: list[complex], bonds: BondMap, p: float) -> Amplitudes:
-    """R = R_h and T = T_h sqrt(theta_L/theta_R), the scale summed in log form.
+def _partner_amplitudes(x, bonds: BondMap, p):
+    """R = R_h and T = T_h sqrt(theta_L/theta_R) from _solve_partner's x; a list for an array p.
 
-    The scale is exactly 1 for blocks, whose two bonds cancel.  Below the
-    double range T is 0; above it a DomainError is raised.
+    The scale is summed in log form and is exactly 1 for blocks, whose two
+    bonds cancel.  Below the double range T is 0; above it a DomainError
+    names the (first) angle.
     """
+    one = isinstance(p, float)
     try:
         scale = math.exp(math.fsum(_half_log_ratio(g) for g in bonds.values()))
     except OverflowError:
-        raise DomainError(f"|T| exceeds the double range at phi={p!r}") from None
-    T_h = x[-1]
-    return Amplitudes(R=x[0], T=complex(T_h.real * scale, T_h.imag * scale), phi=p)
+        raise DomainError(f"|T| exceeds the double range at phi={p if one else float(p[0])!r}") from None
+    R, T_h = x[0], x[-1]
+    if one:
+        return Amplitudes(R=R, T=complex(T_h.real * scale, T_h.imag * scale), phi=p)
+    T = map(complex, (T_h.real * scale).tolist(), (T_h.imag * scale).tolist())
+    return list(map(Amplitudes, R.tolist(), T, p.tolist()))
 
 
 def solve_numeric(spec: ScattererSpec, phi: float | EnergyAngle) -> Amplitudes:
-    """Matching-solver amplitudes at one angle, on the Hermitian partner; the one-angle route.
+    """Matching-solver amplitudes at one angle, on the Hermitian partner.
 
     Solves the compressed matching system of the partner h (one banded LU
-    with partial pivoting, O(#bonds) unknowns whatever N) and maps T back.
-    Works for every scatterer family.  Raises ResonanceError when the
-    system is singular or the solution breaks the partner's unitarity.
+    with partial pivoting, O(#bonds) unknowns whatever N) and maps T back:
+    R = R_h, T = T_h sqrt(theta_L/theta_R).  Works for every scatterer
+    family.  Raises ResonanceError when the system is singular or the
+    solution breaks the partner's unitarity.
     """
     p = as_angle(phi).phi
     bonds = spec.bond_map()
     x, _ = _solve_partner(bonds, p)
     return _partner_amplitudes(x, bonds, p)
+
+
+def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
+    """solve_numeric at every angle of phis, in order.
+
+    The angles go in batches of up to CHUNK_UNKNOWNS partner unknowns, one
+    banded solve per batch.  Each angle gets solve_numeric's bits where
+    numpy's cos and sin round as math's do (the tests check it), and the
+    first failing angle raises what it raises alone.
+    """
+    phis = _angle_array(phis)
+    bonds = spec.bond_map()
+    step = max(1, CHUNK_UNKNOWNS // _bond_clusters(bonds)[1])
+    amps = []
+    for start in range(0, len(phis), step):
+        batch = phis[start : start + step]
+        amps += _partner_amplitudes(_solve_partner(bonds, batch)[0], bonds, batch)
+    return amps
 
 
 def numeric_wave(
@@ -461,12 +427,10 @@ def numeric_wave(
     x, layout = _solve_partner(bonds, p)
     window = SiteWindow(spec.matching_radius + 2, h)
     m, ks = window.half_width, window.sites
-    hi, lo = _exact_product(ks, p)
-    phases = np.exp(1j * hi) * (1.0 + 1j * lo)  # e(k) as _phase gives it, to rounding
+    phases = _phase(ks, p)
     vals = np.where(ks < layout[0][0], phases + x[0] * phases.conj(), x[-1] * phases)
     for (_, g1, _), (s, _, col) in zip(layout, layout[1:]):
-        hi, lo = _exact_product(np.arange(1, s - g1), p)
-        w = np.exp(1j * hi) * (1.0 + 1j * lo)  # e(k - g1) inside the stretch
+        w = _phase(np.arange(1, s - g1), p)  # e(k - g1) inside the stretch
         vals[g1 + m + 1 : s + m] = x[col - 2] * w + x[col - 1] * w.conj()
     for s, e, col in layout:
         vals[s + m : e + m + 1] = x[col : col + e - s + 1]

@@ -3,9 +3,10 @@
 Sweep output is one flat record per evaluation with a fixed column order.
 Numbers are printed with 17 significant digits so a re-parsed file
 reproduces the original doubles exactly; identical configurations produce
-byte-identical files.  Sweeps and the amplitude suites solve each
-scatterer's angles in one batched numeric call; evaluate_point solves its
-one angle on the Hermitian partner.
+byte-identical files.  Every numeric value comes from the one route on
+the Hermitian partner: sweeps and the amplitude suites solve each
+scatterer's angles in one solve_numeric_batch call, evaluate_point its one
+angle with solve_numeric, with the same bits.
 """
 
 from __future__ import annotations
@@ -87,16 +88,14 @@ def _fmt(x) -> str:
 
 
 def _amp_fields(amp: Amplitudes) -> dict:
-    r2 = amp.R.real**2 + amp.R.imag**2
-    t2 = amp.T.real**2 + amp.T.imag**2
     return {
         "re_R": amp.R.real,
         "im_R": amp.R.imag,
         "re_T": amp.T.real,
         "im_T": amp.T.imag,
-        "abs_R2": r2,
-        "abs_T2": t2,
-        "defect": abs(r2 + t2 - 1.0),
+        "abs_R2": amp.R.real**2 + amp.R.imag**2,
+        "abs_T2": amp.T.real**2 + amp.T.imag**2,
+        "defect": amp.unitarity_defect,
     }
 
 
@@ -286,13 +285,11 @@ def metric_suite(
     """Quasi-Hermiticity residuals of build_metric on each family's grid."""
     checks = []
     if g_grid and n_grid:
-        labelled = ((f"g={g} N={n}", TwoCenterSpec(g, n)) for g in g_grid for n in n_grid)
-        worst, worst_at = _worst_residual(labelled)
-        checks.append(SuiteCheck("metric", "two-center", worst, tolerance_two_center, worst_at))
+        scored = ((_metric_residual(TwoCenterSpec(g, n)), f"g={g} N={n}") for g in g_grid for n in n_grid)
+        checks.append(_check("metric", "two-center", tolerance_two_center, scored))
     if chain_specs:
-        labelled = ((_chain_label(tuple(cs)), ChainSpec(tuple(cs))) for cs in chain_specs)
-        worst, worst_at = _worst_residual(labelled)
-        checks.append(SuiteCheck("metric", "chain", worst, tolerance_chain, worst_at))
+        scored = ((_metric_residual(ChainSpec(tuple(cs))), _chain_label(tuple(cs))) for cs in chain_specs)
+        checks.append(_check("metric", "chain", tolerance_chain, scored))
     return checks
 
 
@@ -303,24 +300,33 @@ def _chain_label(couplings: tuple) -> str:
     return f"couplings=({', '.join(map(repr, couplings[:4]))}, ...) length={len(couplings)}"
 
 
-def _worst_residual(labelled) -> tuple[float, str]:
-    """(largest residual, its label) over (label, spec) pairs.
+def _metric_residual(spec: ScattererSpec) -> float:
+    """The residual of spec's metric on a window two sites past its matching radius."""
+    window = SiteWindow(spec.matching_radius + 2)
+    h = assemble_hamiltonian(build_potential(spec, window))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return quasi_hermiticity_residual(h, build_metric(spec, window))
 
-    Each spec is checked on a window two sites past its matching radius.  A
-    residual that is not finite ends the scan and is returned with its
-    label: it fails any tolerance, where a NaN would slip past a max.
+
+def _point_label(point) -> str:
+    spec, phi = point
+    return f"g={spec.g} N={spec.N} phi={phi:.6f}"
+
+
+def _check(suite: str, label: str, tolerance: float, scored, point_label=str) -> SuiteCheck:
+    """The largest value over (value, point) pairs against tolerance, at point_label(its point).
+
+    A value that is not finite ends the scan and is reported with its
+    point: it fails any tolerance, where a NaN would slip past a max.  With
+    no value above 0 the check reads 0 at an empty point.
     """
-    worst, worst_at = 0.0, ""
-    for label, spec in labelled:
-        window = SiteWindow(spec.matching_radius + 2)
-        h = assemble_hamiltonian(build_potential(spec, window))
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = quasi_hermiticity_residual(h, build_metric(spec, window))
-        if not math.isfinite(res):
-            return res, label
-        if res > worst:
-            worst, worst_at = res, label
-    return worst, worst_at
+    worst, worst_at = 0.0, None
+    for value, point in scored:
+        if not value <= worst:
+            worst, worst_at = value, point
+            if not math.isfinite(value):
+                break
+    return SuiteCheck(suite, label, worst, tolerance, "" if worst_at is None else point_label(worst_at))
 
 
 def _two_center_groups(g_grid, n_grid, phi_count):
@@ -336,21 +342,16 @@ def unitarity_suite(
     phi_count=DEFAULT_PHI_COUNT,
 ) -> list[SuiteCheck]:
     """| |R|^2 + |T|^2 - 1 | over the grid, numeric and closed paths."""
-    worst_n, at_n = 0.0, ""
-    worst_c, at_c = 0.0, ""
+    numeric, closed = [], []
     for spec, phis in _two_center_groups(g_grid, n_grid, phi_count):
         for phi, amp in zip(phis, solve_numeric_batch(spec, phis)):
-            if amp.unitarity_defect > worst_n:
-                worst_n, at_n = amp.unitarity_defect, f"g={spec.g} N={spec.N} phi={phi:.6f}"
-            try:
-                amp_c, _ = closed_form(spec, phi)
-            except ResonantAngleError:
-                continue
-            if amp_c.unitarity_defect > worst_c:
-                worst_c, at_c = amp_c.unitarity_defect, f"g={spec.g} N={spec.N} phi={phi:.6f}"
+            numeric.append((amp.unitarity_defect, (spec, phi)))
+            amp_c = _closed_or_none(spec, phi, "closed")
+            if amp_c is not None:
+                closed.append((amp_c.unitarity_defect, (spec, phi)))
     return [
-        SuiteCheck("unitarity", "numeric", worst_n, tolerance, at_n),
-        SuiteCheck("unitarity", "closed", worst_c, tolerance, at_c),
+        _check("unitarity", "numeric", tolerance, numeric, _point_label),
+        _check("unitarity", "closed", tolerance, closed, _point_label),
     ]
 
 
@@ -364,17 +365,16 @@ def closed_vs_numeric_suite(
 
     Guarded angles, where the closed form refuses, are left out.
     """
-    worst = {"N=-1": (0.0, ""), "N=0": (0.0, ""), "N>=1": (0.0, "")}
+    gaps = {"N=-1": [], "N=0": [], "N>=1": []}
     for spec, phis in _two_center_groups(g_grid, n_grid, phi_count):
         key = "N=-1" if spec.N == -1 else ("N=0" if spec.N == 0 else "N>=1")
         closed = [(phi, _closed_or_none(spec, phi, "closed")) for phi in phis]
         closed = [(phi, amp) for phi, amp in closed if amp is not None]
         numeric = solve_numeric_batch(spec, [phi for phi, _ in closed])
-        for (phi, amp_c), amp_n in zip(closed, numeric):
-            gap = max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T))
-            if gap > worst[key][0]:
-                worst[key] = (gap, f"g={spec.g} N={spec.N} phi={phi:.6f}")
-    return [
-        SuiteCheck("closed-vs-numeric", key, val, tolerance, at)
-        for key, (val, at) in worst.items()
-    ]
+        # R and T scored apart, so that a NaN in either cannot hide behind max()
+        gaps[key] += (
+            (abs(d), (spec, phi))
+            for (phi, amp_c), amp_n in zip(closed, numeric)
+            for d in (amp_c.R - amp_n.R, amp_c.T - amp_n.T)
+        )
+    return [_check("closed-vs-numeric", key, tolerance, scored, _point_label) for key, scored in gaps.items()]

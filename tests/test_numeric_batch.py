@@ -1,17 +1,21 @@
-"""The batched numeric route: one banded solve per batch of a scatterer's angles.
+"""The batched numeric route: many angles of one scatterer in one partner solve.
 
-Every amplitude, wave value and self-check value of a batch must equal the
-one-angle LU block bit for bit, and the per-site scalar references below
-(the matching build as a row loop with cmath, and the wave and row
-residual references of test_scattering) pin both to the scalar complex
-arithmetic.  Failures must surface as the first failing angle in grid
-order, exactly as a loop over the one-angle block would raise them.  The
-one-angle route solve_numeric (the compressed system of the Hermitian
-partner) agrees with the batch to rounding.
+solve_numeric_batch must equal a loop of solve_numeric (the one-angle
+solve of the Hermitian partner) bit for bit, across chunk boundaries, on
+the verify grid, the benchmark grids and edge points, and for chains and
+multi-center layouts.  Failures must surface as the first failing angle in
+grid order, exactly as that loop would raise them.  H's own banded LU
+(build_matching_system and matching_row_residual, public and no longer
+used by the library) is the independent reference: the route agrees with
+it to rounding, and its stacked build equals a per-row reference.
 """
 
 import cmath
+import importlib
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,6 @@ import qhscatter.scattering as scattering
 import qhscatter.sweeps as sweeps
 from qhscatter import (
     ChainSpec,
-    MultiCenterSpec,
     ResonanceError,
     SweepConfig,
     TwoCenterSpec,
@@ -32,14 +35,125 @@ from qhscatter import (
     sweep_records,
 )
 from qhscatter.cli import main
-from qhscatter.lattice import SiteWindow, WaveSample
-from qhscatter.scattering import CHUNK_UNKNOWNS, _solve_block_batch, _wave_values
-from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID
-from test_scattering import CHAIN_AND_MULTI_SPECS, _reference_row_residual, _reference_wave
+from qhscatter.scattering import CHUNK_UNKNOWNS
+from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID, phi_grid
+from test_oracle import mp_amplitudes
+from test_scattering import CHAIN_AND_MULTI_SPECS, _reference_wave, lu_on_h
 
 VERIFY_ANGLES = np.linspace(0.05, math.pi - 0.05, 42)[1:-1]
 RANDOM_ANGLES = np.random.default_rng(11).uniform(1e-3, math.pi - 1e-3, 60)
 CHAINS = [ChainSpec(c) for c in ((0.5,), (0.5, -0.3), (0.2, 0.7, -0.4), (-0.6, 0.1, 0.3, 0.8))]
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_worker():
+    """bench/worker.py imported from its source, with no bytecode written under bench/."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.syspath_prepend(str(BENCH))
+        for name in ("worker", "calibration", "tracing"):
+            mp.delitem(sys.modules, name, raising=False)
+        yield importlib.import_module("worker")
+        for name in ("worker", "calibration", "tracing"):
+            sys.modules.pop(name, None)
+
+
+def _bits(amp):
+    return (amp.R.real, amp.R.imag, amp.T.real, amp.T.imag, amp.phi)
+
+
+def _assert_batch_is_the_one_angle_route(spec, phis):
+    amps = solve_numeric_batch(spec, phis)
+    assert len(amps) == len(phis)
+    for phi, amp in zip(np.asarray(phis, dtype=float).tolist(), amps):
+        one = solve_numeric(spec, phi)
+        # repr tells -0.0 from 0.0 and compares every bit of a finite double
+        assert repr(_bits(amp)) == repr(_bits(one))
+
+
+class TestBitForBit:
+    @pytest.mark.parametrize("g", DEFAULT_G_GRID)
+    def test_verify_grid(self, g):
+        for n in DEFAULT_N_GRID:
+            _assert_batch_is_the_one_angle_route(TwoCenterSpec(g, n), VERIFY_ANGLES)
+
+    @pytest.mark.parametrize("workload", ["sweep-dense", "sweep-long"])
+    def test_benchmark_sweep_grids(self, bench_worker, workload):
+        gs, ns, count, _ = bench_worker.SWEEPS[workload]
+        for g in gs:
+            for n in ns:
+                _assert_batch_is_the_one_angle_route(TwoCenterSpec(g, n), phi_grid(count))
+
+    def test_edge_points(self, bench_worker):
+        # each sampled scatterer at the angles of all sampled points of its N:
+        # phi within 1e-4 to 1e-12 of 0, pi or a guard, 1 - |g| down to 1e-9
+        points, _ = bench_worker.edge_inputs(1)
+        sample = random.Random(5).sample(points, 140)
+        for g, n, _ in sample:
+            phis = [phi for _, m, phi in sample if m == n]
+            _assert_batch_is_the_one_angle_route(TwoCenterSpec(g, n), phis)
+
+    @pytest.mark.parametrize("spec", CHAINS + CHAIN_AND_MULTI_SPECS, ids=repr)
+    def test_chains_and_multi_center(self, spec):
+        _assert_batch_is_the_one_angle_route(spec, RANDOM_ANGLES)
+
+    @pytest.mark.parametrize("couplings", [(0.5,) * 1000, tuple(np.random.default_rng(2).uniform(-0.9, 0.9, 1000))])
+    def test_chain_of_a_thousand_couplings(self, couplings):
+        _assert_batch_is_the_one_angle_route(ChainSpec(couplings), RANDOM_ANGLES[:9])
+
+    @pytest.mark.parametrize("spec", [TwoCenterSpec(-0.99999, 8000), TwoCenterSpec(0.999999, 3)], ids=repr)
+    def test_near_the_band_edges(self, spec):
+        phis = [1e-12, 1e-8, 1e-4, 0.7, math.pi / 2, math.pi - 1e-8, math.pi - 1e-12]
+        _assert_batch_is_the_one_angle_route(spec, phis)
+
+    @pytest.mark.parametrize(
+        "spec, count", [(TwoCenterSpec(-0.7, 500), 700), (ChainSpec((0.3, -0.6) * 150), 40)], ids=repr
+    )
+    def test_across_chunk_boundaries(self, spec, count, monkeypatch):
+        phis = np.linspace(0.2, 2.9, count)
+        n = scattering._bond_clusters(spec.bond_map())[1]
+        per_call = max(1, CHUNK_UNKNOWNS // n)
+        sizes = []
+        zgbsv = scattering.zgbsv
+
+        def spy(kl, ku, ab, b, **kwargs):
+            sizes.append(len(b))
+            assert ab.nbytes <= 1 << 20  # CHUNK_UNKNOWNS keeps a batch's band under 1 MB
+            return zgbsv(kl, ku, ab, b, **kwargs)
+
+        monkeypatch.setattr(scattering, "zgbsv", spy)
+        amps = solve_numeric_batch(spec, phis)
+        assert sizes == [n * len(phis[i : i + per_call]) for i in range(0, len(phis), per_call)]
+        assert len(sizes) > 1
+        monkeypatch.setattr(scattering, "zgbsv", zgbsv)
+        for phi, amp in zip(phis.tolist(), amps):
+            assert repr(_bits(amp)) == repr(_bits(solve_numeric(spec, phi)))
+
+    def test_chunk_band_stays_small(self):
+        # 7 band rows of 16 bytes per partner unknown
+        assert 7 * 16 * CHUNK_UNKNOWNS <= 1 << 20
+
+    def test_empty_angle_list(self):
+        assert solve_numeric_batch(TwoCenterSpec(0.5, 2), []) == []
+
+
+class TestAgreesWithTheLuOnH:
+    """The route solves the Hermitian partner, the reference solves H: equal to rounding."""
+
+    def _assert_agrees(self, spec, phis):
+        for phi, amp in zip(phis.tolist(), solve_numeric_batch(spec, phis)):
+            R, T, _, _ = lu_on_h(spec, phi)
+            assert max(abs(R - amp.R), abs(T - amp.T)) <= 1e-12
+
+    @pytest.mark.parametrize("g", DEFAULT_G_GRID)
+    def test_verify_grid(self, g):
+        for n in DEFAULT_N_GRID:
+            self._assert_agrees(TwoCenterSpec(g, n), VERIFY_ANGLES)
+
+    @pytest.mark.parametrize("spec", CHAINS + CHAIN_AND_MULTI_SPECS, ids=repr)
+    def test_chains_and_multi_center(self, spec):
+        self._assert_agrees(spec, RANDOM_ANGLES)
 
 
 def _reference_matching_system(bonds, phi, radius):
@@ -73,128 +187,47 @@ def _reference_matching_system(bonds, phi, radius):
     return ab, rhs
 
 
-def _batch_pieces(spec, phis):
-    """(x, wave values, check values) of one block-diagonal solve, without refusing."""
-    bonds, a = spec.bond_map(), spec.matching_radius
-    system = build_matching_system(bonds, phis, a)
-    x = scipy.linalg.solve_banded((1, 1), system.ab, system.rhs).reshape(len(phis), -1)
-    vals = _wave_values(a, phis, x)
-    return x, vals, matching_row_residual(bonds, phis, vals)
+class TestStackedMatchingSystem:
+    """build_matching_system over an array of angles: per-angle blocks with no coupling."""
 
+    def _assert_blocks(self, spec, phis):
+        phis = np.asarray(phis, dtype=float)
+        a = spec.matching_radius
+        n = 2 * a + 1
+        system = build_matching_system(spec.bond_map(), phis, a)
+        x = scipy.linalg.solve_banded((1, 1), system.ab, system.rhs).reshape(len(phis), -1)
+        vals = np.array([_reference_wave(a, phi, x[i], 1.0) for i, phi in enumerate(phis.tolist())])
+        checks = matching_row_residual(spec, phis, vals)
+        for i, phi in enumerate(phis.tolist()):
+            ab_ref, rhs_ref = _reference_matching_system(spec.bond_map(), phi, a)
+            block = system.ab[:, i * n : (i + 1) * n]
+            # the stacked layout leaves the two coupling slots of each block at zero
+            assert block[0, 0] == 0 and block[2, -1] == 0
+            assert block[:, 1:-1].tobytes() == ab_ref[:, 1:-1].tobytes()
+            assert block[0, -1] == ab_ref[0, -1] and block[2, 0] == ab_ref[2, 0]
+            assert system.rhs[i * n : (i + 1) * n].tobytes() == rhs_ref.tobytes()
+            R, T, wave, residual = lu_on_h(spec, phi)
+            assert x[i].tobytes() == scipy.linalg.solve_banded((1, 1), ab_ref, rhs_ref).tobytes()
+            assert (complex(x[i, 0]), complex(x[i, -1])) == (R, T)
+            assert vals[i].tobytes() == wave.values.tobytes()
+            assert checks[i] == residual
+        return checks
 
-def _assert_batch_matches_scalar_route(spec, phis):
-    phis = np.asarray(phis, dtype=float)
-    a = spec.matching_radius
-    n = 2 * a + 1
-    system = build_matching_system(spec.bond_map(), phis, a)
-    x, vals, checks = _batch_pieces(spec, phis)
-    for i, phi in enumerate(phis.tolist()):
-        ab_ref, rhs_ref = _reference_matching_system(spec.bond_map(), phi, a)
-        block = system.ab[:, i * n : (i + 1) * n]
-        # the stacked layout leaves the two coupling slots of each block at zero
-        assert block[0, 0] == 0 and block[2, -1] == 0
-        assert block[:, 1:-1].tobytes() == ab_ref[:, 1:-1].tobytes()
-        assert block[0, -1] == ab_ref[0, -1] and block[2, 0] == ab_ref[2, 0]
-        assert system.rhs[i * n : (i + 1) * n].tobytes() == rhs_ref.tobytes()
-        x_ref = scipy.linalg.solve_banded((1, 1), ab_ref, rhs_ref)
-        assert x[i].tobytes() == x_ref.tobytes()
-        assert vals[i].tobytes() == _reference_wave(a, phi, x_ref, 1.0).tobytes()
-        wave = WaveSample(SiteWindow(a + 2), _wave_values(a, np.array([phi]), x_ref[None, :])[0])
-        assert checks[i] == _reference_row_residual(spec, phi, wave)
-    return checks
-
-
-def _one_angle_block(spec, phi):
-    """(R, T, wave) of the LU block of one angle."""
-    x, vals = _solve_block_batch(spec.bond_map(), spec.matching_radius, np.array([phi]))
-    wave = WaveSample(SiteWindow(spec.matching_radius + 2), vals[0])
-    return complex(x[0, 0]), complex(x[0, -1]), wave
-
-
-def _assert_batch_matches_one_angle_blocks(spec, phis):
-    amps = solve_numeric_batch(spec, phis)
-    _, vals, checks = _batch_pieces(spec, np.asarray(phis, dtype=float))
-    assert [a.phi for a in amps] == [float(p) for p in phis]
-    for i, (phi, amp) in enumerate(zip(phis, amps)):
-        R, T, wave = _one_angle_block(spec, float(phi))
-        assert (amp.R, amp.T) == (R, T)
-        assert np.array_equal(np.signbit([amp.R.real, amp.R.imag, amp.T.real, amp.T.imag]),
-                              np.signbit([R.real, R.imag, T.real, T.imag]))
-        assert vals[i].tobytes() == wave.values.tobytes()
-        assert checks[i] == matching_row_residual(spec, float(phi), wave)
-
-
-class TestBitForBit:
     @pytest.mark.parametrize("g", DEFAULT_G_GRID)
     def test_verify_grid(self, g):
         for n in DEFAULT_N_GRID:
-            spec = TwoCenterSpec(g, n)
-            _assert_batch_matches_one_angle_blocks(spec, VERIFY_ANGLES)
-            _assert_batch_matches_scalar_route(spec, VERIFY_ANGLES[::7])
+            self._assert_blocks(TwoCenterSpec(g, n), VERIFY_ANGLES[::7])
 
     @pytest.mark.parametrize("spec", CHAINS + CHAIN_AND_MULTI_SPECS, ids=repr)
     def test_chains_and_multi_center(self, spec):
-        _assert_batch_matches_one_angle_blocks(spec, RANDOM_ANGLES)
-        _assert_batch_matches_scalar_route(spec, RANDOM_ANGLES)
+        self._assert_blocks(spec, RANDOM_ANGLES)
 
-    def test_refused_angles_have_the_same_check_value(self):
-        # near the band edges with |g| -> 1 the row check refuses; the batched
-        # check value must still equal the one-angle value bit for bit
-        spec = TwoCenterSpec(0.999999, 3)
-        phis = np.array([1e-8, 0.7, math.pi - 1e-8, 0.3])
-        checks = _assert_batch_matches_scalar_route(spec, phis)
+    def test_row_check_of_the_lu_on_h_near_the_band_edges(self):
+        # H's row check refuses these angles (a false rejection: the partner
+        # route answers them); the stacked check value still equals the
+        # one-angle value bit for bit
+        checks = self._assert_blocks(TwoCenterSpec(0.999999, 3), [1e-8, 0.7, math.pi - 1e-8, 0.3])
         assert (checks > 1e-9).tolist() == [True, False, True, False]
-
-    @pytest.mark.parametrize("n, count", [(500, 40), (8000, 3)])
-    def test_large_n_across_batch_boundaries(self, n, count, monkeypatch):
-        spec = TwoCenterSpec(-0.7, n)
-        phis = np.linspace(0.2, 2.9, count)
-        sizes = []
-        solve = scipy.linalg.solve_banded
-
-        def spy(l_and_u, ab, b, **kwargs):
-            sizes.append(len(b))
-            return solve(l_and_u, ab, b, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "solve_banded", spy)
-        amps = solve_numeric_batch(spec, phis)
-        block = 2 * spec.matching_radius + 1
-        per_batch = max(1, CHUNK_UNKNOWNS // block)
-        assert sizes == [block * len(phis[i : i + per_batch]) for i in range(0, count, per_batch)]
-        assert len(sizes) > 1
-        monkeypatch.setattr(scipy.linalg, "solve_banded", solve)
-        for phi, amp in zip(phis, amps):
-            assert (amp.R, amp.T) == _one_angle_block(spec, float(phi))[:2]
-        _, vals, checks = _batch_pieces(spec, phis[:2])
-        wave = _one_angle_block(spec, float(phis[1]))[2]
-        assert vals[1].tobytes() == wave.values.tobytes()
-        assert checks[1] == matching_row_residual(spec, float(phis[1]), wave)
-
-    def test_chunk_arrays_stay_small(self):
-        # CHUNK_UNKNOWNS keeps a batch's banded matrix under 1 MB
-        assert 3 * 16 * CHUNK_UNKNOWNS <= 1 << 20
-
-    def test_empty_angle_list(self):
-        assert solve_numeric_batch(TwoCenterSpec(0.5, 2), []) == []
-
-
-def _assert_one_angle_route_agrees(spec, phis):
-    for phi, amp in zip(phis.tolist(), solve_numeric_batch(spec, phis)):
-        one = solve_numeric(spec, phi)
-        assert max(abs(one.R - amp.R), abs(one.T - amp.T)) <= 1e-12
-
-
-class TestOneAngleRouteAgreesWithTheBatch:
-    """solve_numeric solves the Hermitian partner, the batch solves H: equal to rounding."""
-
-    @pytest.mark.parametrize("g", DEFAULT_G_GRID)
-    def test_verify_grid(self, g):
-        for n in DEFAULT_N_GRID:
-            _assert_one_angle_route_agrees(TwoCenterSpec(g, n), VERIFY_ANGLES)
-
-    @pytest.mark.parametrize("spec", CHAINS + CHAIN_AND_MULTI_SPECS, ids=repr)
-    def test_chains_and_multi_center(self, spec):
-        _assert_one_angle_route_agrees(spec, RANDOM_ANGLES)
 
 
 def _first_error(fn):
@@ -205,80 +238,92 @@ def _first_error(fn):
     raise AssertionError("no ResonanceError raised")
 
 
-def _per_point_loop(config):
-    for spec in config.specs():
-        for phi in config.angles():
-            _one_angle_block(spec, float(phi))
+SINGULAR, BROKEN = 0.0, 2.0
+
+
+def _force(monkeypatch, targets):
+    """Make chosen angles fail: targets maps (scatterer, phi) to SINGULAR or BROKEN.
+
+    The incoming wave e(s), e(s + 1) at the first two sites s, s + 1 of the
+    scatterer's partner system is scaled by the factor at that angle: 0
+    empties R's column (a singular system), 2 doubles the incoming wave and
+    with it T_h, so |R|^2 + |T_h|^2 = 1 breaks.  A scatterer is told by s.
+    """
+    by_site = {}
+    for (spec, phi), factor in targets.items():
+        s = scattering._bond_clusters(spec.bond_map())[0][0][0] - 1
+        by_site.setdefault(s, []).append((phi, factor))
+        by_site.setdefault(s + 1, []).append((phi, factor))
+    phase = scattering._phase
+
+    def forced(k, p):
+        w = phase(k, p)
+        for phi, factor in by_site.get(k, []) if isinstance(k, int) else []:
+            w = np.where(p == phi, w * factor, w) if isinstance(p, np.ndarray) else (w * factor if p == phi else w)
+        return w
+
+    monkeypatch.setattr(scattering, "_phase", forced)
 
 
 class TestFailuresInGridOrder:
-    def test_natural_refusal_in_the_middle_of_a_batch(self):
-        spec = TwoCenterSpec(0.999999, 3)
-        phis = [0.4, 1.3, 1e-8, 2.2, math.pi - 1e-8]
-        got = _first_error(lambda: solve_numeric_batch(spec, phis))
-        assert got == _first_error(lambda: [_one_angle_block(spec, p) for p in phis])
-        assert got.endswith("at phi=1e-08")
+    SPEC = TwoCenterSpec(0.7, 3)
+    ANGLES = np.linspace(0.3, 2.8, 9).tolist()
+
+    @pytest.mark.parametrize(
+        "failures, first",
+        [
+            ({3: BROKEN, 6: SINGULAR}, 3),
+            ({2: SINGULAR, 5: BROKEN}, 2),
+            ({5: SINGULAR, 2: BROKEN}, 2),  # the angles before a singular block are checked too
+            ({7: SINGULAR}, 7),
+        ],
+    )
+    def test_refusal_in_the_middle_of_a_batch(self, monkeypatch, failures, first):
+        _force(monkeypatch, {(self.SPEC, self.ANGLES[i]): f for i, f in failures.items()})
+        got = _first_error(lambda: solve_numeric_batch(self.SPEC, self.ANGLES))
+        assert got == _first_error(lambda: solve_numeric(self.SPEC, self.ANGLES[first]))
+        assert got.endswith(f"at phi={self.ANGLES[first]!r}")
+        kind = "matching system singular" if failures[first] == SINGULAR else "partner unitarity violated"
+        assert got.startswith(kind)
 
     def _config(self):
-        return SweepConfig(
-            model="two-center", couplings=(0.3, -0.6), n_values=(0, 4), phi_count=9, method="both"
-        )
+        return SweepConfig(model="two-center", couplings=(0.3,), n_values=(0, 1, 4, 6), phi_count=9, method="both")
 
-    def _targets(self, config):
+    def _targets(self, config, factor):
         # the third scatterer fails at angle 4, the fourth already at angle 2:
         # grid order reports the third
-        angles = config.angles()
-        return {
-            tuple(sorted(TwoCenterSpec(-0.6, 0).bond_map().items())): float(angles[4]),
-            tuple(sorted(TwoCenterSpec(-0.6, 4).bond_map().items())): float(angles[2]),
-        }
+        angles = config.angles().tolist()
+        return {(TwoCenterSpec(0.3, 4), angles[4]): factor, (TwoCenterSpec(0.3, 6), angles[2]): factor}
 
-    def _hits(self, targets, bonds, phi):
-        return np.atleast_1d(phi) == targets.get(tuple(sorted(bonds.items())), -1.0)
-
-    def _force_refusal(self, monkeypatch, targets):
-        original = scattering.matching_row_residual
-
-        def refuse_targets(bonds, phi, wave):
-            out = original(bonds, phi, wave)
-            hit = self._hits(targets, bonds, phi)
-            return (1.0 if hit[0] else out) if isinstance(out, float) else np.where(hit, 1.0, out)
-
-        monkeypatch.setattr(scattering, "matching_row_residual", refuse_targets)
-
-    def _force_singular(self, monkeypatch, targets):
-        original = scattering.build_matching_system
-
-        def singular_at_targets(bonds, phi, radius):
-            system = original(bonds, phi, radius)
-            n = 2 * radius + 1
-            for i in np.flatnonzero(self._hits(targets, bonds, system.phi)):
-                system.ab[:, i * n : (i + 1) * n] = 0.0
-            return system
-
-        monkeypatch.setattr(scattering, "build_matching_system", singular_at_targets)
-
-    @pytest.mark.parametrize("force", ["_force_refusal", "_force_singular"])
-    def test_sweep_raises_what_the_per_point_loop_raises(self, monkeypatch, force):
+    @pytest.mark.parametrize("factor", [BROKEN, SINGULAR])
+    def test_sweep_raises_what_the_per_point_loop_raises(self, monkeypatch, factor):
         config = self._config()
-        getattr(self, force)(monkeypatch, self._targets(config))
-        expected = _first_error(lambda: _per_point_loop(config))
-        assert expected.endswith(f"at phi={float(config.angles()[4])!r}" + (
-            ": singular matrix" if force == "_force_singular" else ""))
+        _force(monkeypatch, self._targets(config, factor))
+        expected = _first_error(lambda: [solve_numeric(s, p) for s in config.specs() for p in config.angles()])
+        assert expected.endswith(f"at phi={float(config.angles()[4])!r}")
         assert _first_error(lambda: sweep_records(config)) == expected
 
     def test_cli_exits_3_on_a_refusal(self, tmp_path, monkeypatch, capsys):
-        self._force_refusal(monkeypatch, self._targets(self._config()))
-        rc = main(["sweep", "--g", "0.3,-0.6", "--N", "0,4", "--phi-grid", "9",
-                   "--out", str(tmp_path / "s.csv")])
+        _force(monkeypatch, self._targets(self._config(), BROKEN))
+        rc = main(["sweep", "--g", "0.3", "--N", "0,1,4,6", "--phi-grid", "9", "--out", str(tmp_path / "s.csv")])
         assert rc == 3
-        assert "matching rows violated" in capsys.readouterr().err
+        assert "partner unitarity violated" in capsys.readouterr().err
 
-    def test_cli_exits_3_on_a_natural_refusal(self, tmp_path, capsys):
+    def test_cli_answers_what_the_lu_on_h_refused(self, tmp_path):
+        # H's row check refused phi = 1e-8 here (exit 3); the partner answers it
+        out = tmp_path / "s.csv"
         rc = main(["sweep", "--g", "0.999999", "--N", "3", "--phi-grid", "3:1e-8:2.0",
-                   "--method", "numeric", "--out", str(tmp_path / "s.csv")])
-        assert rc == 3
-        assert "at phi=1e-08" in capsys.readouterr().err
+                   "--method", "numeric", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        spec = TwoCenterSpec(0.999999, 3)
+        for row in rows:
+            amp = solve_numeric(spec, float(row[2]))
+            assert [float(v) for v in row[3:7]] == [amp.R.real, amp.R.imag, amp.T.real, amp.T.imag]
+            assert float(row[9]) <= 1e-11
+        R_ref, T_ref = mp_amplitudes(spec.bond_map(), 1e-8)
+        amp = solve_numeric(spec, 1e-8)
+        assert max(abs(amp.R - R_ref), abs(amp.T - T_ref)) <= 1e-12
 
 
 class TestClosedMethodSolvesOnlyGuardedAngles:
@@ -305,3 +350,43 @@ class TestClosedMethodSolvesOnlyGuardedAngles:
         ]
         assert records[2]["discrepancy"] is None
         assert records[2]["re_R"] == batch(TwoCenterSpec(0.4, 1), [mid])[0].R.real
+
+
+class TestNoLibraryRouteSolvesH:
+    """H's matching system is a test reference only: every command runs with it unavailable."""
+
+    @pytest.fixture(autouse=True)
+    def _lu_on_h_raises(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a library route used the LU on H")
+
+        monkeypatch.setattr(scattering, "build_matching_system", refuse)
+        monkeypatch.setattr(scipy.linalg, "solve_banded", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--model", "two-center", "--g", "0.3,-0.9", "--N", "-1,0,2,50", "--method", "both"],
+            ["sweep", "--model", "two-center", "--g", "0.3,-0.9", "--N", "-1,0,2,50", "--method", "closed"],
+            ["sweep", "--model", "two-center", "--g", "0.3,-0.9", "--N", "-1,0,2,50", "--method", "numeric"],
+            ["sweep", "--model", "chain", "--couplings", "0.5,0.3;0.4,-0.2,0.6", "--method", "numeric"],
+            ["sweep", "--model", "multi-center", "--centers", "-6,0,7", "--g", "0.3,0.5", "--method", "numeric"],
+        ],
+        ids=["two-center-both", "two-center-closed", "two-center-numeric", "chain", "multi-center"],
+    )
+    def test_sweep(self, tmp_path, argv):
+        assert main([*argv, "--phi-grid", "40", "--out", str(tmp_path / "s.csv")]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["amplitudes", "--model", "two-center", "--g", "0.5", "--N", "3", "--phi", "1.0"],
+            ["amplitudes", "--model", "chain", "--couplings", "0.5,0.3", "--phi", "1.0"],
+            ["probe-continuum", "--g", "0.5", "--kappa", "1.0", "--h-start", "0.2", "--halvings", "6"],
+        ],
+        ids=["verify", "amplitudes-two-center", "amplitudes-chain", "probe-continuum"],
+    )
+    def test_other_commands(self, argv, capsys):
+        assert main(argv) == 0
+        assert "FAIL" not in capsys.readouterr().out

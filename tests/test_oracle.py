@@ -6,20 +6,21 @@ plane-wave split left of the bonds gives 1/T and R/T.  Digits lost near the
 band edges and at sharp resonances come out of the spare ones.
 
 solve_numeric must be within max(2 x the error of H's banded LU at the same
-point, 1e-12) of the reference.  The LU is solved without its row
-self-check, so points it refuses still give a bound.
+point, 1e-12) of the reference.  The LU (test_scattering.lu_on_h) refuses
+nothing, so points its row check would refuse still give a bound.
 """
 
+import csv
 import math
 import random
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 
-from qhscatter import ChainSpec, MultiCenterSpec, TwoCenterSpec, build_matching_system, solve_numeric
+from qhscatter import ChainSpec, MultiCenterSpec, TwoCenterSpec, solve_numeric
 from qhscatter.cli import main
+from test_scattering import lu_on_h
 
 
 def mp_amplitudes(bonds: dict, phi: float, dps: int = 60) -> tuple[complex, complex]:
@@ -44,13 +45,6 @@ def mp_amplitudes(bonds: dict, phi: float, dps: int = 60) -> tuple[complex, comp
         a = (psi[j0] * e(-j1) - e(-j0) * psi[j1]) / det
         b = (e(j0) * psi[j1] - psi[j0] * e(j1)) / det
         return complex(b / a), complex(1 / a)
-
-
-def _lu_amplitudes(spec, phi):
-    """R, T of H's banded LU at one angle, without the row self-check."""
-    system = build_matching_system(spec.bond_map(), phi, spec.matching_radius)
-    x = scipy.linalg.solve_banded((1, 1), system.ab, system.rhs)
-    return complex(x[0]), complex(x[-1])
 
 
 def _error(amps, ref):
@@ -104,7 +98,7 @@ POINTS = _points()
 def test_within_the_lu_error_of_the_reference(spec, phi):
     ref = mp_amplitudes(spec.bond_map(), phi)
     amp = solve_numeric(spec, phi)
-    bound = max(2.0 * _error(_lu_amplitudes(spec, phi), ref), 1e-12)
+    bound = max(2.0 * _error(lu_on_h(spec, phi)[:2], ref), 1e-12)
     assert _error((amp.R, amp.T), ref) <= bound
 
 
@@ -141,5 +135,31 @@ def test_cli_refuses_a_transmission_past_the_double_range(capsys):
     # mirrored couplings scale T_h by sqrt(3) per bond: about 1e477
     couplings = ",".join(["-0.5"] * 1000)
     code = main(["amplitudes", "--model", "chain", "--couplings", couplings, "--phi", "1"])
+    assert code == 2
+    assert "double range" in capsys.readouterr().err
+
+
+def _sweep_row(tmp_path, couplings):
+    out = tmp_path / "chain.csv"
+    code = main(["sweep", "--model", "chain", "--couplings", couplings, "--phi-grid", "1:1.0:1.0",
+                 "--out", str(out)])
+    rows = list(csv.DictReader(out.open())) if code == 0 else []
+    return code, rows
+
+
+def test_sweep_answers_a_chain_of_a_thousand_couplings(tmp_path, capsys):
+    # the sweep writes the same bits that amplitudes prints
+    couplings = ",".join(["0.5"] * 1000)
+    code, rows = _sweep_row(tmp_path, couplings)
+    assert code == 0 and len(rows) == 1
+    assert rows[0]["abs_R2"] == "0.013744801702384717"
+    capsys.readouterr()
+    main(["amplitudes", "--model", "chain", "--couplings", couplings, "--phi", "1"])
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    assert fields["abs_R2"] == rows[0]["abs_R2"]
+
+
+def test_sweep_refuses_a_transmission_past_the_double_range(tmp_path, capsys):
+    code, _ = _sweep_row(tmp_path, ",".join(["-0.5"] * 1000))
     assert code == 2
     assert "double range" in capsys.readouterr().err

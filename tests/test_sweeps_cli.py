@@ -5,9 +5,11 @@ import math
 import platform
 import resource
 
+import numpy as np
 import pytest
 
-from qhscatter import DomainError, TwoCenterSpec
+import qhscatter.sweeps as sweeps
+from qhscatter import Amplitudes, DomainError, TwoCenterSpec
 from qhscatter.cli import main
 from qhscatter.sweeps import (
     SweepConfig,
@@ -271,6 +273,30 @@ class TestCliVerify:
         assert _chain_label((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)) == (
             "couplings=(0.1, 0.2, 0.3, 0.4, ...) length=9"
         )
+
+    def test_non_finite_amplitude_fails_both_amplitude_suites(self, capsys, monkeypatch):
+        # a NaN in T alone: max(|dR|, |dT|) would drop it, and so would a max taken with >
+        closed_form = sweeps.closed_form
+        spec = TwoCenterSpec(0.5, 2)
+        phi = np.linspace(sweeps.DEFAULT_PHI_MIN, sweeps.DEFAULT_PHI_MAX, 42)[1:-1].tolist()[10]
+
+        def nan_at_one_point(s, p):
+            amp, breakdown = closed_form(s, p)
+            if (s, p) == (spec, phi):
+                amp = Amplitudes(R=amp.R, T=complex(math.nan, 0.0), phi=amp.phi)
+            return amp, breakdown
+
+        monkeypatch.setattr(sweeps, "closed_form", nan_at_one_point)
+        code = main(["verify"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        failed = [line for line in lines if line.endswith("FAIL")]
+        at = f"worst=[g=0.5 N=2 phi={phi:.6f}]"
+        assert failed == [
+            f"suite=unitarity check=closed max=nan tolerance=1.0e-11 {at} FAIL",
+            f"suite=closed-vs-numeric check=N>=1 max=nan tolerance=1.0e-10 {at} FAIL",
+        ]
+        assert len(lines) == 7
 
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["verify", "--suite", "unitarity", "--tolerance", "1e-16"])
