@@ -10,8 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
 import sys
 
 from .errors import QhScatterError, ResonanceError, ResonantAngleError
@@ -23,6 +21,7 @@ from .sweeps import (
     evaluate_point,
     metric_suite,
     scatterer_specs,
+    suite_scores,
     sweep_records,
     unitarity_suite,
     write_table,
@@ -34,36 +33,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESONANT = 3
 EXIT_IO = 4
-
-# glibc mallopt(3) parameters and the values set by _keep_freed_heap
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 2 << 20
-_TRIM_THRESHOLD_BYTES = 8 << 20
-
-
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Let glibc keep freed heap memory instead of returning it to the kernel.
-
-    A numeric point at N = 8000 allocates and frees about 1.5 MB of arrays.
-    With glibc's default thresholds the freed memory goes back to the
-    kernel after every point and the next point faults it in again: a
-    240-point sweep at N up to 8000 took 37,000 to 65,000 page faults per
-    run, a quarter of its wall time in the kernel, and that share varied
-    with the load on the machine.  Blocks under 2 MB (every array of a
-    point up to N of about 20,000) now come from the heap, which keeps up
-    to 8 MB free; larger blocks, such as a rendered table, still go back
-    to the kernel when freed, so peak memory stays where it was.  Does
-    nothing where the C library has no mallopt.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt.restype = ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok != "")
@@ -125,9 +94,9 @@ def cmd_sweep(args) -> int:
     if method is None:
         method = "both" if args.model == "two-center" else "numeric"
     config = SweepConfig(**_grid(args), phi_count=count, phi_min=lo, phi_max=hi, method=method)
-    records = sweep_records(config)
-    write_table(records, args.format, args.out)
-    print(f"wrote {len(records)} rows to {args.out}")
+    table = sweep_records(config)
+    write_table(table, args.format, args.out)
+    print(f"wrote {len(table['phi'])} rows to {args.out}")
     return EXIT_OK
 
 
@@ -146,10 +115,13 @@ def cmd_verify(args) -> int:
         elif args.model == "two-center":
             kwargs.update(chain_specs=())
         checks += metric_suite(**kwargs)
+    scores = None
+    if args.suite in ("unitarity", "closed-vs-numeric") or run_all:
+        scores = suite_scores()  # each point evaluated once for both amplitude suites
     if args.suite == "unitarity" or run_all:
-        checks += unitarity_suite(tolerance=tol(1e-11))
+        checks += unitarity_suite(tolerance=tol(1e-11), scores=scores)
     if args.suite == "closed-vs-numeric" or run_all:
-        checks += closed_vs_numeric_suite(tolerance=tol(1e-10))
+        checks += closed_vs_numeric_suite(tolerance=tol(1e-10), scores=scores)
     ok = True
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -260,7 +232,6 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

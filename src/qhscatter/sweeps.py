@@ -1,21 +1,22 @@
 """Parameter sweeps, machine-readable tables and built-in verification suites.
 
-Sweep output is one flat record per evaluation with a fixed column order.
-Numbers are printed with 17 significant digits so a re-parsed file
-reproduces the original doubles exactly; identical configurations produce
-byte-identical files.  Every numeric value comes from the one route on
-the Hermitian partner: sweeps and the amplitude suites solve each
-scatterer's angles in one solve_numeric_batch call, evaluate_point its one
-angle with solve_numeric, with the same bits.
+A sweep's table holds one list per column, in a fixed column order, and
+one row per evaluation; it is built a scatterer at a time from the
+scatterer's amplitudes and written by one row template.  Numbers are
+printed with 17 significant digits so a re-parsed file reproduces the
+original doubles exactly; identical configurations produce byte-identical
+files.  Every numeric value comes from the one route on the Hermitian
+partner: sweeps and the amplitude suites solve each scatterer's angles in
+one solve_numeric_batch call, evaluate_point its one angle with
+solve_numeric, with the same bits.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -87,26 +88,18 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _amp_fields(amp: Amplitudes) -> dict:
-    return {
-        "re_R": amp.R.real,
-        "im_R": amp.R.imag,
-        "re_T": amp.T.real,
-        "im_T": amp.T.imag,
-        "abs_R2": amp.R.real**2 + amp.R.imag**2,
-        "abs_T2": amp.T.real**2 + amp.T.imag**2,
-        "defect": amp.unitarity_defect,
-    }
+def _scatterer_cells(spec: ScattererSpec) -> tuple:
+    """The g and N cells of spec's rows.
 
-
-def _coupling_label(spec: ScattererSpec):
+    g is the coupling of a two-center spec or of a multi-center spec with
+    equal couplings, else the couplings joined by ':'; N is empty (None)
+    but for two-center specs.
+    """
     if isinstance(spec, TwoCenterSpec):
-        return spec.g
-    if isinstance(spec, MultiCenterSpec):
-        if len(set(spec.couplings)) == 1:
-            return spec.couplings[0]
-        return ":".join(_fmt(g) for g in spec.couplings)
-    return ":".join(_fmt(c) for c in spec.couplings)
+        return spec.g, spec.N
+    if isinstance(spec, MultiCenterSpec) and len(set(spec.couplings)) == 1:
+        return spec.couplings[0], None
+    return ":".join(_fmt(g) for g in spec.couplings), None
 
 
 def _closed_or_none(spec: ScattererSpec, phi: float, method: str, resonance_fallback: bool = True):
@@ -128,24 +121,40 @@ def _check_method(spec: ScattererSpec, method: str) -> None:
         raise DomainError("closed forms exist only for the two-center model")
 
 
-def _point_records(spec: ScattererSpec, phi: float, method: str, amp_closed, amp_num) -> list[dict]:
-    """The rows of one point from its closed and numeric amplitudes (either may be None).
+def _amplitudes(spec: ScattererSpec, phis: list[float], method: str) -> tuple[list, dict]:
+    """Closed amplitudes per angle (None where guarded or not asked for), numeric ones by angle index.
 
-    A numeric row without its closed partner under 'closed' or 'both' is a
-    resonance fallback and carries resonance_flag=1.
+    One batched numeric solve covers every angle that needs it: all angles,
+    or under 'closed' only the resonance-guarded ones.
     """
-    base = {"g": _coupling_label(spec), "N": spec.N if isinstance(spec, TwoCenterSpec) else None, "phi": phi}
-    if amp_num is None:
-        rows = ((amp_closed, "closed", 0, None),)
-    elif amp_closed is None:
-        rows = ((amp_num, "numeric", int(method != "numeric"), None),)
-    else:
-        gap = max(abs(amp_closed.R - amp_num.R), abs(amp_closed.T - amp_num.T))
-        rows = ((amp_closed, "closed", 0, gap), (amp_num, "numeric", 0, gap))
-    return [
-        {**base, **_amp_fields(amp), "method": used, "resonance_flag": flag, "discrepancy": gap}
-        for amp, used, flag, gap in rows
-    ]
+    _check_method(spec, method)
+    closed = [_closed_or_none(spec, phi, method) for phi in phis]
+    solved = [i for i, amp in enumerate(closed) if method != "closed" or amp is None]
+    numeric = dict(zip(solved, solve_numeric_batch(spec, [phis[i] for i in solved]))) if solved else {}
+    return closed, numeric
+
+
+def _amp_values(amp: Amplitudes) -> tuple:
+    """re_R, im_R, re_T, im_T, abs_R2, abs_T2 and defect of one row, each square taken once."""
+    R, T = amp.R, amp.T
+    abs_R2 = R.real**2 + R.imag**2
+    abs_T2 = T.real**2 + T.imag**2
+    return R.real, R.imag, T.real, T.imag, abs_R2, abs_T2, abs(abs_R2 + abs_T2 - 1.0)
+
+
+def _angle_rows(phi: float, amp_c, amp_n, flag: int) -> tuple:
+    """The rows of one angle as (phi, amplitudes, method, resonance_flag, discrepancy).
+
+    The closed row comes first, then the numeric row, where present; a pair
+    shares its discrepancy.  A numeric row alone carries flag: 1 when it
+    stands in for a guarded closed form, 0 under 'numeric'.
+    """
+    if amp_c is None:
+        return ((phi, amp_n, "numeric", flag, None),)
+    if amp_n is None:
+        return ((phi, amp_c, "closed", 0, None),)
+    gap = max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T))
+    return ((phi, amp_c, "closed", 0, gap), (phi, amp_n, "numeric", 0, gap))
 
 
 def evaluate_point(
@@ -155,30 +164,16 @@ def evaluate_point(
 
     At resonance-guarded angles the closed path falls back to the numeric
     solver with resonance_flag=1 unless resonance_fallback is False, in
-    which case ResonantAngleError propagates to the caller.
+    which case ResonantAngleError propagates to the caller.  The records
+    are the point's rows of a sweep table, as dicts keyed by COLUMNS.
     """
     _check_method(spec, method)
     amp_closed = _closed_or_none(spec, phi, method, resonance_fallback)
-    amp_num = None
-    if method != "closed" or amp_closed is None:
-        amp_num = solve_numeric(spec, phi)
-    return _point_records(spec, phi, method, amp_closed, amp_num)
-
-
-def _scatterer_records(spec: ScattererSpec, phis: list[float], method: str) -> list[dict]:
-    """Records of one scatterer at the angles phis, in order.
-
-    One batched numeric solve covers every angle that needs it: all angles,
-    or under 'closed' only the resonance-guarded ones.
-    """
-    _check_method(spec, method)
-    closed = [_closed_or_none(spec, phi, method) for phi in phis]
-    wanted = [i for i, amp in enumerate(closed) if method != "closed" or amp is None]
-    numeric = dict(zip(wanted, solve_numeric_batch(spec, [phis[i] for i in wanted]))) if wanted else {}
+    amp_num = solve_numeric(spec, phi) if method != "closed" or amp_closed is None else None
+    g, n = _scatterer_cells(spec)
     return [
-        row
-        for i, (phi, amp_closed) in enumerate(zip(phis, closed))
-        for row in _point_records(spec, phi, method, amp_closed, numeric.get(i))
+        dict(zip(COLUMNS, (g, n, phi, *_amp_values(amp), used, flag, gap)))
+        for _, amp, used, flag, gap in _angle_rows(phi, amp_closed, amp_num, int(method != "numeric"))
     ]
 
 
@@ -224,38 +219,65 @@ class SweepConfig:
         return phi_grid(self.phi_count, self.phi_min, self.phi_max)
 
 
-def sweep_records(config: SweepConfig) -> list[dict]:
-    """Evaluate the full grid: couplings outer, N middle, phi inner."""
+def sweep_records(config: SweepConfig) -> dict[str, list]:
+    """The table of the full grid: one list per name in COLUMNS, in grid order.
+
+    Rows run couplings outer, N middle, phi inner.  Each scatterer's rows
+    are added as columns at once, from its closed amplitudes and one
+    batched numeric solve.
+    """
     phis = config.angles().tolist()
-    return [row for spec in config.specs() for row in _scatterer_records(spec, phis, config.method)]
+    flag = int(config.method != "numeric")
+    table = {c: [] for c in COLUMNS}
+    for spec in config.specs():
+        closed, numeric = _amplitudes(spec, phis, config.method)
+        rows = [
+            row for i, amp_c in enumerate(closed) for row in _angle_rows(phis[i], amp_c, numeric.get(i), flag)
+        ]
+        angles, amps, used, flags, gaps = zip(*rows)
+        g, n = _scatterer_cells(spec)
+        count = len(rows)
+        columns = ((g,) * count, (n,) * count, angles, *zip(*map(_amp_values, amps)), used, flags, gaps)
+        for column, values in zip(table.values(), columns):
+            column += values
+    return table
 
 
-def render_csv(records: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for row in records:
-        writer.writerow([_fmt(row[c]) for c in COLUMNS])
-    return buf.getvalue()
+# the row template prints these with 17 significant digits and the others with %s:
+# method and resonance_flag as they are, the text columns (labels, an empty N or
+# discrepancy) formatted beforehand
+_FLOAT_COLUMNS = ("phi", "re_R", "im_R", "re_T", "im_T", "abs_R2", "abs_T2", "defect")
+_TEXT_COLUMNS = ("g", "N", "discrepancy")
+_ROW = ",".join("%.17g" if c in _FLOAT_COLUMNS else "%s" for c in COLUMNS) + "\n"
 
 
-def render_json(records: list[dict]) -> str:
-    out = []
-    for row in records:
-        item = {}
-        for c in COLUMNS:
-            v = row[c]
-            if isinstance(v, (np.floating,)):
-                v = float(v)
-            elif isinstance(v, (np.integer,)):
-                v = int(v)
-            item[c] = v
-        out.append(item)
-    return json.dumps(out, indent=1) + "\n"
+def _cells(column: list) -> list[str]:
+    """The text of a label, N or discrepancy column, formatted once per run of one object.
+
+    A scatterer repeats one g and one N over its rows, and a closed and
+    numeric pair shares one discrepancy.
+    """
+    cells = []
+    for _, run in groupby(column, key=id):
+        run = list(run)
+        cells += [_fmt(run[0])] * len(run)
+    return cells
 
 
-def write_table(records: list[dict], fmt: str, path: str | Path) -> None:
-    text = render_csv(records) if fmt == "csv" else render_json(records)
+def render_csv(table: dict[str, list]) -> str:
+    """The table as CSV: a header, then one row template applied to all rows at once."""
+    cells = [_cells(table[c]) if c in _TEXT_COLUMNS else table[c] for c in COLUMNS]
+    values = tuple(chain.from_iterable(zip(*cells)))
+    return (",".join(COLUMNS) + "\n" + _ROW * len(table["phi"])) % values
+
+
+def render_json(table: dict[str, list]) -> str:
+    rows = [dict(zip(COLUMNS, row)) for row in zip(*(table[c] for c in COLUMNS))]
+    return json.dumps(rows, indent=1) + "\n"
+
+
+def write_table(table: dict[str, list], fmt: str, path: str | Path) -> None:
+    text = render_csv(table) if fmt == "csv" else render_json(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -329,52 +351,54 @@ def _check(suite: str, label: str, tolerance: float, scored, point_label=str) ->
     return SuiteCheck(suite, label, worst, tolerance, "" if worst_at is None else point_label(worst_at))
 
 
-def _two_center_groups(g_grid, n_grid, phi_count):
+def suite_scores(g_grid=DEFAULT_G_GRID, n_grid=DEFAULT_N_GRID, phi_count=DEFAULT_PHI_COUNT) -> list[tuple]:
+    """What the amplitude suites score at each point of their grid, each point evaluated once.
+
+    One (spec, phi, numeric defect, closed defect, |R_c - R_n|, |T_c - T_n|)
+    per point, its numeric amplitudes from one batched solve per scatterer;
+    the last three are None at guarded angles, where the closed form
+    refuses.  Only these numbers are kept, not the amplitudes.
+    """
     # strictly inside (DEFAULT_PHI_MIN, DEFAULT_PHI_MAX)
     phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, phi_count + 2)[1:-1].tolist()
-    return [(TwoCenterSpec(g, n), phis) for g in g_grid for n in n_grid]
+    scores = []
+    for spec in (TwoCenterSpec(g, n) for g in g_grid for n in n_grid):
+        closed, numeric = _amplitudes(spec, phis, "both")
+        for i, (phi, amp_c) in enumerate(zip(phis, closed)):
+            amp_n = numeric[i]
+            if amp_c is None:
+                scores.append((spec, phi, amp_n.unitarity_defect, None, None, None))
+            else:
+                gaps = abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T)
+                scores.append((spec, phi, amp_n.unitarity_defect, amp_c.unitarity_defect, *gaps))
+    return scores
 
 
-def unitarity_suite(
-    tolerance: float = 1e-11,
-    g_grid=DEFAULT_G_GRID,
-    n_grid=DEFAULT_N_GRID,
-    phi_count=DEFAULT_PHI_COUNT,
-) -> list[SuiteCheck]:
-    """| |R|^2 + |T|^2 - 1 | over the grid, numeric and closed paths."""
-    numeric, closed = [], []
-    for spec, phis in _two_center_groups(g_grid, n_grid, phi_count):
-        for phi, amp in zip(phis, solve_numeric_batch(spec, phis)):
-            numeric.append((amp.unitarity_defect, (spec, phi)))
-            amp_c = _closed_or_none(spec, phi, "closed")
-            if amp_c is not None:
-                closed.append((amp_c.unitarity_defect, (spec, phi)))
+def unitarity_suite(tolerance: float = 1e-11, scores=None) -> list[SuiteCheck]:
+    """| |R|^2 + |T|^2 - 1 | over suite_scores (the default grid unless given), numeric and closed paths."""
+    scores = suite_scores() if scores is None else scores
+    numeric = ((d_n, (spec, phi)) for spec, phi, d_n, *_ in scores)
+    closed = ((d_c, (spec, phi)) for spec, phi, _, d_c, _, _ in scores if d_c is not None)
     return [
         _check("unitarity", "numeric", tolerance, numeric, _point_label),
         _check("unitarity", "closed", tolerance, closed, _point_label),
     ]
 
 
-def closed_vs_numeric_suite(
-    tolerance: float = 1e-10,
-    g_grid=DEFAULT_G_GRID,
-    n_grid=DEFAULT_N_GRID,
-    phi_count=DEFAULT_PHI_COUNT,
-) -> list[SuiteCheck]:
-    """Componentwise closed-form vs matching-solver agreement, per family.
+def closed_vs_numeric_suite(tolerance: float = 1e-10, scores=None) -> list[SuiteCheck]:
+    """Componentwise closed-form vs matching-solver agreement over suite_scores, per family.
 
     Guarded angles, where the closed form refuses, are left out.
     """
-    gaps = {"N=-1": [], "N=0": [], "N>=1": []}
-    for spec, phis in _two_center_groups(g_grid, n_grid, phi_count):
-        key = "N=-1" if spec.N == -1 else ("N=0" if spec.N == 0 else "N>=1")
-        closed = [(phi, _closed_or_none(spec, phi, "closed")) for phi in phis]
-        closed = [(phi, amp) for phi, amp in closed if amp is not None]
-        numeric = solve_numeric_batch(spec, [phi for phi, _ in closed])
+    scores = suite_scores() if scores is None else scores
+
+    def gaps(key: str):
         # R and T scored apart, so that a NaN in either cannot hide behind max()
-        gaps[key] += (
-            (abs(d), (spec, phi))
-            for (phi, amp_c), amp_n in zip(closed, numeric)
-            for d in (amp_c.R - amp_n.R, amp_c.T - amp_n.T)
-        )
-    return [_check("closed-vs-numeric", key, tolerance, scored, _point_label) for key, scored in gaps.items()]
+        for spec, phi, _, d_c, gap_R, gap_T in scores:
+            family = "N=-1" if spec.N == -1 else ("N=0" if spec.N == 0 else "N>=1")
+            if d_c is not None and family == key:
+                yield gap_R, (spec, phi)
+                yield gap_T, (spec, phi)
+
+    keys = ("N=-1", "N=0", "N>=1")
+    return [_check("closed-vs-numeric", key, tolerance, gaps(key), _point_label) for key in keys]

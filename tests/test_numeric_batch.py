@@ -341,15 +341,15 @@ class TestClosedMethodSolvesOnlyGuardedAngles:
             return batch(spec, phis)
 
         monkeypatch.setattr(sweeps, "solve_numeric_batch", spy)
-        records = sweep_records(config)
+        table = sweep_records(config)
         mid = float(config.angles()[2])
         assert solved == [(1, [mid])]
-        assert [(r["N"], r["method"], r["resonance_flag"]) for r in records] == [
+        assert list(zip(table["N"], table["method"], table["resonance_flag"])) == [
             (1, "closed", 0), (1, "closed", 0), (1, "numeric", 1), (1, "closed", 0), (1, "closed", 0),
             *[(0, "closed", 0)] * 5,
         ]
-        assert records[2]["discrepancy"] is None
-        assert records[2]["re_R"] == batch(TwoCenterSpec(0.4, 1), [mid])[0].R.real
+        assert table["discrepancy"][2] is None
+        assert table["re_R"][2] == batch(TwoCenterSpec(0.4, 1), [mid])[0].R.real
 
 
 class TestNoLibraryRouteSolvesH:

@@ -2,8 +2,6 @@ import csv
 import io
 import json
 import math
-import platform
-import resource
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ import qhscatter.sweeps as sweeps
 from qhscatter import Amplitudes, DomainError, TwoCenterSpec
 from qhscatter.cli import main
 from qhscatter.sweeps import (
+    COLUMNS,
     SweepConfig,
     _chain_label,
     evaluate_point,
@@ -73,12 +72,17 @@ class TestEvaluatePoint:
 
 
 class TestTables:
+    def test_one_list_per_column(self):
+        table = sweep_records(small_config())
+        assert list(table) == list(COLUMNS)
+        assert all(isinstance(table[c], list) and len(table[c]) == 2 * 2 * 3 * 7 for c in COLUMNS)
+
     def test_row_count_and_order(self):
-        records = sweep_records(small_config(method="numeric"))
-        assert len(records) == 2 * 3 * 7
+        table = sweep_records(small_config(method="numeric"))
+        assert len(table["phi"]) == 2 * 3 * 7
         # couplings outer, N middle, phi inner
-        assert [r["g"] for r in records[:21]] == [0.3] * 21
-        assert [r["N"] for r in records[:7]] == [-1] * 7
+        assert table["g"][:21] == [0.3] * 21
+        assert table["N"][:7] == [-1] * 7
 
     def test_csv_reparse_defect_invariant(self):
         text = render_csv(sweep_records(small_config()))
@@ -97,10 +101,10 @@ class TestTables:
         assert n_rows == 2 * 2 * 3 * 7
 
     def test_json_round_trip(self):
-        records = sweep_records(small_config(method="numeric", phi_count=3))
-        parsed = json.loads(render_json(records))
-        assert len(parsed) == len(records)
-        assert parsed[0]["re_T"] == records[0]["re_T"]
+        table = sweep_records(small_config(method="numeric", phi_count=3))
+        parsed = json.loads(render_json(table))
+        assert len(parsed) == len(table["phi"])
+        assert parsed[0]["re_T"] == table["re_T"][0]
         assert parsed[0]["N"] == -1
 
     def test_deterministic_rendering(self):
@@ -115,9 +119,9 @@ class TestTables:
             phi_count=40,
             method="numeric",
         )
-        records = sweep_records(config)
-        assert len(records) == 10 * 3 * 40
-        assert max(r["defect"] for r in records) <= 1e-11
+        table = sweep_records(config)
+        assert len(table["phi"]) == 10 * 3 * 40
+        assert max(table["defect"]) <= 1e-11
 
     def test_chain_records_label_couplings(self):
         config = SweepConfig(
@@ -129,9 +133,9 @@ class TestTables:
             phi_max=1.5,
             method="numeric",
         )
-        records = sweep_records(config)
-        assert records[0]["g"] == "0.5:0.29999999999999999"
-        assert records[0]["N"] is None
+        table = sweep_records(config)
+        assert table["g"][0] == "0.5:0.29999999999999999"
+        assert table["N"][0] is None
 
 
 class TestCliAmplitudes:
@@ -200,17 +204,6 @@ class TestCliSweep:
         assert main(args + [str(a)]) == 0
         assert main(args + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc only")
-    def test_large_sweep_reuses_freed_heap(self, tmp_path):
-        # a rerun at N = 8000 takes its arrays from the heap the first run freed
-        # instead of faulting fresh pages in (about 2,600 faults without that)
-        args = ["sweep", "--g", "0.3", "--N", "8000", "--phi-grid", "4", "--method", "numeric",
-                "--out", str(tmp_path / "long.csv")]
-        assert main(args) == 0
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        assert main(args) == 0
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -297,6 +290,19 @@ class TestCliVerify:
             f"suite=closed-vs-numeric check=N>=1 max=nan tolerance=1.0e-10 {at} FAIL",
         ]
         assert len(lines) == 7
+
+    def test_amplitude_suites_evaluate_each_point_once_per_call(self, capsys, monkeypatch):
+        closed, batches = [], []
+        closed_form, batch = sweeps.closed_form, sweeps.solve_numeric_batch
+        monkeypatch.setattr(sweeps, "closed_form", lambda s, p: closed.append(p) or closed_form(s, p))
+        monkeypatch.setattr(sweeps, "solve_numeric_batch", lambda s, p: batches.append(s) or batch(s, p))
+        assert main(["verify", "--suite", "all"]) == 0
+        assert (len(closed), len(batches)) == (3200, 80)
+        # nothing is kept from one call to the next
+        assert main(["verify", "--suite", "closed-vs-numeric"]) == 0
+        assert (len(closed), len(batches)) == (6400, 160)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7 + 3 and all(line.endswith("PASS") for line in lines)
 
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["verify", "--suite", "unitarity", "--tolerance", "1e-16"])

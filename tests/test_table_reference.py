@@ -1,0 +1,214 @@
+"""The column tables against the dict-row renderer they replaced.
+
+The reference below builds one dict per row and writes it with csv.writer
+and a per-value formatter, as the sweep path did before its tables became
+columns.  sweep_records, render_csv and render_json must give the same
+bytes on two-center, chain and multi-center grids, and evaluate_point the
+same rows.
+"""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+import qhscatter.sweeps as sweeps
+from qhscatter import ChainSpec, MultiCenterSpec, ResonantAngleError, TwoCenterSpec
+from qhscatter.scattering import closed_form, solve_numeric, solve_numeric_batch
+from qhscatter.sweeps import COLUMNS, SweepConfig, evaluate_point, render_csv, render_json, sweep_records
+
+
+def _ref_fmt(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def _ref_label(spec):
+    if isinstance(spec, TwoCenterSpec):
+        return spec.g
+    if isinstance(spec, MultiCenterSpec) and len(set(spec.couplings)) == 1:
+        return spec.couplings[0]
+    return ":".join(_ref_fmt(g) for g in spec.couplings)
+
+
+def _ref_point_records(spec, phi, method, amp_closed, amp_num):
+    base = {"g": _ref_label(spec), "N": spec.N if isinstance(spec, TwoCenterSpec) else None, "phi": phi}
+    if amp_num is None:
+        rows = ((amp_closed, "closed", 0, None),)
+    elif amp_closed is None:
+        rows = ((amp_num, "numeric", int(method != "numeric"), None),)
+    else:
+        gap = max(abs(amp_closed.R - amp_num.R), abs(amp_closed.T - amp_num.T))
+        rows = ((amp_closed, "closed", 0, gap), (amp_num, "numeric", 0, gap))
+    return [
+        {
+            **base,
+            "re_R": amp.R.real,
+            "im_R": amp.R.imag,
+            "re_T": amp.T.real,
+            "im_T": amp.T.imag,
+            "abs_R2": amp.R.real**2 + amp.R.imag**2,
+            "abs_T2": amp.T.real**2 + amp.T.imag**2,
+            "defect": amp.unitarity_defect,
+            "method": used,
+            "resonance_flag": flag,
+            "discrepancy": gap,
+        }
+        for amp, used, flag, gap in rows
+    ]
+
+
+def _ref_closed(spec, phi, method):
+    if method == "numeric":
+        return None
+    try:
+        return closed_form(spec, phi)[0]
+    except ResonantAngleError:
+        return None
+
+
+def reference_records(specs, phis, method):
+    records = []
+    for spec in specs:
+        closed = [_ref_closed(spec, phi, method) for phi in phis]
+        wanted = [i for i, amp in enumerate(closed) if method != "closed" or amp is None]
+        numeric = dict(zip(wanted, solve_numeric_batch(spec, [phis[i] for i in wanted]))) if wanted else {}
+        for i, (phi, amp_closed) in enumerate(zip(phis, closed)):
+            records += _ref_point_records(spec, phi, method, amp_closed, numeric.get(i))
+    return records
+
+
+def reference_csv(records) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for row in records:
+        writer.writerow([_ref_fmt(row[c]) for c in COLUMNS])
+    return buf.getvalue()
+
+
+def reference_json(records) -> str:
+    out = []
+    for row in records:
+        item = {}
+        for c in COLUMNS:
+            v = row[c]
+            if isinstance(v, np.floating):
+                v = float(v)
+            elif isinstance(v, np.integer):
+                v = int(v)
+            item[c] = v
+        out.append(item)
+    return json.dumps(out, indent=1) + "\n"
+
+
+class GivenSpecs(SweepConfig):
+    """A sweep over an explicit scatterer list, for layouts the CLI grids cannot name."""
+
+    def __init__(self, specs, **kwargs):
+        super().__init__(model="multi-center", couplings=(), n_values=(), **kwargs)
+        object.__setattr__(self, "given", tuple(specs))
+
+    def specs(self):
+        return list(self.given)
+
+
+def two_center(method, **kwargs):
+    grid = dict(couplings=(0.4, -0.9), n_values=(-1, 0, 1, 2, 50), phi_count=41)
+    grid.update(kwargs)
+    return SweepConfig(model="two-center", method=method, **grid)
+
+
+CONFIGS = {
+    "two-center-both": two_center("both"),
+    "two-center-numeric": two_center("numeric"),
+    "two-center-closed": two_center("closed"),
+    # 0.0 and -0.0 are equal but print as 0 and -0
+    "signed-zero": two_center("both", couplings=(0.0, -0.0, 0.0), n_values=(3,), phi_count=5),
+    "chain": SweepConfig(
+        model="chain", couplings=((0.5, 0.3), (0.4, -0.2, 0.6), (0.1,)), n_values=(), phi_count=30
+    ),
+    "multi-center-equal": SweepConfig(
+        model="multi-center", couplings=(0.3, 0.5), n_values=(), phi_count=30, centers=(-6, 0, 7)
+    ),
+    "multi-center-unequal": GivenSpecs(
+        [MultiCenterSpec((-6, 0, 7), (0.3, -0.5, 0.7)), MultiCenterSpec((-4, 4), (0.2, 0.2))],
+        phi_count=30,
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def tables(request):
+    config = CONFIGS[request.param]
+    records = reference_records(config.specs(), config.angles().tolist(), config.method)
+    return request.param, sweep_records(config), records
+
+
+class TestColumnsMatchDictRows:
+    def test_csv_bytes(self, tables):
+        _, table, records = tables
+        assert render_csv(table).encode() == reference_csv(records).encode()
+
+    def test_json_bytes(self, tables):
+        _, table, records = tables
+        assert render_json(table).encode() == reference_json(records).encode()
+
+    def test_grids_reach_every_kind_of_cell(self, tables):
+        name, table, _ = tables
+        if name == "two-center-closed":
+            # a resonance fallback under 'closed': one numeric row, flagged, with an empty discrepancy
+            fallback = [i for i, flag in enumerate(table["resonance_flag"]) if flag == 1]
+            assert fallback and all(table["method"][i] == "numeric" for i in fallback)
+            assert all(table["discrepancy"][i] is None for i in fallback)
+        if name == "two-center-both":
+            assert 1 in table["resonance_flag"] and None not in table["discrepancy"][:2]
+        if name in ("chain", "multi-center-unequal"):
+            assert isinstance(table["g"][0], str) and set(table["N"]) == {None}
+        if name == "multi-center-unequal":
+            assert table["g"][0] == "0.29999999999999999:-0.5:0.69999999999999996"
+            assert table["g"][-1] == 0.2  # equal couplings print as one g
+
+
+class TestEvaluatePointMatchesDictRows:
+    @pytest.mark.parametrize(
+        "spec,phi,method",
+        [
+            (TwoCenterSpec(0.5, 0), 1.0, "both"),
+            (TwoCenterSpec(-0.9, 2), 1e-7, "both"),
+            (TwoCenterSpec(0.5, 2), math.pi / 2, "both"),
+            (TwoCenterSpec(0.5, 2), math.pi / 2, "closed"),
+            (TwoCenterSpec(0.3, 10), 2.5, "closed"),
+            (TwoCenterSpec(0.3, -1), math.pi - 1e-9, "numeric"),
+            (ChainSpec((0.5, 0.3)), 1.0, "numeric"),
+            (MultiCenterSpec((-6, 0, 7), (0.3, -0.5, 0.7)), 0.9, "numeric"),
+        ],
+    )
+    def test_rows(self, spec, phi, method):
+        amp_closed = _ref_closed(spec, phi, method)
+        amp_num = solve_numeric(spec, phi) if method != "closed" or amp_closed is None else None
+        expected = _ref_point_records(spec, phi, method, amp_closed, amp_num)
+        got = evaluate_point(spec, phi, method)
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in expected]
+
+
+def test_each_scatterer_is_solved_once(monkeypatch):
+    calls = []
+    batch = sweeps.solve_numeric_batch
+
+    def spy(spec, phis):
+        calls.append(spec)
+        return batch(spec, phis)
+
+    monkeypatch.setattr(sweeps, "solve_numeric_batch", spy)
+    config = CONFIGS["two-center-both"]
+    sweep_records(config)
+    assert calls == config.specs()
