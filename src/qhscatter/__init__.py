@@ -12,7 +12,6 @@ from .errors import (
     PositivityError,
     QhScatterError,
     ResonanceError,
-    ResonantAngleError,
     WindowError,
 )
 from .lattice import (
@@ -41,14 +40,10 @@ from .potentials import (
 )
 from .scattering import (
     Amplitudes,
-    ClosedFormBreakdown,
     ContinuumProbeResult,
     MatchingSystem,
     build_matching_system,
     closed_form,
-    closed_form_N0,
-    closed_form_Nminus1,
-    closed_form_generalN,
     closed_form_wave,
     continuum_probe,
     interior_plane_wave_fit,
@@ -66,7 +61,6 @@ __all__ = [
     "BandError",
     "BandedOperator",
     "ChainSpec",
-    "ClosedFormBreakdown",
     "ContinuumProbeResult",
     "DiagonalMetric",
     "DomainError",
@@ -76,7 +70,6 @@ __all__ = [
     "PositivityError",
     "QhScatterError",
     "ResonanceError",
-    "ResonantAngleError",
     "SiteWindow",
     "SweepConfig",
     "TwoCenterSpec",
@@ -90,9 +83,6 @@ __all__ = [
     "build_metric",
     "build_potential",
     "closed_form",
-    "closed_form_N0",
-    "closed_form_Nminus1",
-    "closed_form_generalN",
     "closed_form_wave",
     "continuum_probe",
     "energy_from_phi",

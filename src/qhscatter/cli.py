@@ -3,8 +3,9 @@
 Subcommands: amplitudes (one evaluation), sweep (grid to CSV/JSON),
 verify (built-in residual/unitarity/agreement suites), probe-continuum
 (opaque-wall trend table).  Exit codes: 0 success, 1 verification failure,
-2 usage or validation error, 3 resonant angle with method=closed, 4 I/O
-failure.
+2 usage or validation error, 3 the numeric route's ResonanceError (a
+singular matching system or a failed self-check; the closed form answers
+every angle), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import QhScatterError, ResonanceError, ResonantAngleError
+from .errors import QhScatterError, ResonanceError
 from .scattering import continuum_probe
 from .sweeps import (
     DEFAULT_PHI_COUNT,
@@ -76,7 +77,7 @@ def cmd_amplitudes(args) -> int:
     method = args.method
     if method is None:
         method = "both" if args.model == "two-center" else "numeric"
-    records = evaluate_point(spec, args.phi, method, resonance_fallback=False)
+    records = evaluate_point(spec, args.phi, method)
     for row in records:
         bits = [f"{key}={_fmt(row[key])}" for key in
                 ("method", "re_R", "im_R", "re_T", "im_T", "abs_R2", "abs_T2", "defect")]
@@ -241,9 +242,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except ResonantAngleError as exc:
-        print(f"resonant angle: {exc}; use --method numeric", file=sys.stderr)
-        return EXIT_RESONANT
     except ResonanceError as exc:
         print(f"resonance: {exc}", file=sys.stderr)
         return EXIT_RESONANT

@@ -23,7 +23,3 @@ class DomainError(QhScatterError, ValueError):
 
 class ResonanceError(QhScatterError, RuntimeError):
     """Matching system singular or numerically unusable."""
-
-
-class ResonantAngleError(ResonanceError):
-    """Closed-form denominators degenerate at this angle; use the numeric solver."""

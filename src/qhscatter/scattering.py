@@ -22,47 +22,38 @@ H's own matching rows over its matching radius (build_matching_system) and
 their residual (matching_row_residual) stay public as an independent
 reference for tests and diagnostics; no library route solves them.
 
-Closed forms for the two-center family:
+The closed form of the two-center family covers every block separation
+N >= -1 with one formula in the block center M = N + 2:
 
-* merged blocks (N = -1):
-      T - R = conj(S_lam)/S_lam,        S_lam = 1 + g^2 exp(2 i phi)
-      T + R = -exp(-2 i phi) conj(S_mu)/S_mu,
-      S_mu = (1 - 3 g^2 - (1 + g^2) cos 2 phi) + i (1 - g^2) sin 2 phi
+    q = (1 - g)(1 + g) sin(phi),   k = 2 g^2 cos(phi),   e = exp(i M phi)
+    U = -q - k sin(M phi) e,       V = i q - k cos(M phi) e
+    R - T = -conj(U)/U,            R + T = -conj(V)/V
+    C + D = i q/V,                 C - D = -q/U   (interior psi_k = C e(k) + D e(-k))
 
-* adjacent blocks (N = 0):
-      T - R = conj(Z)/Z,   Z = 1 + g^2 (2 exp(2 i phi) + exp(4 i phi))
-      T + R = -conj(Q)/Q,  Q = W - cos(phi) Z,  W = exp(i phi) + g^2 exp(3 i phi)
-
-* separated blocks (N >= 1):
-      A(phi) = exp(i N phi) + g^2 (2 exp(i (N+2) phi) + exp(i (N+4) phi))
-      B(phi) = exp(i (N+1) phi) + g^2 exp(i (N+3) phi)
-      u = B/sin((N+1) phi) - A/sin(N phi),   R - T = -conj(u)/u
-      v = B/cos((N+1) phi) - A/cos(N phi),   R + T = -conj(v)/v
-
-The Moebius ratios conj(S)/S stay on the unit circle by construction, so
-the real-denominator poles (mu and friends running to infinity) evaluate
-continuously to the correct limits without special-casing.
+For N >= 1, U = u sin(N phi) sin((N+1) phi) and V = v cos(N phi) cos((N+1) phi)
+for the paper's separated-block branches u = B/sin((N+1) phi) - A/sin(N phi)
+and v = B/cos((N+1) phi) - A/cos(N phi), with the denominators cleared; a real
+factor leaves -conj(u)/u as it is.  At N = 0, U and V are the paper's Z and Q
+up to real factors, at N = -1 its S_lam and S_mu up to a real factor and a
+phase.  Im U = -k sin(M phi)^2, so U = 0 needs k sin(M phi) = 0, and then
+U = -q < 0; V likewise with cos for sin.  Neither vanishes for |g| < 1 and
+0 < phi < pi, so the form answers every angle of the band.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import zgbsv
 
-from .errors import DomainError, ResonanceError, ResonantAngleError
+from .errors import DomainError, ResonanceError
 from .lattice import EnergyAngle, SiteWindow, WaveSample, as_angle
 from .potentials import BondMap, ScattererSpec, TwoCenterSpec
 
-# trig denominators of u, v below this are treated as resonant
-RESONANCE_GUARD = 1e-10
-# |u| or |v| below this makes the branch ratios meaningless
-BRANCH_GUARD = 1e-13
-# partner unknowns per batched solve: a batch's band (112 bytes per unknown,
-# about 460 KB) stays under the 2 MB mmap threshold that cli.main sets
+# partner unknowns per batched solve: a batch's band (112 bytes per unknown)
+# stays near 460 kB, so a batch's working memory does not grow with the grid
 CHUNK_UNKNOWNS = 1 << 12
 # the one-angle route jumps a free stretch of at least this many rows
 # between bond clusters; shorter stretches stay in the cluster as plain rows
@@ -83,28 +74,6 @@ class Amplitudes:
         r2 = self.R.real**2 + self.R.imag**2
         t2 = self.T.real**2 + self.T.imag**2
         return abs(r2 + t2 - 1.0)
-
-
-@dataclass(frozen=True)
-class ClosedFormBreakdown:
-    """Intermediates of a closed-form evaluation.
-
-    lam/mu and the unimodular phases alpha = arg(T - R), beta = arg(T + R)
-    are filled for the N = -1 and N = 0 forms (mu may be infinite at a
-    pole); A_phi, B_phi, u_phi, v_phi and the interior coefficients C, D
-    are filled for separated blocks only.
-    """
-
-    alpha: float
-    beta: float
-    lam: float | None = None
-    mu: float | None = None
-    A_phi: complex | None = None
-    B_phi: complex | None = None
-    u_phi: complex | None = None
-    v_phi: complex | None = None
-    C: complex | None = None
-    D: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -132,9 +101,9 @@ def _angle_array(phi) -> np.ndarray:
     if not isinstance(phi, (np.ndarray, list, tuple)):
         return np.array([as_angle(phi).phi])
     phis = np.asarray(phi, dtype=np.float64).reshape(-1)
-    for p in phis.tolist():
-        if not 0.0 < p < math.pi:
-            as_angle(p)  # raises BandError
+    outside = ~((phis > 0.0) & (phis < math.pi))  # NaN included
+    if outside.any():
+        as_angle(float(phis[outside.argmax()]))  # raises BandError for the first
     return phis
 
 
@@ -442,165 +411,51 @@ def numeric_wave(
     return _partner_amplitudes(x, bonds, p), WaveSample(window, vals)
 
 
-def _moebius(den: float, num: float) -> complex:
-    """conj(S)/S for S = den + i num; the unimodular form of (1-i mu)/(1+i mu)."""
-    s = complex(den, num)
-    if s == 0:
-        raise ResonantAngleError("degenerate 0/0 branch ratio")
-    return s.conjugate() / s
+def _closed(spec: TwoCenterSpec, p: float) -> tuple[Amplitudes, float, complex, complex]:
+    """(closed amplitudes, q, U, V) at angle p; see the module docstring."""
+    g = spec.g
+    q = (1.0 - g) * (1.0 + g) * math.sin(p)
+    k = 2.0 * g * g * math.cos(p)
+    e = _phase(spec.N + 2, p)  # cos(M phi) + i sin(M phi)
+    U = -q - k * e.imag * e
+    V = 1j * q - k * e.real * e
+    r_minus_t = -U.conjugate() / U
+    r_plus_t = -V.conjugate() / V
+    amp = Amplitudes(R=(r_plus_t + r_minus_t) / 2.0, T=(r_plus_t - r_minus_t) / 2.0, phi=p)
+    return amp, q, U, V
 
 
-def _ratio_or_inf(num: float, den: float) -> float:
-    if den == 0.0:
-        return math.copysign(math.inf, num) if num != 0.0 else math.nan
-    return num / den
-
-
-def closed_form_Nminus1(
-    g: float, phi: float | EnergyAngle
-) -> tuple[Amplitudes, ClosedFormBreakdown]:
-    """Closed amplitudes for the merged-block (N = -1) scatterer."""
-    TwoCenterSpec(g, -1)  # validates |g| < 1
-    p = as_angle(phi).phi
-    lam_den = 1.0 + g * g * math.cos(2 * p)
-    lam_num = g * g * math.sin(2 * p)
-    t_minus_r = _moebius(lam_den, lam_num)
-    mu_den = 1.0 - 3.0 * g * g - math.cos(2 * p) - g * g * math.cos(2 * p)
-    mu_num = (1.0 - g * g) * math.sin(2 * p)
-    t_plus_r = -cmath.exp(-2j * p) * _moebius(mu_den, mu_num)
-    T = (t_plus_r + t_minus_r) / 2.0
-    R = (t_plus_r - t_minus_r) / 2.0
-    amp = Amplitudes(R=R, T=T, phi=p)
-    breakdown = ClosedFormBreakdown(
-        alpha=cmath.phase(t_minus_r),
-        beta=cmath.phase(t_plus_r),
-        lam=_ratio_or_inf(lam_num, lam_den),
-        mu=_ratio_or_inf(mu_num, mu_den),
-    )
-    return amp, breakdown
-
-
-def closed_form_N0(g: float, phi: float | EnergyAngle) -> tuple[Amplitudes, ClosedFormBreakdown]:
-    """Closed amplitudes for adjacent blocks (N = 0).
-
-    The difference branch uses Z = 1 + g^2 (2 e^{2 i phi} + e^{4 i phi}).
-    The sum branch uses Q = W - cos(phi) Z with W = e^{i phi} + g^2 e^{3 i phi},
-    equivalently
-
-        mu' = [-2 sin phi + g^2 (2 sin phi + sin 3 phi + sin 5 phi)]
-              / [g^2 (2 cos phi + cos 3 phi + cos 5 phi)]
-
-    which is infinite at g = 0 where T + R = 1 exactly.
-    """
-    TwoCenterSpec(g, 0)
-    p = as_angle(phi).phi
-    g2 = g * g
-    lam_den = 1.0 + g2 * (2.0 * math.cos(2 * p) + math.cos(4 * p))
-    lam_num = g2 * (2.0 * math.sin(2 * p) + math.sin(4 * p))
-    t_minus_r = _moebius(lam_den, lam_num)
-    mu_den = -g2 * (2.0 * math.cos(p) + math.cos(3 * p) + math.cos(5 * p)) / 2.0
-    mu_num = math.sin(p) - g2 * (2.0 * math.sin(p) + math.sin(3 * p) + math.sin(5 * p)) / 2.0
-    t_plus_r = -_moebius(mu_den, mu_num)
-    T = (t_plus_r + t_minus_r) / 2.0
-    R = (t_plus_r - t_minus_r) / 2.0
-    amp = Amplitudes(R=R, T=T, phi=p)
-    breakdown = ClosedFormBreakdown(
-        alpha=cmath.phase(t_minus_r),
-        beta=cmath.phase(t_plus_r),
-        lam=_ratio_or_inf(lam_num, lam_den),
-        mu=_ratio_or_inf(mu_num, mu_den),
-    )
-    return amp, breakdown
-
-
-def closed_form_generalN(
-    g: float, N: int, phi: float | EnergyAngle
-) -> tuple[Amplitudes, ClosedFormBreakdown]:
-    """Closed amplitudes for separated blocks (N >= 1), with interior C, D.
-
-    Raises ResonantAngleError when any of sin(N phi), sin((N+1) phi),
-    cos(N phi), cos((N+1) phi) falls below the guard, or when u or v
-    degenerates; callers fall back to a numeric route there.
-    """
-    if N < 1:
-        raise DomainError(f"general-N closed form needs N >= 1, got {N}")
-    TwoCenterSpec(g, N)  # validates |g| < 1
-    p = as_angle(phi).phi
-    g2 = g * g
-    sn, sn1 = math.sin(N * p), math.sin((N + 1) * p)
-    cn, cn1 = math.cos(N * p), math.cos((N + 1) * p)
-    if min(abs(sn), abs(sn1), abs(cn), abs(cn1)) <= RESONANCE_GUARD:
-        raise ResonantAngleError(
-            f"trigonometric denominators degenerate at phi={p!r} for N={N}"
-        )
-    A = cmath.exp(1j * N * p) + g2 * (2.0 * cmath.exp(1j * (N + 2) * p) + cmath.exp(1j * (N + 4) * p))
-    B = cmath.exp(1j * (N + 1) * p) + g2 * cmath.exp(1j * (N + 3) * p)
-    u = B / sn1 - A / sn
-    v = B / cn1 - A / cn
-    if abs(u) < BRANCH_GUARD or abs(v) < BRANCH_GUARD:
-        raise ResonantAngleError(f"branch ratio degenerate at phi={p!r} for N={N}")
-    r_minus_t = -u.conjugate() / u
-    r_plus_t = -v.conjugate() / v
-    R = (r_plus_t + r_minus_t) / 2.0
-    T = (r_plus_t - r_minus_t) / 2.0
-    scale = 2.0 * (1.0 - g2)
-    c_plus_d = (A.conjugate() + A * r_plus_t) / (scale * cn)
-    c_minus_d = (A.conjugate() + A * r_minus_t) / (-1j * scale * sn)
-    C = (c_plus_d + c_minus_d) / 2.0
-    D = (c_plus_d - c_minus_d) / 2.0
-    amp = Amplitudes(R=R, T=T, phi=p)
-    breakdown = ClosedFormBreakdown(
-        alpha=cmath.phase(T - R),
-        beta=cmath.phase(T + R),
-        A_phi=A,
-        B_phi=B,
-        u_phi=u,
-        v_phi=v,
-        C=C,
-        D=D,
-    )
-    return amp, breakdown
-
-
-def closed_form(
-    spec: TwoCenterSpec, phi: float | EnergyAngle
-) -> tuple[Amplitudes, ClosedFormBreakdown]:
-    """Dispatch to the closed form matching the block separation."""
-    if spec.N == -1:
-        return closed_form_Nminus1(spec.g, phi)
-    if spec.N == 0:
-        return closed_form_N0(spec.g, phi)
-    return closed_form_generalN(spec.g, spec.N, phi)
+def closed_form(spec: TwoCenterSpec, phi: float | EnergyAngle) -> Amplitudes:
+    """Closed amplitudes of a two-center scatterer at any N >= -1 and any angle of the band."""
+    return _closed(spec, as_angle(phi).phi)[0]
 
 
 def closed_form_wave(
-    spec: TwoCenterSpec,
-    phi: float | EnergyAngle,
-    amp: Amplitudes,
-    breakdown: ClosedFormBreakdown,
-    h: float = 1.0,
-) -> WaveSample:
-    """Reconstruct the full wavefunction from a separated-block closed form.
+    spec: TwoCenterSpec, phi: float | EnergyAngle, h: float = 1.0
+) -> tuple[Amplitudes, WaveSample]:
+    """closed_form plus the closed wave over [-(A+2), A+2] with spacing h, separated blocks only.
 
     Interior sites |k| <= N+1 follow C e^{i k phi} + D e^{-i k phi}; the
-    block centers carry the corrected values U_{-(N+2)}/(1+g) and
-    L_{N+2}/(1+g); everything beyond is asymptotic.
+    block centers -(N+2) and N+2 carry their flank's plane-wave value
+    divided by 1 + g; everything beyond is asymptotic.
     """
-    if breakdown.C is None or breakdown.D is None:
-        raise DomainError("closed-form wave needs the interior C, D (separated blocks)")
-    p = as_angle(phi).phi
     N = spec.N
-    g = spec.g
-    a = spec.matching_radius
-    window = SiteWindow(a + 2, h)
+    if N < 1:
+        raise DomainError(f"closed-form wave needs separated blocks (N >= 1), got N={N}")
+    p = as_angle(phi).phi
+    amp, q, U, V = _closed(spec, p)
+    c_plus_d, c_minus_d = 1j * q / V, -q / U
+    C, D = (c_plus_d + c_minus_d) / 2.0, (c_plus_d - c_minus_d) / 2.0
+    window = SiteWindow(spec.matching_radius + 2, h)
     ks = window.sites
-    out, back = np.exp(1j * ks * p), np.exp(-1j * ks * p)
+    out = _phase(ks, p)
+    back = out.conj()
     vals = np.where(ks < 0, out + amp.R * back, amp.T * out)
     inner = np.abs(ks) <= N + 1
-    vals[inner] = breakdown.C * out[inner] + breakdown.D * back[inner]
-    vals[window.index_of(-(N + 2))] /= 1.0 + g
-    vals[window.index_of(N + 2)] /= 1.0 + g
-    return WaveSample(window, vals)
+    vals[inner] = C * out[inner] + D * back[inner]
+    vals[window.index_of(-(N + 2))] /= 1.0 + spec.g
+    vals[window.index_of(N + 2)] /= 1.0 + spec.g
+    return amp, WaveSample(window, vals)
 
 
 def interior_plane_wave_fit(
@@ -663,7 +518,7 @@ def continuum_probe(g: float, kappa: float, h_list) -> ContinuumProbeResult:
     for h in hs:
         p = kappa * h
         amp_num, wave = numeric_wave(spec, p, h=h)
-        amp_cf, _ = closed_form_Nminus1(g, p)
+        amp_cf = closed_form(spec, p)
         gap = max(gap, abs(amp_cf.R - amp_num.R), abs(amp_cf.T - amp_num.T))
         rows.append(
             ContinuumProbeRow(

@@ -8,7 +8,9 @@ original doubles exactly; identical configurations produce byte-identical
 files.  Every numeric value comes from the one route on the Hermitian
 partner: sweeps and the amplitude suites solve each scatterer's angles in
 one solve_numeric_batch call, evaluate_point its one angle with
-solve_numeric, with the same bits.
+solve_numeric, with the same bits.  Every closed value comes from
+closed_form, which answers every angle; resonance_flag stays in the table
+as a column that reads 0.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ResonantAngleError
+from .errors import DomainError
 from .metric import build_metric, quasi_hermiticity_residual
 from .potentials import (
     ChainSpec,
@@ -102,18 +104,6 @@ def _scatterer_cells(spec: ScattererSpec) -> tuple:
     return ":".join(_fmt(g) for g in spec.couplings), None
 
 
-def _closed_or_none(spec: ScattererSpec, phi: float, method: str, resonance_fallback: bool = True):
-    """Closed amplitudes when the method asks for them; None at a guarded angle or for 'numeric'."""
-    if method == "numeric":
-        return None
-    try:
-        return closed_form(spec, phi)[0]
-    except ResonantAngleError:
-        if not resonance_fallback:
-            raise
-        return None
-
-
 def _check_method(spec: ScattererSpec, method: str) -> None:
     if method not in ("numeric", "closed", "both"):
         raise DomainError(f"unknown method {method!r}")
@@ -121,16 +111,15 @@ def _check_method(spec: ScattererSpec, method: str) -> None:
         raise DomainError("closed forms exist only for the two-center model")
 
 
-def _amplitudes(spec: ScattererSpec, phis: list[float], method: str) -> tuple[list, dict]:
-    """Closed amplitudes per angle (None where guarded or not asked for), numeric ones by angle index.
+def _amplitudes(spec: ScattererSpec, phis: list[float], method: str) -> tuple[list, list]:
+    """(closed amplitudes, numeric amplitudes) per angle, each None where the method leaves it out.
 
-    One batched numeric solve covers every angle that needs it: all angles,
-    or under 'closed' only the resonance-guarded ones.
+    One batched numeric solve covers the angles under 'numeric' and 'both'.
     """
     _check_method(spec, method)
-    closed = [_closed_or_none(spec, phi, method) for phi in phis]
-    solved = [i for i, amp in enumerate(closed) if method != "closed" or amp is None]
-    numeric = dict(zip(solved, solve_numeric_batch(spec, [phis[i] for i in solved]))) if solved else {}
+    none = [None] * len(phis)
+    closed = none if method == "numeric" else [closed_form(spec, phi) for phi in phis]
+    numeric = none if method == "closed" else solve_numeric_batch(spec, phis)
     return closed, numeric
 
 
@@ -142,38 +131,33 @@ def _amp_values(amp: Amplitudes) -> tuple:
     return R.real, R.imag, T.real, T.imag, abs_R2, abs_T2, abs(abs_R2 + abs_T2 - 1.0)
 
 
-def _angle_rows(phi: float, amp_c, amp_n, flag: int) -> tuple:
-    """The rows of one angle as (phi, amplitudes, method, resonance_flag, discrepancy).
+def _angle_rows(phi: float, amp_c, amp_n) -> tuple:
+    """The rows of one angle as (phi, amplitudes, method, discrepancy).
 
     The closed row comes first, then the numeric row, where present; a pair
-    shares its discrepancy.  A numeric row alone carries flag: 1 when it
-    stands in for a guarded closed form, 0 under 'numeric'.
+    shares its discrepancy.
     """
     if amp_c is None:
-        return ((phi, amp_n, "numeric", flag, None),)
+        return ((phi, amp_n, "numeric", None),)
     if amp_n is None:
-        return ((phi, amp_c, "closed", 0, None),)
+        return ((phi, amp_c, "closed", None),)
     gap = max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T))
-    return ((phi, amp_c, "closed", 0, gap), (phi, amp_n, "numeric", 0, gap))
+    return ((phi, amp_c, "closed", gap), (phi, amp_n, "numeric", gap))
 
 
-def evaluate_point(
-    spec: ScattererSpec, phi: float, method: str, resonance_fallback: bool = True
-) -> list[dict]:
+def evaluate_point(spec: ScattererSpec, phi: float, method: str) -> list[dict]:
     """Records for one grid point; method is 'numeric', 'closed' or 'both'.
 
-    At resonance-guarded angles the closed path falls back to the numeric
-    solver with resonance_flag=1 unless resonance_fallback is False, in
-    which case ResonantAngleError propagates to the caller.  The records
-    are the point's rows of a sweep table, as dicts keyed by COLUMNS.
+    The records are the point's rows of a sweep table, as dicts keyed by
+    COLUMNS.
     """
     _check_method(spec, method)
-    amp_closed = _closed_or_none(spec, phi, method, resonance_fallback)
-    amp_num = solve_numeric(spec, phi) if method != "closed" or amp_closed is None else None
+    amp_closed = None if method == "numeric" else closed_form(spec, phi)
+    amp_num = None if method == "closed" else solve_numeric(spec, phi)
     g, n = _scatterer_cells(spec)
     return [
-        dict(zip(COLUMNS, (g, n, phi, *_amp_values(amp), used, flag, gap)))
-        for _, amp, used, flag, gap in _angle_rows(phi, amp_closed, amp_num, int(method != "numeric"))
+        dict(zip(COLUMNS, (g, n, phi, *_amp_values(amp), used, 0, gap)))
+        for _, amp, used, gap in _angle_rows(phi, amp_closed, amp_num)
     ]
 
 
@@ -227,17 +211,14 @@ def sweep_records(config: SweepConfig) -> dict[str, list]:
     batched numeric solve.
     """
     phis = config.angles().tolist()
-    flag = int(config.method != "numeric")
     table = {c: [] for c in COLUMNS}
     for spec in config.specs():
         closed, numeric = _amplitudes(spec, phis, config.method)
-        rows = [
-            row for i, amp_c in enumerate(closed) for row in _angle_rows(phis[i], amp_c, numeric.get(i), flag)
-        ]
-        angles, amps, used, flags, gaps = zip(*rows)
+        rows = [row for point in zip(phis, closed, numeric) for row in _angle_rows(*point)]
+        angles, amps, used, gaps = zip(*rows)
         g, n = _scatterer_cells(spec)
         count = len(rows)
-        columns = ((g,) * count, (n,) * count, angles, *zip(*map(_amp_values, amps)), used, flags, gaps)
+        columns = ((g,) * count, (n,) * count, angles, *zip(*map(_amp_values, amps)), used, (0,) * count, gaps)
         for column, values in zip(table.values(), columns):
             column += values
     return table
@@ -355,22 +336,16 @@ def suite_scores(g_grid=DEFAULT_G_GRID, n_grid=DEFAULT_N_GRID, phi_count=DEFAULT
     """What the amplitude suites score at each point of their grid, each point evaluated once.
 
     One (spec, phi, numeric defect, closed defect, |R_c - R_n|, |T_c - T_n|)
-    per point, its numeric amplitudes from one batched solve per scatterer;
-    the last three are None at guarded angles, where the closed form
-    refuses.  Only these numbers are kept, not the amplitudes.
+    per point, its numeric amplitudes from one batched solve per scatterer.
+    Only these numbers are kept, not the amplitudes.
     """
     # strictly inside (DEFAULT_PHI_MIN, DEFAULT_PHI_MAX)
     phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, phi_count + 2)[1:-1].tolist()
     scores = []
     for spec in (TwoCenterSpec(g, n) for g in g_grid for n in n_grid):
-        closed, numeric = _amplitudes(spec, phis, "both")
-        for i, (phi, amp_c) in enumerate(zip(phis, closed)):
-            amp_n = numeric[i]
-            if amp_c is None:
-                scores.append((spec, phi, amp_n.unitarity_defect, None, None, None))
-            else:
-                gaps = abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T)
-                scores.append((spec, phi, amp_n.unitarity_defect, amp_c.unitarity_defect, *gaps))
+        for phi, amp_c, amp_n in zip(phis, *_amplitudes(spec, phis, "both")):
+            gaps = abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T)
+            scores.append((spec, phi, amp_n.unitarity_defect, amp_c.unitarity_defect, *gaps))
     return scores
 
 
@@ -378,7 +353,7 @@ def unitarity_suite(tolerance: float = 1e-11, scores=None) -> list[SuiteCheck]:
     """| |R|^2 + |T|^2 - 1 | over suite_scores (the default grid unless given), numeric and closed paths."""
     scores = suite_scores() if scores is None else scores
     numeric = ((d_n, (spec, phi)) for spec, phi, d_n, *_ in scores)
-    closed = ((d_c, (spec, phi)) for spec, phi, _, d_c, _, _ in scores if d_c is not None)
+    closed = ((d_c, (spec, phi)) for spec, phi, _, d_c, _, _ in scores)
     return [
         _check("unitarity", "numeric", tolerance, numeric, _point_label),
         _check("unitarity", "closed", tolerance, closed, _point_label),
@@ -386,17 +361,14 @@ def unitarity_suite(tolerance: float = 1e-11, scores=None) -> list[SuiteCheck]:
 
 
 def closed_vs_numeric_suite(tolerance: float = 1e-10, scores=None) -> list[SuiteCheck]:
-    """Componentwise closed-form vs matching-solver agreement over suite_scores, per family.
-
-    Guarded angles, where the closed form refuses, are left out.
-    """
+    """Componentwise closed-form vs matching-solver agreement over suite_scores, per family."""
     scores = suite_scores() if scores is None else scores
 
     def gaps(key: str):
         # R and T scored apart, so that a NaN in either cannot hide behind max()
-        for spec, phi, _, d_c, gap_R, gap_T in scores:
+        for spec, phi, _, _, gap_R, gap_T in scores:
             family = "N=-1" if spec.N == -1 else ("N=0" if spec.N == 0 else "N>=1")
-            if d_c is not None and family == key:
+            if family == key:
                 yield gap_R, (spec, phi)
                 yield gap_T, (spec, phi)
 

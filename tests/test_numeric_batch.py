@@ -24,6 +24,7 @@ import scipy.linalg
 import qhscatter.scattering as scattering
 import qhscatter.sweeps as sweeps
 from qhscatter import (
+    BandError,
     ChainSpec,
     ResonanceError,
     SweepConfig,
@@ -326,30 +327,50 @@ class TestFailuresInGridOrder:
         assert max(abs(amp.R - R_ref), abs(amp.T - T_ref)) <= 1e-12
 
 
-class TestClosedMethodSolvesOnlyGuardedAngles:
-    def test_only_guarded_angles_are_solved(self, monkeypatch):
-        # every N >= 1 is guarded at phi = pi/2, the grid midpoint; N = 0 never
+class TestAngleArray:
+    """The batch's range check names the first angle outside (0, pi), as a loop of as_angle would."""
+
+    @pytest.mark.parametrize(
+        "phis, bad",
+        [([1.0, 0.0, math.nan], 0.0), ([1.0, math.nan, 0.0], math.nan), ([math.pi, 1.0], math.pi), ([-2.0], -2.0)],
+    )
+    def test_first_bad_angle(self, phis, bad):
+        with pytest.raises(BandError) as exc:
+            solve_numeric_batch(TwoCenterSpec(0.4, 2), phis)
+        assert str(exc.value) == f"phi={bad!r} outside the open band interval (0, pi)"
+
+    def test_good_angles_pass_through(self):
+        phis = scattering._angle_array((1e-300, 1.0, math.pi - 1e-15))
+        assert phis.tolist() == [1e-300, 1.0, math.pi - 1e-15]
+
+
+class TestClosedMethodSolvesNothing:
+    """Under 'closed' every angle has a closed row, so no numeric solve runs."""
+
+    @pytest.fixture(autouse=True)
+    def _numeric_raises(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numeric solve ran under --method closed")
+
+        monkeypatch.setattr(sweeps, "solve_numeric_batch", refuse)
+        monkeypatch.setattr(sweeps, "solve_numeric", refuse)
+
+    def test_sweep_records(self):
+        # every N >= 1 sat on a guard of the paper's form at phi = pi/2, the grid midpoint
         config = SweepConfig(
             model="two-center", couplings=(0.4,), n_values=(1, 0), phi_count=5,
             phi_min=0.5, phi_max=math.pi - 0.5, method="closed",
         )
-        solved = []
-        batch = sweeps.solve_numeric_batch
-
-        def spy(spec, phis):
-            solved.append((spec.N, list(phis)))
-            return batch(spec, phis)
-
-        monkeypatch.setattr(sweeps, "solve_numeric_batch", spy)
         table = sweep_records(config)
-        mid = float(config.angles()[2])
-        assert solved == [(1, [mid])]
         assert list(zip(table["N"], table["method"], table["resonance_flag"])) == [
-            (1, "closed", 0), (1, "closed", 0), (1, "numeric", 1), (1, "closed", 0), (1, "closed", 0),
-            *[(0, "closed", 0)] * 5,
+            *[(1, "closed", 0)] * 5, *[(0, "closed", 0)] * 5,
         ]
-        assert table["discrepancy"][2] is None
-        assert table["re_R"][2] == batch(TwoCenterSpec(0.4, 1), [mid])[0].R.real
+        assert set(table["discrepancy"]) == {None}
+
+    def test_cli(self, tmp_path):
+        argv = ["sweep", "--g", "0.4,-0.9", "--N", "-1,0,1,2,50", "--phi-grid", "41", "--method", "closed"]
+        assert main([*argv, "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["amplitudes", "--g", "0.4", "--N", "2", "--phi", repr(math.pi / 2), "--method", "closed"]) == 0
 
 
 class TestNoLibraryRouteSolvesH:

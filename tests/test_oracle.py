@@ -8,6 +8,8 @@ band edges and at sharp resonances come out of the spare ones.
 solve_numeric must be within max(2 x the error of H's banded LU at the same
 point, 1e-12) of the reference.  The LU (test_scattering.lu_on_h) refuses
 nothing, so points its row check would refuse still give a bound.
+closed_form must be within 1e-14 of it at every two-center point, the
+paper's former guard angles included.
 """
 
 import csv
@@ -18,7 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qhscatter import ChainSpec, MultiCenterSpec, TwoCenterSpec, solve_numeric
+from qhscatter import ChainSpec, MultiCenterSpec, TwoCenterSpec, closed_form, solve_numeric
 from qhscatter.cli import main
 from test_scattering import lu_on_h
 
@@ -100,6 +102,17 @@ def test_within_the_lu_error_of_the_reference(spec, phi):
     amp = solve_numeric(spec, phi)
     bound = max(2.0 * _error(lu_on_h(spec, phi)[:2], ref), 1e-12)
     assert _error((amp.R, amp.T), ref) <= bound
+
+
+TWO_CENTER_POINTS = [(spec, phi) for spec, phi in POINTS if isinstance(spec, TwoCenterSpec)]
+
+
+@pytest.mark.parametrize("spec, phi", TWO_CENTER_POINTS, ids=[f"{s!r}-{p!r}" for s, p in TWO_CENTER_POINTS])
+def test_closed_form_within_1e_14_of_the_reference(spec, phi):
+    # the worst is 8.1e-15, at the double-barrier resonance g = 1 - 5e-9, N = 1
+    r_ref, t_ref = mp_amplitudes(spec.bond_map(), phi)
+    amp = closed_form(spec, phi)
+    assert max(abs(amp.R - r_ref), abs(amp.T - t_ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [5, 50, 400, 1000])

@@ -4,20 +4,23 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from paper_forms import (
+    ResonantAngleError,
+    closed_form_generalN,
+    closed_form_Nminus1,
+    paper_amplitudes_mp,
+    paper_closed_form,
+)
 from qhscatter import (
     Amplitudes,
     ChainSpec,
     DomainError,
     MultiCenterSpec,
-    ResonantAngleError,
     TwoCenterSpec,
     closed_form,
-    closed_form_N0,
-    closed_form_Nminus1,
-    closed_form_generalN,
     closed_form_wave,
     continuum_probe,
     interior_plane_wave_fit,
@@ -25,8 +28,10 @@ from qhscatter import (
     numeric_wave,
     solve_numeric,
 )
+from qhscatter.cli import main
 from qhscatter.lattice import SiteWindow, WaveSample
 from qhscatter.scattering import build_matching_system
+from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID, DEFAULT_PHI_COUNT, DEFAULT_PHI_MAX, DEFAULT_PHI_MIN
 
 angles = st.floats(min_value=0.05, max_value=math.pi - 0.05)
 couplings = st.floats(min_value=-0.9, max_value=0.9)
@@ -93,20 +98,21 @@ class TestClosedFormMergedBlocks:
         assert breakdown.mu == pytest.approx(3 * math.sqrt(3) / 7, abs=1e-15)
 
     def test_free_coupling(self):
-        amp, breakdown = closed_form_Nminus1(0.0, 0.8)
+        amp = closed_form(TwoCenterSpec(0.0, -1), 0.8)
         assert abs(amp.R) <= 1e-15
         assert abs(amp.T - 1.0) <= 1e-15
+        _, breakdown = closed_form_Nminus1(0.0, 0.8)
         assert breakdown.lam == 0.0
         assert breakdown.mu == pytest.approx(1.0 / math.tan(0.8))
 
     def test_agrees_with_solver(self):
-        amp_c, _ = closed_form_Nminus1(0.5, math.pi / 3)
+        amp_c = closed_form(TwoCenterSpec(0.5, -1), math.pi / 3)
         amp_n = solve_numeric(TwoCenterSpec(0.5, -1), math.pi / 3)
         assert abs(amp_c.R - amp_n.R) <= 1e-12
         assert abs(amp_c.T - amp_n.T) <= 1e-12
 
     def test_opaque_wall_limit(self):
-        amp, _ = closed_form_Nminus1(0.5, 1e-4)
+        amp = closed_form(TwoCenterSpec(0.5, -1), 1e-4)
         assert abs(amp.T) < 1e-3
         assert abs(amp.R + 1.0) < 1e-3
 
@@ -114,7 +120,8 @@ class TestClosedFormMergedBlocks:
         # real part of the sum branch vanishes where cos(2 phi) = (1-3g^2)/(1+g^2)
         g = 0.5
         phi = 0.5 * math.acos((1 - 3 * g * g) / (1 + g * g))
-        amp_c, breakdown = closed_form_Nminus1(g, phi)
+        _, breakdown = closed_form_Nminus1(g, phi)
+        amp_c = closed_form(TwoCenterSpec(g, -1), phi)
         amp_n = solve_numeric(TwoCenterSpec(g, -1), phi)
         assert abs(amp_c.R - amp_n.R) <= 1e-12
         assert abs(amp_c.T - amp_n.T) <= 1e-12
@@ -123,19 +130,20 @@ class TestClosedFormMergedBlocks:
     @settings(max_examples=80, deadline=None)
     @given(g=couplings, phi=angles)
     def test_unitary_everywhere(self, g, phi):
-        amp, breakdown = closed_form_Nminus1(g, phi)
+        amp = closed_form(TwoCenterSpec(g, -1), phi)
         assert amp.unitarity_defect <= 1e-12
+        _, breakdown = closed_form_Nminus1(g, phi)
         assert abs(abs(cmath.exp(1j * breakdown.alpha)) - 1.0) <= 1e-15
 
 
 class TestClosedFormAdjacentBlocks:
     def test_free_coupling(self):
-        amp, _ = closed_form_N0(0.0, 1.0)
+        amp = closed_form(TwoCenterSpec(0.0, 0), 1.0)
         assert abs(amp.R) <= 1e-14
         assert abs(amp.T - 1.0) <= 1e-14
 
     def test_agrees_with_solver(self):
-        amp_c, _ = closed_form_N0(0.5, math.pi / 4)
+        amp_c = closed_form(TwoCenterSpec(0.5, 0), math.pi / 4)
         amp_n = solve_numeric(TwoCenterSpec(0.5, 0), math.pi / 4)
         assert abs(amp_c.R - amp_n.R) <= 1e-12
         assert abs(amp_c.T - amp_n.T) <= 1e-12
@@ -143,7 +151,7 @@ class TestClosedFormAdjacentBlocks:
     @settings(max_examples=80, deadline=None)
     @given(g=couplings, phi=angles)
     def test_unitary_and_matches_solver(self, g, phi):
-        amp_c, _ = closed_form_N0(g, phi)
+        amp_c = closed_form(TwoCenterSpec(g, 0), phi)
         amp_n = solve_numeric(TwoCenterSpec(g, 0), phi)
         assert amp_c.unitarity_defect <= 1e-12
         assert abs(amp_c.R - amp_n.R) <= 1e-11
@@ -163,51 +171,127 @@ class TestClosedFormAdjacentBlocks:
         v = b_phi / math.cos(phi) - a_phi
         r_plus_t = -v.conjugate() / v
         r_minus_t = -a_phi.conjugate() / a_phi
-        amp, _ = closed_form_N0(g, phi)
+        amp = closed_form(TwoCenterSpec(g, 0), phi)
         assert abs((amp.R + amp.T) - r_plus_t) <= 1e-12
         assert abs((amp.R - amp.T) - r_minus_t) <= 1e-12
 
 
 class TestClosedFormSeparatedBlocks:
     def test_free_coupling(self):
-        amp, breakdown = closed_form_generalN(0.0, 3, 1.0)
+        amp = closed_form(TwoCenterSpec(0.0, 3), 1.0)
         assert abs(amp.R) <= 1e-13
         assert abs(amp.T - 1.0) <= 1e-13
+        _, breakdown = closed_form_generalN(0.0, 3, 1.0)
         assert breakdown.A_phi == pytest.approx(cmath.exp(3j))
         assert breakdown.B_phi == pytest.approx(cmath.exp(4j))
 
     def test_agrees_with_solver(self):
-        amp_c, _ = closed_form_generalN(0.3, 2, 1.0)
+        amp_c = closed_form(TwoCenterSpec(0.3, 2), 1.0)
         amp_n = solve_numeric(TwoCenterSpec(0.3, 2), 1.0)
         assert abs(amp_c.R - amp_n.R) <= 1e-10
         assert abs(amp_c.T - amp_n.T) <= 1e-10
 
-    def test_resonant_angle_guarded(self):
+    def test_former_guard_angle_answered(self):
+        # sin(N phi) = sin(pi) ~ 0: the paper's form refuses, the one form answers
         with pytest.raises(ResonantAngleError):
-            closed_form_generalN(0.5, 2, math.pi / 2)  # sin(N phi) = sin(pi) ~ 0
+            closed_form_generalN(0.5, 2, math.pi / 2)
+        amp = closed_form(TwoCenterSpec(0.5, 2), math.pi / 2)
+        amp_n = solve_numeric(TwoCenterSpec(0.5, 2), math.pi / 2)
+        assert abs(amp.R) <= 1e-15 and abs(amp.T - 1.0) <= 1e-15
+        assert max(abs(amp.R - amp_n.R), abs(amp.T - amp_n.T)) <= 1e-13
 
-    def test_needs_separated_blocks(self):
+    def test_wave_needs_separated_blocks(self):
         with pytest.raises(DomainError):
             closed_form_generalN(0.5, 0, 1.0)
+        with pytest.raises(DomainError):
+            closed_form_wave(TwoCenterSpec(0.5, 0), 1.0)
 
-    def test_back_substitution_satisfies_rows(self):
-        for g, n, phi in [(0.5, 4, 1.2), (0.9, 2, 2.6), (-0.3, 1, 0.4), (0.7, 9, 0.33)]:
-            spec = TwoCenterSpec(g, n)
-            amp, breakdown = closed_form_generalN(g, n, phi)
-            wave = closed_form_wave(spec, phi, amp, breakdown)
-            assert matching_row_residual(spec, phi, wave) <= 1e-11
+    @pytest.mark.parametrize(
+        "g, n, phi",
+        # the last two sat on the paper form's guards, where it refuses
+        [(0.5, 4, 1.2), (0.9, 2, 2.6), (-0.3, 1, 0.4), (0.7, 9, 0.33), (0.5, 1, math.pi / 2), (0.5, 2, math.pi / 2)],
+    )
+    def test_back_substitution_satisfies_rows(self, g, n, phi):
+        spec = TwoCenterSpec(g, n)
+        amp, wave = closed_form_wave(spec, phi)
+        assert amp == closed_form(spec, phi)
+        assert matching_row_residual(spec, phi, wave) <= 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(g=couplings, n=st.integers(min_value=1, max_value=20), phi=angles)
     def test_unitary_and_matches_solver(self, g, n, phi):
-        try:
-            amp_c, _ = closed_form_generalN(g, n, phi)
-        except ResonantAngleError:
-            return
+        amp_c = closed_form(TwoCenterSpec(g, n), phi)
         amp_n = solve_numeric(TwoCenterSpec(g, n), phi)
         assert amp_c.unitarity_defect <= 1e-11
         assert abs(amp_c.R - amp_n.R) <= 1e-10
         assert abs(amp_c.T - amp_n.T) <= 1e-10
+
+
+def _paper_gap(spec, phi):
+    """max(|dR|, |dT|) between closed_form and the paper's form, None where the latter refuses."""
+    try:
+        paper, _ = paper_closed_form(spec, phi)
+    except ResonantAngleError:
+        return None
+    amp = closed_form(spec, phi)
+    return max(abs(amp.R - paper.R), abs(amp.T - paper.T))
+
+
+class TestOneClosedFormAgainstThePapersForms:
+    """closed_form against the paper's three forms (tests/paper_forms.py), wherever they answer."""
+
+    def test_verify_grid(self):
+        phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, DEFAULT_PHI_COUNT + 2)[1:-1].tolist()
+        gaps = [_paper_gap(TwoCenterSpec(g, n), phi) for g in DEFAULT_G_GRID for n in DEFAULT_N_GRID for phi in phis]
+        assert None not in gaps  # no guard of the paper's forms falls on this grid
+        assert max(gaps) <= 1e-12
+
+    # in floats the paper's forms lose up to 1.2e-10 (g = 5e-8, N = 1, phi = 1e-6)
+    # and more as |g| -> 1 (ROADMAP F2), so the samples take them at 50 digits;
+    # a 40,000-sample search put closed_form at most 3.9e-15 off them
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=st.floats(min_value=-0.99, max_value=0.99),
+        n=st.integers(min_value=-1, max_value=200),
+        phi=st.floats(min_value=1e-6, max_value=math.pi - 1e-6),
+    )
+    @example(g=5.000081695366147e-08, n=1, phi=1e-6)
+    def test_samples(self, g, n, phi):
+        r_ref, t_ref = paper_amplitudes_mp(g, n, phi)
+        amp = closed_form(TwoCenterSpec(g, n), phi)
+        assert max(abs(amp.R - r_ref), abs(amp.T - t_ref)) <= 1e-14
+
+
+@st.composite
+def _edge_points(draw):
+    """(g, N, phi): 1 - |g| down to 1e-12, phi within 1e-12 of 0, pi or j pi/(2m) for m = N, N + 1."""
+    n = draw(st.integers(min_value=-1, max_value=1000))
+    g = draw(st.sampled_from((-1.0, 1.0))) * (1.0 - 10.0 ** -draw(st.floats(min_value=0.0, max_value=12.0)))
+    bases = [0.0, math.pi]
+    if n >= 1:
+        m = draw(st.sampled_from((n, n + 1)))
+        bases.append(draw(st.integers(min_value=1, max_value=2 * m - 1)) * math.pi / (2 * m))
+    phi = draw(st.sampled_from(bases)) + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** -draw(
+        st.floats(min_value=0.0, max_value=12.0)
+    )
+    assume(0.0 < phi < math.pi)
+    return g, n, phi
+
+
+class TestOneClosedFormNeverRefuses:
+    @settings(max_examples=300, deadline=None)
+    @given(point=_edge_points())
+    def test_finite_and_unitary_at_the_edges(self, point):
+        g, n, phi = point
+        amp = closed_form(TwoCenterSpec(g, n), phi)
+        assert all(math.isfinite(x) for x in (amp.R.real, amp.R.imag, amp.T.real, amp.T.imag))
+        assert amp.unitarity_defect <= 1e-14
+
+    def test_cli_at_a_hundred_million_sites(self, capsys):
+        code = main(["amplitudes", "--g", "0.5", "--N", "100000000", "--phi", "1.0", "--method", "both"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert float(lines[-1].split("=")[1]) <= 1e-13
 
 
 class TestGSignSymmetry:
@@ -219,8 +303,8 @@ class TestGSignSymmetry:
             minus = solve_numeric(TwoCenterSpec(-g, n), phi)
             assert abs(plus.R - minus.R) <= 1e-13
             assert abs(plus.T - minus.T) <= 1e-13
-            cf_plus, _ = closed_form(TwoCenterSpec(g, n), phi)
-            cf_minus, _ = closed_form(TwoCenterSpec(-g, n), phi)
+            cf_plus = closed_form(TwoCenterSpec(g, n), phi)
+            cf_minus = closed_form(TwoCenterSpec(-g, n), phi)
             assert abs(cf_plus.R - cf_minus.R) <= 1e-13
             assert abs(cf_plus.T - cf_minus.T) <= 1e-13
 
@@ -332,11 +416,14 @@ class TestInteriorFit:
 
     def test_fit_matches_closed_form_coefficients(self):
         g, n, phi = 0.5, 4, 1.2
-        _, wave = numeric_wave(TwoCenterSpec(g, n), phi)
-        c_fit, d_fit, _ = interior_plane_wave_fit(wave, n, phi)
+        spec = TwoCenterSpec(g, n)
+        c_fit, d_fit, _ = interior_plane_wave_fit(numeric_wave(spec, phi)[1], n, phi)
+        c_closed, d_closed, misfit = interior_plane_wave_fit(closed_form_wave(spec, phi)[1], n, phi)
         _, breakdown = closed_form_generalN(g, n, phi)
-        assert abs(c_fit - breakdown.C) <= 1e-9
-        assert abs(d_fit - breakdown.D) <= 1e-9
+        assert misfit <= 1e-14
+        for c, d in ((c_fit, d_fit), (c_closed, d_closed)):
+            assert abs(c - breakdown.C) <= 1e-9
+            assert abs(d - breakdown.D) <= 1e-9
 
     def test_too_few_sites(self):
         _, wave = numeric_wave(TwoCenterSpec(0.5, 1), 1.0)

@@ -58,11 +58,13 @@ class TestEvaluatePoint:
         assert rows[0]["discrepancy"] == rows[1]["discrepancy"] is not None
         assert rows[0]["discrepancy"] <= 1e-12
 
-    def test_closed_falls_back_at_resonance(self):
+    def test_closed_answers_a_former_guard_angle(self):
+        # sin(N phi) = 0 here: the paper's separated-block form would divide by it
         rows = evaluate_point(TwoCenterSpec(0.5, 2), math.pi / 2, "closed")
         assert len(rows) == 1
-        assert rows[0]["method"] == "numeric"
-        assert rows[0]["resonance_flag"] == 1
+        assert rows[0]["method"] == "closed"
+        assert rows[0]["resonance_flag"] == 0
+        assert rows[0]["discrepancy"] is None
 
     def test_chain_has_no_closed_form(self):
         from qhscatter import ChainSpec
@@ -161,12 +163,16 @@ class TestCliAmplitudes:
         assert code == 2
         assert "(-1, 1)" in capsys.readouterr().err
 
-    def test_resonant_closed_method(self, capsys):
+    def test_closed_method_at_a_former_guard_angle(self, capsys):
         code = main(
             ["amplitudes", "--g", "0.5", "--N", "2", "--phi", repr(math.pi / 2), "--method", "closed"]
         )
-        assert code == 3
-        assert "numeric" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert code == 0
+        fields = dict(tok.split("=") for tok in out.split())
+        assert fields["method"] == "closed"
+        assert abs(complex(float(fields["re_R"]), float(fields["im_R"]))) <= 1e-15
+        assert abs(complex(float(fields["re_T"]), float(fields["im_T"])) - 1.0) <= 1e-15
 
     def test_chain_closed_rejected(self, capsys):
         code = main(
@@ -274,10 +280,10 @@ class TestCliVerify:
         phi = np.linspace(sweeps.DEFAULT_PHI_MIN, sweeps.DEFAULT_PHI_MAX, 42)[1:-1].tolist()[10]
 
         def nan_at_one_point(s, p):
-            amp, breakdown = closed_form(s, p)
+            amp = closed_form(s, p)
             if (s, p) == (spec, phi):
                 amp = Amplitudes(R=amp.R, T=complex(math.nan, 0.0), phi=amp.phi)
-            return amp, breakdown
+            return amp
 
         monkeypatch.setattr(sweeps, "closed_form", nan_at_one_point)
         code = main(["verify"])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qhscatter.sweeps as sweeps
-from qhscatter import ChainSpec, MultiCenterSpec, ResonantAngleError, TwoCenterSpec
+from qhscatter import ChainSpec, MultiCenterSpec, TwoCenterSpec
 from qhscatter.scattering import closed_form, solve_numeric, solve_numeric_batch
 from qhscatter.sweeps import COLUMNS, SweepConfig, evaluate_point, render_csv, render_json, sweep_records
 
@@ -44,7 +44,7 @@ def _ref_point_records(spec, phi, method, amp_closed, amp_num):
     if amp_num is None:
         rows = ((amp_closed, "closed", 0, None),)
     elif amp_closed is None:
-        rows = ((amp_num, "numeric", int(method != "numeric"), None),)
+        rows = ((amp_num, "numeric", 0, None),)
     else:
         gap = max(abs(amp_closed.R - amp_num.R), abs(amp_closed.T - amp_num.T))
         rows = ((amp_closed, "closed", 0, gap), (amp_num, "numeric", 0, gap))
@@ -66,23 +66,13 @@ def _ref_point_records(spec, phi, method, amp_closed, amp_num):
     ]
 
 
-def _ref_closed(spec, phi, method):
-    if method == "numeric":
-        return None
-    try:
-        return closed_form(spec, phi)[0]
-    except ResonantAngleError:
-        return None
-
-
 def reference_records(specs, phis, method):
     records = []
     for spec in specs:
-        closed = [_ref_closed(spec, phi, method) for phi in phis]
-        wanted = [i for i, amp in enumerate(closed) if method != "closed" or amp is None]
-        numeric = dict(zip(wanted, solve_numeric_batch(spec, [phis[i] for i in wanted]))) if wanted else {}
-        for i, (phi, amp_closed) in enumerate(zip(phis, closed)):
-            records += _ref_point_records(spec, phi, method, amp_closed, numeric.get(i))
+        closed = [None if method == "numeric" else closed_form(spec, phi) for phi in phis]
+        numeric = [None] * len(phis) if method == "closed" else solve_numeric_batch(spec, phis)
+        for phi, amp_closed, amp_num in zip(phis, closed, numeric):
+            records += _ref_point_records(spec, phi, method, amp_closed, amp_num)
     return records
 
 
@@ -164,13 +154,13 @@ class TestColumnsMatchDictRows:
 
     def test_grids_reach_every_kind_of_cell(self, tables):
         name, table, _ = tables
+        assert set(table["resonance_flag"]) == {0}
         if name == "two-center-closed":
-            # a resonance fallback under 'closed': one numeric row, flagged, with an empty discrepancy
-            fallback = [i for i, flag in enumerate(table["resonance_flag"]) if flag == 1]
-            assert fallback and all(table["method"][i] == "numeric" for i in fallback)
-            assert all(table["discrepancy"][i] is None for i in fallback)
+            # one closed row per point, with an empty discrepancy
+            assert set(table["method"]) == {"closed"} and set(table["discrepancy"]) == {None}
         if name == "two-center-both":
-            assert 1 in table["resonance_flag"] and None not in table["discrepancy"][:2]
+            assert table["method"] == ["closed", "numeric"] * (len(table["phi"]) // 2)
+            assert None not in table["discrepancy"]
         if name in ("chain", "multi-center-unequal"):
             assert isinstance(table["g"][0], str) and set(table["N"]) == {None}
         if name == "multi-center-unequal":
@@ -193,8 +183,8 @@ class TestEvaluatePointMatchesDictRows:
         ],
     )
     def test_rows(self, spec, phi, method):
-        amp_closed = _ref_closed(spec, phi, method)
-        amp_num = solve_numeric(spec, phi) if method != "closed" or amp_closed is None else None
+        amp_closed = None if method == "numeric" else closed_form(spec, phi)
+        amp_num = None if method == "closed" else solve_numeric(spec, phi)
         expected = _ref_point_records(spec, phi, method, amp_closed, amp_num)
         got = evaluate_point(spec, phi, method)
         assert [list(row.items()) for row in got] == [list(row.items()) for row in expected]
