@@ -15,7 +15,6 @@ from .errors import (
     WindowError,
 )
 from .lattice import (
-    EnergyAngle,
     SiteWindow,
     WaveSample,
     as_angle,
@@ -64,7 +63,6 @@ __all__ = [
     "ContinuumProbeResult",
     "DiagonalMetric",
     "DomainError",
-    "EnergyAngle",
     "MatchingSystem",
     "MultiCenterSpec",
     "PositivityError",

@@ -16,35 +16,20 @@ import numpy as np
 from .errors import BandError, WindowError
 
 
-@dataclass(frozen=True)
-class EnergyAngle:
-    """Bloch angle phi in the open interval (0, pi).
+def as_angle(phi) -> float:
+    """The Bloch angle phi as a float, checked to lie in the open interval (0, pi).
 
-    Parametrizes the lattice band energy E = (2 - 2 cos phi)/h^2.  The
+    phi parametrizes the lattice band energy E = (2 - 2 cos phi)/h^2.  The
     endpoints are band edges where the plane-wave ansatz degenerates and
-    are rejected.
+    are rejected, as are NaN and the infinities.
     """
-
-    phi: float
-
-    def __post_init__(self) -> None:
-        phi = float(self.phi)
-        if not (0.0 < phi < math.pi):
-            raise BandError(f"phi={phi!r} outside the open band interval (0, pi)")
-        object.__setattr__(self, "phi", phi)
-
-    def energy(self, h: float = 1.0) -> float:
-        return energy_from_phi(self, h)
+    p = float(phi)
+    if not 0.0 < p < math.pi:
+        raise BandError(f"phi={p!r} outside the open band interval (0, pi)")
+    return p
 
 
-def as_angle(phi: float | EnergyAngle) -> EnergyAngle:
-    """Coerce a bare float to a validated EnergyAngle."""
-    if isinstance(phi, EnergyAngle):
-        return phi
-    return EnergyAngle(float(phi))
-
-
-def energy_from_phi(phi: float | EnergyAngle, h: float = 1.0) -> float:
+def energy_from_phi(phi: float, h: float = 1.0) -> float:
     """Band energy E = (2 - 2 cos phi)/h^2.
 
     Evaluated as 4 sin^2(phi/2)/h^2, which is the same quantity without
@@ -52,11 +37,11 @@ def energy_from_phi(phi: float | EnergyAngle, h: float = 1.0) -> float:
     """
     if h <= 0.0:
         raise WindowError(f"spacing h={h!r} must be positive")
-    s = 2.0 * math.sin(as_angle(phi).phi / 2.0)
+    s = 2.0 * math.sin(as_angle(phi) / 2.0)
     return s * s / (h * h)
 
 
-def phi_from_energy(energy: float, h: float = 1.0) -> EnergyAngle:
+def phi_from_energy(energy: float, h: float = 1.0) -> float:
     """Inverse of energy_from_phi; requires 0 < E*h^2 < 4 (inside the band).
 
     Branches at mid-band so neither arcsine is evaluated near 1; the
@@ -69,8 +54,8 @@ def phi_from_energy(energy: float, h: float = 1.0) -> EnergyAngle:
     if not (0.0 < x < 4.0):
         raise BandError(f"E*h^2={x!r} outside the lattice band (0, 4)")
     if x <= 2.0:
-        return EnergyAngle(2.0 * math.asin(math.sqrt(x) / 2.0))
-    return EnergyAngle(math.pi - 2.0 * math.asin(math.sqrt(4.0 - x) / 2.0))
+        return as_angle(2.0 * math.asin(math.sqrt(x) / 2.0))
+    return as_angle(math.pi - 2.0 * math.asin(math.sqrt(4.0 - x) / 2.0))
 
 
 @dataclass(frozen=True)

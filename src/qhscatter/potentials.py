@@ -31,6 +31,10 @@ from .lattice import SiteWindow
 # bond k means the lattice link between sites k and k+1
 BondMap = dict[int, float]
 
+# the largest two-center separation: the numeric route jumps the 2N + 1 sites
+# between the blocks with the phase e(2N + 1), exact for 2N + 1 <= 2^53
+MAX_N = 2**52 - 1
+
 
 def _check_coupling(value: float, label: str) -> float:
     v = float(value)
@@ -77,8 +81,8 @@ class TwoCenterSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g", _check_coupling(self.g, "g"))
-        if int(self.N) != self.N or self.N < -1:
-            raise ValueError(f"N={self.N!r} must be an integer >= -1")
+        if int(self.N) != self.N or not -1 <= self.N <= MAX_N:
+            raise ValueError(f"N={self.N!r} must be an integer in [-1, {MAX_N}]")
         object.__setattr__(self, "N", int(self.N))
 
     @property
@@ -99,7 +103,8 @@ class MultiCenterSpec:
 
     Centers must be strictly increasing with gaps >= 2: blocks are then
     pairwise disjoint, or share exactly one site as in the merged N = -1
-    configuration.
+    configuration.  No center lies farther out than the two-center
+    model's at N = MAX_N.
     """
 
     centers: tuple[int, ...]
@@ -112,6 +117,8 @@ class MultiCenterSpec:
             raise ValueError("at least one center required")
         if len(centers) != len(gs):
             raise ValueError("centers and couplings must have equal length")
+        if max(map(abs, centers)) > MAX_N + 2:
+            raise ValueError(f"centers {centers} reach beyond +-{MAX_N + 2}")
         for a, b in zip(centers, centers[1:]):
             if b - a < 2:
                 raise ValueError(
@@ -216,10 +223,8 @@ def build_potential(spec: ScattererSpec, window: SiteWindow) -> BandedOperator:
     return BandedOperator(window, diag=np.zeros(n, dtype=np.complex128), upper=upper, lower=lower)
 
 
-def assemble_hamiltonian(potential: BandedOperator, window: SiteWindow | None = None) -> BandedOperator:
+def assemble_hamiltonian(potential: BandedOperator) -> BandedOperator:
     """H = -Delta + V on the potential's window."""
-    if window is not None and window != potential.window:
-        raise WindowError("window does not match the potential's window")
     lap = build_laplacian(potential.window)
     return BandedOperator(
         potential.window,

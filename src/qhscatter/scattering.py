@@ -49,7 +49,7 @@ import numpy as np
 from scipy.linalg.lapack import zgbsv
 
 from .errors import DomainError, ResonanceError
-from .lattice import EnergyAngle, SiteWindow, WaveSample, as_angle
+from .lattice import SiteWindow, WaveSample, as_angle
 from .potentials import BondMap, ScattererSpec, TwoCenterSpec
 
 # partner unknowns per batched solve: a batch's band (112 bytes per unknown)
@@ -99,11 +99,11 @@ class MatchingSystem:
 def _angle_array(phi) -> np.ndarray:
     """One angle or a sequence of angles as a 1-D float array, each inside (0, pi)."""
     if not isinstance(phi, (np.ndarray, list, tuple)):
-        return np.array([as_angle(phi).phi])
+        return np.array([as_angle(phi)])
     phis = np.asarray(phi, dtype=np.float64).reshape(-1)
     outside = ~((phis > 0.0) & (phis < math.pi))  # NaN included
     if outside.any():
-        as_angle(float(phis[outside.argmax()]))  # raises BandError for the first
+        as_angle(phis[outside.argmax()])  # raises BandError for the first
     return phis
 
 
@@ -209,15 +209,17 @@ def _bond_clusters(bonds: BondMap) -> tuple[list[list[int]], int]:
 
 
 def _exact_product(k, p):
-    """(hi, lo) with hi = k*p rounded and hi + lo = k p exactly, for integers |k| < 2^26.
+    """(hi, lo) with hi = k*p rounded and hi + lo = k p exactly, for integers |k| <= 2^53.
 
-    k may be an integer array or p a float array.  Splitting p in halves
-    (Dekker) makes every partial product exact.
+    k may be an integer array or p a float array.  Splitting both factors
+    in halves of at most 26 bits (Dekker's two-product) makes every partial
+    product exact.
     """
     hi = k * p
-    c = 134217729.0 * p  # 2^27 + 1
-    p_hi = c - (c - p)
-    return hi, (k * p_hi - hi) + k * (p - p_hi)
+    c, d = 134217729.0 * k, 134217729.0 * p  # 2^27 + 1
+    k_hi, p_hi = c - (c - k), d - (d - p)
+    k_lo, p_lo = k - k_hi, p - p_hi
+    return hi, k_lo * p_lo - (((hi - k_hi * p_hi) - k_lo * p_hi) - k_hi * p_lo)
 
 
 def _phase(k, p):
@@ -225,17 +227,19 @@ def _phase(k, p):
 
     The rounded product k*p is off by up to half an ulp of itself.  Near
     p = 0 or pi, where e(k) and e(-k) nearly coincide, the matching rows
-    amplify that by about 1/sin(p).  exp(i (hi + lo)) equals
-    exp(i hi) (1 + i lo) to double precision, lo being that rounding error.
+    amplify that by about 1/sin(p), and at large k the rounding error lo
+    itself grows to order 1.  exp(i (hi + lo)) is taken as exp(i hi)
+    exp(i lo) in real products; for |lo| < 1e-8, cos(lo) rounds to 1 and
+    sin(lo) to lo.
     """
     hi, lo = _exact_product(k, p)
     if isinstance(hi, float):
-        cos_hi, sin_hi = math.cos(hi), math.sin(hi)
-        return complex(cos_hi - sin_hi * lo, sin_hi + cos_hi * lo)
-    cos_hi, sin_hi = np.cos(hi), np.sin(hi)
+        cos_hi, sin_hi, cos_lo, sin_lo = math.cos(hi), math.sin(hi), math.cos(lo), math.sin(lo)
+        return complex(cos_hi * cos_lo - sin_hi * sin_lo, sin_hi * cos_lo + cos_hi * sin_lo)
+    cos_hi, sin_hi, cos_lo, sin_lo = np.cos(hi), np.sin(hi), np.cos(lo), np.sin(lo)
     # each part set on its own, as the scalar complex() above does
-    w = (cos_hi - sin_hi * lo).astype(np.complex128)
-    w.imag = sin_hi + cos_hi * lo
+    w = (cos_hi * cos_lo - sin_hi * sin_lo).astype(np.complex128)
+    w.imag = sin_hi * cos_lo + cos_hi * sin_lo
     return w
 
 
@@ -247,9 +251,11 @@ def _solve_partner(bonds: BondMap, p):
     and an array with one column per angle otherwise, and layout the (first
     site, last site, column of the first site) of each cluster; the
     plane-wave coefficients (a, b) of a jumped stretch sit in the two
-    columns before the cluster on its right.  The systems of an array of
-    angles sit uncoupled on the diagonal of one band and share one LAPACK
-    call, so each angle's solution is the one it gets alone.
+    columns before the cluster on its right.  One complex band array holds
+    the system, of shape (7 n,) for one angle and (7 n, m) for m angles;
+    the systems of an array of angles sit uncoupled on its diagonal and
+    share one LAPACK call, so each angle's solution is the one it gets
+    alone.  Past the solve, one angle stays in Python scalars.
 
     Raises ResonanceError for the first angle, in order, whose system is
     singular or whose solution breaks the partner's unitarity
@@ -262,13 +268,11 @@ def _solve_partner(bonds: BondMap, p):
     hop = {b: math.sqrt((1.0 - g) * (1.0 + g)) for b, g in bonds.items()}
     clusters, n = _bond_clusters(bonds)
     # LAPACK band storage, column-major, for 2 sub- and 2 superdiagonals and
-    # 2 rows of fill-in: entry (i, j) at flat index 7 j + 4 + i - j; for an
-    # array of angles each flat index is a row holding one entry per angle
-    if one:
-        ab, rhs = [0.0] * (7 * n), [0j] * n
-    else:
-        ab = np.zeros((7 * n, len(p)), dtype=np.complex128, order="F")
-        rhs = np.zeros((n, len(p)), dtype=np.complex128, order="F")
+    # 2 rows of fill-in: entry (i, j) at flat index 7 j + 4 + i - j; for m
+    # angles each flat index is a row holding one entry per angle
+    angles = () if one else (len(p),)
+    ab = np.zeros((7 * n, *angles), dtype=np.complex128, order="F")
+    rhs = np.zeros((n, *angles), dtype=np.complex128, order="F")
     layout = []
     col = 1  # column of the next unknown; a cluster's row of site k has the column of psi_k
     for r0, r1 in clusters:
@@ -303,10 +307,8 @@ def _solve_partner(bonds: BondMap, p):
     for i, j in ((col - 1, e - 1), (col, e)):
         ab[6 * (i - 1) + i + 4] = 1.0
         ab[6 * col + i + 4] = -_phase(j, p)
-    if one:
-        band, b = np.array(ab, dtype=np.complex128).reshape(n, 7).T, np.array(rhs)
-    else:  # the angles' (7, n) blocks one after another
-        band, b = ab.reshape(7, -1, order="F"), rhs.reshape(-1, order="F")
+    # the angles' (7, n) blocks one after another
+    band, b = ab.reshape(7, -1, order="F"), rhs.reshape(-1, order="F")
     _, _, x, info = zgbsv(2, 2, band, b, overwrite_ab=1, overwrite_b=1)
     if info != 0:
         # info is the first zero pivot; the angles before its block factored
@@ -349,7 +351,7 @@ def _partner_amplitudes(x, bonds: BondMap, p):
     return list(map(Amplitudes, R.tolist(), T, p.tolist()))
 
 
-def solve_numeric(spec: ScattererSpec, phi: float | EnergyAngle) -> Amplitudes:
+def solve_numeric(spec: ScattererSpec, phi: float) -> Amplitudes:
     """Matching-solver amplitudes at one angle, on the Hermitian partner.
 
     Solves the compressed matching system of the partner h (one banded LU
@@ -358,7 +360,7 @@ def solve_numeric(spec: ScattererSpec, phi: float | EnergyAngle) -> Amplitudes:
     family.  Raises ResonanceError when the system is singular or the
     solution breaks the partner's unitarity.
     """
-    p = as_angle(phi).phi
+    p = as_angle(phi)
     bonds = spec.bond_map()
     x, _ = _solve_partner(bonds, p)
     return _partner_amplitudes(x, bonds, p)
@@ -382,16 +384,14 @@ def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
     return amps
 
 
-def numeric_wave(
-    spec: ScattererSpec, phi: float | EnergyAngle, h: float = 1.0
-) -> tuple[Amplitudes, WaveSample]:
+def numeric_wave(spec: ScattererSpec, phi: float, h: float = 1.0) -> tuple[Amplitudes, WaveSample]:
     """solve_numeric plus the sampled wave over [-(A+2), A+2] with spacing h.
 
     The partner's wave comes from the solved cluster sites, the plane waves
     of the jumped stretches and the asymptotic flanks; it maps back to H
     site by site as psi_k = psi_h,k sqrt(theta_L/theta_k).
     """
-    p = as_angle(phi).phi
+    p = as_angle(phi)
     bonds = spec.bond_map()
     x, layout = _solve_partner(bonds, p)
     window = SiteWindow(spec.matching_radius + 2, h)
@@ -425,14 +425,12 @@ def _closed(spec: TwoCenterSpec, p: float) -> tuple[Amplitudes, float, complex, 
     return amp, q, U, V
 
 
-def closed_form(spec: TwoCenterSpec, phi: float | EnergyAngle) -> Amplitudes:
+def closed_form(spec: TwoCenterSpec, phi: float) -> Amplitudes:
     """Closed amplitudes of a two-center scatterer at any N >= -1 and any angle of the band."""
-    return _closed(spec, as_angle(phi).phi)[0]
+    return _closed(spec, as_angle(phi))[0]
 
 
-def closed_form_wave(
-    spec: TwoCenterSpec, phi: float | EnergyAngle, h: float = 1.0
-) -> tuple[Amplitudes, WaveSample]:
+def closed_form_wave(spec: TwoCenterSpec, phi: float, h: float = 1.0) -> tuple[Amplitudes, WaveSample]:
     """closed_form plus the closed wave over [-(A+2), A+2] with spacing h, separated blocks only.
 
     Interior sites |k| <= N+1 follow C e^{i k phi} + D e^{-i k phi}; the
@@ -442,7 +440,7 @@ def closed_form_wave(
     N = spec.N
     if N < 1:
         raise DomainError(f"closed-form wave needs separated blocks (N >= 1), got N={N}")
-    p = as_angle(phi).phi
+    p = as_angle(phi)
     amp, q, U, V = _closed(spec, p)
     c_plus_d, c_minus_d = 1j * q / V, -q / U
     C, D = (c_plus_d + c_minus_d) / 2.0, (c_plus_d - c_minus_d) / 2.0
@@ -458,16 +456,14 @@ def closed_form_wave(
     return amp, WaveSample(window, vals)
 
 
-def interior_plane_wave_fit(
-    wave: WaveSample, N: int, phi: float | EnergyAngle
-) -> tuple[complex, complex, float]:
+def interior_plane_wave_fit(wave: WaveSample, N: int, phi: float) -> tuple[complex, complex, float]:
     """Least-squares fit psi_k ~= C e^{i k phi} + D e^{-i k phi} over |k| <= N.
 
     Returns (C, D, residual) with residual the max absolute misfit.
     """
     if N < 1:
         raise DomainError(f"interior fit needs N >= 1 (at least 3 sites), got {N}")
-    p = as_angle(phi).phi
+    p = as_angle(phi)
     ks = np.arange(-N, N + 1)
     vals = wave.values[wave.window.index_of(-N) : wave.window.index_of(N) + 1]
     design = np.stack([np.exp(1j * ks * p), np.exp(-1j * ks * p)], axis=1)

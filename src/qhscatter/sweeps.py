@@ -33,7 +33,7 @@ from .potentials import (
     assemble_hamiltonian,
     build_potential,
 )
-from .lattice import SiteWindow
+from .lattice import SiteWindow, as_angle
 from .scattering import Amplitudes, closed_form, solve_numeric, solve_numeric_batch
 
 COLUMNS = (
@@ -152,6 +152,7 @@ def evaluate_point(spec: ScattererSpec, phi: float, method: str) -> list[dict]:
     COLUMNS.
     """
     _check_method(spec, method)
+    phi = as_angle(phi)
     amp_closed = None if method == "numeric" else closed_form(spec, phi)
     amp_num = None if method == "closed" else solve_numeric(spec, phi)
     g, n = _scatterer_cells(spec)
@@ -332,17 +333,17 @@ def _check(suite: str, label: str, tolerance: float, scored, point_label=str) ->
     return SuiteCheck(suite, label, worst, tolerance, "" if worst_at is None else point_label(worst_at))
 
 
-def suite_scores(g_grid=DEFAULT_G_GRID, n_grid=DEFAULT_N_GRID, phi_count=DEFAULT_PHI_COUNT) -> list[tuple]:
-    """What the amplitude suites score at each point of their grid, each point evaluated once.
+def suite_scores() -> list[tuple]:
+    """What the amplitude suites score at each point of the default grid, each point evaluated once.
 
     One (spec, phi, numeric defect, closed defect, |R_c - R_n|, |T_c - T_n|)
     per point, its numeric amplitudes from one batched solve per scatterer.
     Only these numbers are kept, not the amplitudes.
     """
     # strictly inside (DEFAULT_PHI_MIN, DEFAULT_PHI_MAX)
-    phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, phi_count + 2)[1:-1].tolist()
+    phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, DEFAULT_PHI_COUNT + 2)[1:-1].tolist()
     scores = []
-    for spec in (TwoCenterSpec(g, n) for g in g_grid for n in n_grid):
+    for spec in (TwoCenterSpec(g, n) for g in DEFAULT_G_GRID for n in DEFAULT_N_GRID):
         for phi, amp_c, amp_n in zip(phis, *_amplitudes(spec, phis, "both")):
             gaps = abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T)
             scores.append((spec, phi, amp_n.unitarity_defect, amp_c.unitarity_defect, *gaps))
@@ -350,7 +351,7 @@ def suite_scores(g_grid=DEFAULT_G_GRID, n_grid=DEFAULT_N_GRID, phi_count=DEFAULT
 
 
 def unitarity_suite(tolerance: float = 1e-11, scores=None) -> list[SuiteCheck]:
-    """| |R|^2 + |T|^2 - 1 | over suite_scores (the default grid unless given), numeric and closed paths."""
+    """| |R|^2 + |T|^2 - 1 | over suite_scores (computed unless given), numeric and closed paths."""
     scores = suite_scores() if scores is None else scores
     numeric = ((d_n, (spec, phi)) for spec, phi, d_n, *_ in scores)
     closed = ((d_c, (spec, phi)) for spec, phi, _, d_c, _, _ in scores)

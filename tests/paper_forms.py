@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from qhscatter import Amplitudes, DomainError, EnergyAngle, ResonanceError, TwoCenterSpec, as_angle
+from qhscatter import Amplitudes, DomainError, ResonanceError, TwoCenterSpec, as_angle
 
 # trig denominators of u, v below this are treated as resonant
 RESONANCE_GUARD = 1e-10
@@ -87,11 +87,11 @@ def _ratio_or_inf(num: float, den: float) -> float:
 
 
 def closed_form_Nminus1(
-    g: float, phi: float | EnergyAngle
+    g: float, phi: float
 ) -> tuple[Amplitudes, ClosedFormBreakdown]:
     """Closed amplitudes for the merged-block (N = -1) scatterer."""
     TwoCenterSpec(g, -1)  # validates |g| < 1
-    p = as_angle(phi).phi
+    p = as_angle(phi)
     lam_den = 1.0 + g * g * math.cos(2 * p)
     lam_num = g * g * math.sin(2 * p)
     t_minus_r = _moebius(lam_den, lam_num)
@@ -110,7 +110,7 @@ def closed_form_Nminus1(
     return amp, breakdown
 
 
-def closed_form_N0(g: float, phi: float | EnergyAngle) -> tuple[Amplitudes, ClosedFormBreakdown]:
+def closed_form_N0(g: float, phi: float) -> tuple[Amplitudes, ClosedFormBreakdown]:
     """Closed amplitudes for adjacent blocks (N = 0).
 
     The difference branch uses Z = 1 + g^2 (2 e^{2 i phi} + e^{4 i phi}).
@@ -123,7 +123,7 @@ def closed_form_N0(g: float, phi: float | EnergyAngle) -> tuple[Amplitudes, Clos
     which is infinite at g = 0 where T + R = 1 exactly.
     """
     TwoCenterSpec(g, 0)
-    p = as_angle(phi).phi
+    p = as_angle(phi)
     g2 = g * g
     lam_den = 1.0 + g2 * (2.0 * math.cos(2 * p) + math.cos(4 * p))
     lam_num = g2 * (2.0 * math.sin(2 * p) + math.sin(4 * p))
@@ -144,7 +144,7 @@ def closed_form_N0(g: float, phi: float | EnergyAngle) -> tuple[Amplitudes, Clos
 
 
 def closed_form_generalN(
-    g: float, N: int, phi: float | EnergyAngle
+    g: float, N: int, phi: float
 ) -> tuple[Amplitudes, ClosedFormBreakdown]:
     """Closed amplitudes for separated blocks (N >= 1), with interior C, D.
 
@@ -155,7 +155,7 @@ def closed_form_generalN(
     if N < 1:
         raise DomainError(f"general-N closed form needs N >= 1, got {N}")
     TwoCenterSpec(g, N)  # validates |g| < 1
-    p = as_angle(phi).phi
+    p = as_angle(phi)
     g2 = g * g
     sn, sn1 = math.sin(N * p), math.sin((N + 1) * p)
     cn, cn1 = math.cos(N * p), math.cos((N + 1) * p)

@@ -7,23 +7,28 @@ from hypothesis import strategies as st
 
 from qhscatter import (
     BandError,
-    EnergyAngle,
     SiteWindow,
     WaveSample,
     WindowError,
+    as_angle,
     energy_from_phi,
     phi_from_energy,
 )
 
 
-class TestEnergyAngle:
-    @pytest.mark.parametrize("phi", [0.0, math.pi, -0.5, 4.0, float("nan")])
+class TestAsAngle:
+    @pytest.mark.parametrize("phi", [0.0, math.pi, -0.5, 4.0, float("nan"), math.inf, -math.inf])
     def test_rejects_band_edges_and_outside(self, phi):
-        with pytest.raises(BandError):
-            EnergyAngle(phi)
+        with pytest.raises(BandError, match=r"^phi=.* outside the open band interval \(0, pi\)$"):
+            as_angle(phi)
 
     def test_holds_interior_value(self):
-        assert EnergyAngle(1.25).phi == 1.25
+        assert as_angle(1.25) == 1.25
+
+    @pytest.mark.parametrize("phi", [1, np.float64(1.25), np.array(1.25)])
+    def test_returns_a_float(self, phi):
+        p = as_angle(phi)
+        assert type(p) is float and p == float(phi)
 
 
 class TestEnergyConversion:
@@ -37,10 +42,10 @@ class TestEnergyConversion:
         assert 0.0 < energy_from_phi(1e-6, 1.0) < 1e-11
 
     def test_inverse_midband(self):
-        assert phi_from_energy(2.0, 1.0).phi == pytest.approx(math.pi / 2, abs=1e-14)
+        assert phi_from_energy(2.0, 1.0) == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_inverse_scaled(self):
-        assert phi_from_energy(4.0, 0.5).phi == pytest.approx(math.pi / 3, abs=1e-14)
+        assert phi_from_energy(4.0, 0.5) == pytest.approx(math.pi / 3, abs=1e-14)
 
     @pytest.mark.parametrize("energy,h", [(5.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (4.0, 1.0)])
     def test_out_of_band_rejected(self, energy, h):
@@ -59,13 +64,17 @@ class TestEnergyConversion:
         # E*h^2 quantizes phi no finer than ~eps/(pi - phi) near the band top
         bound = max(1e-14, 8e-16 / (math.pi - phi))
         for h in (1.0, 0.1, 0.01):
-            back = phi_from_energy(energy_from_phi(phi, h), h).phi
+            back = phi_from_energy(energy_from_phi(phi, h), h)
             assert abs(back - phi) <= bound
+
+    @pytest.mark.parametrize("phi", [1e-6, 1.0, 2.0, math.pi - 1e-6])
+    def test_inverse_returns_a_float(self, phi):
+        assert type(phi_from_energy(energy_from_phi(phi))) is float
 
     def test_round_trip_bulk_tight(self):
         for phi in np.linspace(0.01, 3.0, 997):
             for h in (1.0, 0.1, 0.01):
-                back = phi_from_energy(energy_from_phi(phi, h), h).phi
+                back = phi_from_energy(energy_from_phi(phi, h), h)
                 assert abs(back - phi) <= 1e-14
 
     @settings(max_examples=100, deadline=None)

@@ -182,8 +182,3 @@ class TestAssembly:
         h = assemble_hamiltonian(build_potential(ChainSpec((0.8,)), SiteWindow(3)))
         assert h.entry(0, 1) + h.entry(1, 0) == -2.0
         assert h.entry(0, -1) + h.entry(-1, 0) == -2.0
-
-    def test_window_mismatch(self):
-        v = build_potential(ChainSpec((0.5,)), SiteWindow(3))
-        with pytest.raises(WindowError):
-            assemble_hamiltonian(v, SiteWindow(4))

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from paper_forms import (
 )
 from qhscatter import (
     Amplitudes,
+    BandError,
     ChainSpec,
     DomainError,
     MultiCenterSpec,
@@ -30,8 +32,16 @@ from qhscatter import (
 )
 from qhscatter.cli import main
 from qhscatter.lattice import SiteWindow, WaveSample
-from qhscatter.scattering import build_matching_system
-from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID, DEFAULT_PHI_COUNT, DEFAULT_PHI_MAX, DEFAULT_PHI_MIN
+from qhscatter.potentials import MAX_N
+from qhscatter.scattering import _exact_product, build_matching_system
+from qhscatter.sweeps import (
+    DEFAULT_G_GRID,
+    DEFAULT_N_GRID,
+    DEFAULT_PHI_COUNT,
+    DEFAULT_PHI_MAX,
+    DEFAULT_PHI_MIN,
+    evaluate_point,
+)
 
 angles = st.floats(min_value=0.05, max_value=math.pi - 0.05)
 couplings = st.floats(min_value=-0.9, max_value=0.9)
@@ -292,6 +302,72 @@ class TestOneClosedFormNeverRefuses:
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
         assert float(lines[-1].split("=")[1]) <= 1e-13
+
+
+class TestExactPhasesAtLargeN:
+    """The phases stay exact up to MAX_N, and the constructors refuse beyond it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(min_value=-(2**53), max_value=2**53), p=st.floats(min_value=1e-9, max_value=math.pi))
+    def test_product_is_exact(self, k, p):
+        hi, lo = _exact_product(k, p)
+        assert Fraction(hi) + Fraction(lo) == k * Fraction(p)
+        arr_hi, arr_lo = _exact_product(np.array([k]), p)
+        assert (arr_hi[0], arr_lo[0]) == (hi, lo)
+
+    @pytest.mark.parametrize("n", [10**9, 10**12])
+    @pytest.mark.parametrize("phi", [0.3, 2.9])
+    def test_within_1e_14_of_the_papers_form(self, n, phi):
+        R, T = paper_amplitudes_mp(0.5, n, phi)
+        spec = TwoCenterSpec(0.5, n)
+        for amp in (closed_form(spec, phi), solve_numeric(spec, phi)):
+            assert max(abs(amp.R - R), abs(amp.T - T)) <= 1e-14
+
+    def test_largest_separation(self):
+        spec = TwoCenterSpec(0.5, MAX_N)
+        amp_c, amp_n = closed_form(spec, 0.3), solve_numeric(spec, 0.3)
+        assert max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T)) <= 1e-14
+        wide = MultiCenterSpec((-(MAX_N + 2), 0, MAX_N + 2), (0.5, 0.3, 0.5))
+        assert solve_numeric(wide, 0.3).unitarity_defect <= 1e-14
+
+    def test_beyond_the_largest_separation_rejected(self):
+        with pytest.raises(ValueError, match=str(MAX_N)):
+            TwoCenterSpec(0.5, MAX_N + 1)
+        with pytest.raises(ValueError, match=str(MAX_N + 2)):
+            MultiCenterSpec((0, MAX_N + 3), (0.5, 0.5))
+
+    def test_cli_at_a_billion_sites(self, capsys):
+        code = main(["amplitudes", "--g", "0.5", "--N", "1000000000", "--phi", "0.3", "--method", "both"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert float(lines[-1].split("=")[1]) <= 1e-13
+
+    def test_cli_beyond_the_largest_separation(self, capsys):
+        code = main(["amplitudes", "--g", "0.5", "--N", str(MAX_N + 1), "--phi", "0.3"])
+        assert code == 2
+        assert str(MAX_N) in capsys.readouterr().err
+
+
+class TestAngleContract:
+    """Any real angle that float() accepts gives the float's bits; the range check is as_angle's."""
+
+    @pytest.mark.parametrize("phi,value", [(1, 1.0), (np.float64(1.1), 1.1), (np.array(1.1), 1.1)])
+    def test_same_bits_as_the_float(self, phi, value):
+        spec = TwoCenterSpec(0.5, 3)
+        for route in (solve_numeric, closed_form):
+            amp, ref = route(spec, phi), route(spec, value)
+            assert type(amp.phi) is float
+            assert (amp.R, amp.T, amp.phi) == (ref.R, ref.T, ref.phi)
+        rows = evaluate_point(spec, phi, "both")
+        assert rows == evaluate_point(spec, value, "both")
+        assert all(type(row["phi"]) is float for row in rows)
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi, math.nan, math.inf, -math.inf])
+    def test_outside_the_band_rejected(self, phi):
+        spec = TwoCenterSpec(0.5, 3)
+        for route in (solve_numeric, closed_form, lambda s, p: evaluate_point(s, p, "both")):
+            with pytest.raises(BandError, match=r"outside the open band interval \(0, pi\)"):
+                route(spec, phi)
 
 
 class TestGSignSymmetry:
