@@ -11,6 +11,7 @@ every angle), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import QhScatterError, ResonanceError
@@ -105,16 +106,22 @@ def cmd_verify(args) -> int:
     def tol(default: float) -> float:
         return args.tolerance if args.tolerance is not None else default
 
+    if args.tolerance is not None and not args.tolerance >= 0.0:
+        raise QhScatterError(f"--tolerance {args.tolerance!r} must be a number >= 0")
+    if args.couplings and args.model == "two-center":
+        raise QhScatterError("--couplings sets the metric suite's chains; --model two-center has none")
+    if (args.couplings or args.model == "chain") and args.suite in ("unitarity", "closed-vs-numeric"):
+        raise QhScatterError(f"--suite {args.suite} checks the two-center grid; chains enter the metric suite")
     checks = []
     run_all = args.suite == "all"
     if args.suite == "metric" or run_all:
         kwargs = dict(tolerance_two_center=tol(1e-14), tolerance_chain=tol(1e-13))
         if args.model == "chain":
             kwargs.update(g_grid=(), n_grid=())
-            if args.couplings:
-                kwargs.update(chain_specs=args.couplings)
         elif args.model == "two-center":
             kwargs.update(chain_specs=())
+        if args.couplings:
+            kwargs.update(chain_specs=args.couplings)
         checks += metric_suite(**kwargs)
     scores = None
     if args.suite in ("unitarity", "closed-vs-numeric") or run_all:
@@ -141,7 +148,12 @@ def cmd_probe_continuum(args) -> int:
     if args.h_list:
         hs = list(args.h_list)
     else:
-        hs = [args.h_start / 2**i for i in range(args.halvings + 1)]
+        # ldexp(h, -i) has the bits of h / 2**i wherever 2**i is a double, and never overflows
+        if not (args.halvings >= 1 and math.ldexp(args.h_start, -args.halvings) > 0.0):
+            raise QhScatterError(
+                f"--halvings {args.halvings} must be at least 1 and keep h_start / 2**halvings a positive double"
+            )
+        hs = [math.ldexp(args.h_start, -i) for i in range(args.halvings + 1)]
     result = continuum_probe(g, args.kappa, hs)
     lines = ["h,phi,abs_T,abs_R,abs_psi0"]
     for row in result.rows:

@@ -91,13 +91,23 @@ def quasi_hermiticity_residual(h: BandedOperator, metric: DiagonalMetric) -> flo
     return float(max(res_up.max(initial=0.0), res_lo.max(initial=0.0), res_diag.max(initial=0.0)))
 
 
+def half_log_ratio(gamma: float) -> float:
+    """log sqrt((1 - gamma)/(1 + gamma)): one bond's term of log sqrt(theta_L/theta_R)."""
+    return 0.5 * (math.log1p(-gamma) - math.log1p(gamma))
+
+
 def asymmetry_ratio(spec: ScattererSpec) -> float:
     """Saturated left/right metric ratio theta_L/theta_R = prod over bonds of (1-gamma)/(1+gamma).
 
-    Each block contributes (1-g)(1+g)/((1+g)(1-g)), so blocks give 1.
+    Summed in log form, so no partial product leaves the double range: a
+    block's two bonds cancel exactly, so blocks give 1.0, and a ratio beyond
+    the double range reads 0.0 or inf.
     """
-    gammas = spec.bond_map().values()
-    return math.prod(1.0 - g for g in gammas) / math.prod(1.0 + g for g in gammas)
+    half_log = math.fsum(half_log_ratio(g) for g in spec.bond_map().values())
+    try:
+        return math.exp(2.0 * half_log)
+    except OverflowError:
+        return math.inf
 
 
 def positivity_check(metric: DiagonalMetric) -> bool:

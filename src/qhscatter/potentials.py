@@ -10,8 +10,8 @@ bandwidth 1:
 
 * three-site scatterer blocks of strength g centered at site c, with
   V[c-1,c] = -g, V[c,c-1] = +g, V[c,c+1] = +g, V[c+1,c] = -g.  The
-  two-center model places such blocks at c = +-(N+2); for N = -1 the blocks
-  overlap at the origin and their entries superpose.
+  paper's two-center model is the two-block case, equal strengths at
+  c = +-(N+2); for N = -1 the blocks share the origin.
 
 Every spec reduces to its bond map {bond k: coupling gamma} and its
 matching radius; build_potential, build_metric and the numeric solver read
@@ -73,31 +73,6 @@ class ChainSpec:
 
 
 @dataclass(frozen=True)
-class TwoCenterSpec:
-    """Two three-site blocks of strength g centered at sites +-(N+2), N >= -1."""
-
-    g: float
-    N: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "g", _check_coupling(self.g, "g"))
-        if int(self.N) != self.N or not -1 <= self.N <= MAX_N:
-            raise ValueError(f"N={self.N!r} must be an integer in [-1, {MAX_N}]")
-        object.__setattr__(self, "N", int(self.N))
-
-    @property
-    def centers(self) -> tuple[int, int]:
-        return (-(self.N + 2), self.N + 2)
-
-    def bond_map(self) -> BondMap:
-        return _center_bond_map(self.centers, (self.g, self.g))
-
-    @property
-    def matching_radius(self) -> int:
-        return self.N + 3
-
-
-@dataclass(frozen=True)
 class MultiCenterSpec:
     """Several three-site blocks, one per (center, coupling) pair.
 
@@ -128,22 +103,42 @@ class MultiCenterSpec:
         object.__setattr__(self, "couplings", gs)
 
     def bond_map(self) -> BondMap:
-        return _center_bond_map(self.centers, self.couplings)
+        """The block at c puts +g on bond c - 1 and -g on bond c."""
+        bonds: BondMap = {}
+        for c, g in zip(self.centers, self.couplings):
+            bonds[c - 1] = bonds.get(c - 1, 0.0) + g
+            bonds[c] = bonds.get(c, 0.0) - g
+        return bonds
 
     @property
     def matching_radius(self) -> int:
         return max(abs(c) for c in self.centers) + 1
 
 
-ScattererSpec = ChainSpec | TwoCenterSpec | MultiCenterSpec
+@dataclass(frozen=True, init=False, eq=False)
+class TwoCenterSpec(MultiCenterSpec):
+    """The two-block MultiCenterSpec of the paper: strength g at sites +-(N+2), N >= -1.
+
+    N's range already keeps the two centers apart and inside MultiCenterSpec's
+    reach, so the fields are set without its general checks.  g and N are
+    read-only attributes beside them, not properties: the closed form and
+    the verify grid read them at every angle.  Equality holds only between
+    two-center specs.
+    """
+
+    def __init__(self, g: float, N: int) -> None:
+        g = _check_coupling(g, "g")
+        if int(N) != N or not -1 <= N <= MAX_N:
+            raise ValueError(f"N={N!r} must be an integer in [-1, {MAX_N}]")
+        N = int(N)
+        # one update past the frozen __setattr__, which refuses every name here
+        self.__dict__.update(centers=(-N - 2, N + 2), couplings=(g, g), g=g, N=N)
+
+    def __repr__(self) -> str:
+        return f"TwoCenterSpec(g={self.g!r}, N={self.N!r})"
 
 
-def _center_bond_map(centers: tuple[int, ...], gs: tuple[float, ...]) -> BondMap:
-    bonds: BondMap = {}
-    for c, g in zip(centers, gs):
-        bonds[c - 1] = bonds.get(c - 1, 0.0) + g
-        bonds[c] = bonds.get(c, 0.0) - g
-    return bonds
+ScattererSpec = ChainSpec | MultiCenterSpec
 
 
 @dataclass(frozen=True)
@@ -171,17 +166,6 @@ class BandedOperator:
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
-
-    def entry(self, i: int, j: int) -> complex:
-        """Matrix element between sites i and j (zero beyond the band)."""
-        ii, jj = self.window.index_of(i), self.window.index_of(j)
-        if i == j:
-            return complex(self.diag[ii])
-        if j == i + 1:
-            return complex(self.upper[ii])
-        if j == i - 1:
-            return complex(self.lower[jj])
-        return 0.0
 
     def to_dense(self) -> np.ndarray:
         n = self.window.n_sites

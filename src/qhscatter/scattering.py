@@ -18,9 +18,10 @@ to CHUNK_UNKNOWNS unknowns per call.  h reflects as H does, and
 T = T_h sqrt(theta_L/theta_R).  The self-check is the partner's unitarity
 |R|^2 + |T_h|^2 = 1, per angle.
 
-H's own matching rows over its matching radius (build_matching_system) and
-their residual (matching_row_residual) stay public as an independent
-reference for tests and diagnostics; no library route solves them.
+H's own matching rows over its matching radius at one angle
+(build_matching_system) and their residual (matching_row_residual) stay
+public as an independent reference for tests and diagnostics; no library
+route solves them.
 
 The closed form of the two-center family covers every block separation
 N >= -1 with one formula in the block center M = N + 2:
@@ -50,6 +51,7 @@ from scipy.linalg.lapack import zgbsv
 
 from .errors import DomainError, ResonanceError
 from .lattice import SiteWindow, WaveSample, as_angle
+from .metric import half_log_ratio
 from .potentials import BondMap, ScattererSpec, TwoCenterSpec
 
 # partner unknowns per batched solve: a batch's band (112 bytes per unknown)
@@ -78,28 +80,25 @@ class Amplitudes:
 
 @dataclass(frozen=True)
 class MatchingSystem:
-    """Banded matching conditions M x = rhs, one block x = [R, psi interior, T] per angle.
+    """Banded matching conditions M x = rhs at one angle, x = [R, psi interior, T].
 
     ab holds the matrix in banded (1, 1) storage: ab[0, 1:] upper diagonal,
-    ab[1, :] main diagonal, ab[2, :-1] lower diagonal.  The blocks of
-    several angles follow one another with no coupling between them.
+    ab[1, :] main diagonal, ab[2, :-1] lower diagonal.
     """
 
     radius: int
-    phi: np.ndarray  # one angle per block
+    phi: float
     ab: np.ndarray
     rhs: np.ndarray
 
     @property
     def size(self) -> int:
-        """Unknowns over all blocks."""
+        """Number of unknowns."""
         return self.rhs.shape[0]
 
 
 def _angle_array(phi) -> np.ndarray:
-    """One angle or a sequence of angles as a 1-D float array, each inside (0, pi)."""
-    if not isinstance(phi, (np.ndarray, list, tuple)):
-        return np.array([as_angle(phi)])
+    """A sequence of angles as a 1-D float array, each inside (0, pi)."""
     phis = np.asarray(phi, dtype=np.float64).reshape(-1)
     outside = ~((phis > 0.0) & (phis < math.pi))  # NaN included
     if outside.any():
@@ -107,14 +106,14 @@ def _angle_array(phi) -> np.ndarray:
     return phis
 
 
-def build_matching_system(bonds: BondMap, phi, radius: int) -> MatchingSystem:
-    """Assemble the matching conditions of a bond layout at one angle or an array of angles.
+def build_matching_system(bonds: BondMap, phi: float, radius: int) -> MatchingSystem:
+    """Assemble the matching conditions of a bond layout at one angle.
 
     Row k is the lattice equation of site k.  In rows -A, -A+1, A-1 and A
     the sites beyond the radius take their asymptotic forms, with the
     incoming wave on the right-hand side.
     """
-    phis = _angle_array(phi)
+    p = as_angle(phi)
     a = int(radius)
     if a < 1:
         raise DomainError("matching radius must be >= 1")
@@ -122,20 +121,15 @@ def build_matching_system(bonds: BondMap, phi, radius: int) -> MatchingSystem:
         if k < -a or k + 1 > a:
             raise DomainError(f"bond ({k}, {k + 1}) outside matching radius {a}")
     n = 2 * a + 1
-    ab = np.empty((3, len(phis), n), dtype=np.complex128)
-    # the first angle's off-diagonals, copied to the other angles: bond b sits
-    # above the diagonal in row b + a and below it in row b + a + 1; the first
-    # upper and the last lower slot would couple neighbouring blocks
-    upper, lower = ab[0, 0], ab[2, 0]
-    upper.fill(-1.0)
-    lower.fill(-1.0)
+    # bond b sits above the diagonal in row b + a and below it in row b + a + 1
+    ab = np.full((3, n), -1.0, dtype=np.complex128)
     for b, gamma in bonds.items():
-        upper[b + a + 1], lower[b + a] = -1.0 - gamma, -1.0 + gamma
-    upper[0] = lower[-1] = 0.0
-    ab[0, 1:], ab[2, 1:] = upper, lower
-    two_cos = 2.0 * np.cos(phis)
-    ab[1] = two_cos[:, None]
-    rhs = np.zeros((len(phis), n), dtype=np.complex128)
+        ab[0, b + a + 1], ab[2, b + a] = -1.0 - gamma, -1.0 + gamma
+    ab[0, 0] = ab[2, -1] = 0.0
+    # cos and exp taken on one-element arrays, as numpy rounds them there
+    two_cos = 2.0 * np.cos(np.array([p]))
+    ab[1] = two_cos
+    rhs = np.zeros(n, dtype=np.complex128)
     # Beyond the radius psi_j = e(j) + R e(-j) for j <= -a and T e(j) for
     # j >= a, e(j) = exp(i j phi): a term w psi_j puts w e(-j) into the R
     # column and -w e(j) on the right-hand side, or w e(j) into the T column.
@@ -143,30 +137,27 @@ def build_matching_system(bonds: BondMap, phi, radius: int) -> MatchingSystem:
     w_left = -1.0 + bonds.get(-a, 0.0)  # site -a in row -a+1
     w_right = -1.0 - bonds.get(a - 1, 0.0)  # site a in row a-1
     w_outer_right = -1.0 - bonds.get(a, 0.0)  # site a+1 in row a
-    e_a1, e_a, e_ma1, e_ma = np.exp(np.array([1j * (a + 1), 1j * a, -1j * (a + 1), -1j * a])[:, None] * phis)
+    e_a1, e_a, e_ma1, e_ma = np.exp(np.array([1j * (a + 1), 1j * a, -1j * (a + 1), -1j * a])[:, None] * p)
     diag = two_cos * e_a  # site -a in row -a and site a in row a
-    ab[1, :, 0] = w_outer_left * e_a1 + diag
-    rhs[:, 0] = -w_outer_left * e_ma1 - two_cos * e_ma
-    ab[2, :, 0] = w_left * e_a
-    rhs[:, 1] = -w_left * e_ma
-    ab[0, :, -1] = w_right * e_a
-    ab[1, :, -1] = diag + w_outer_right * e_a1
-    return MatchingSystem(radius=a, phi=phis, ab=ab.reshape(3, -1), rhs=rhs.reshape(-1))
+    ab[1, :1] = w_outer_left * e_a1 + diag
+    rhs[:1] = -w_outer_left * e_ma1 - two_cos * e_ma
+    ab[2, :1] = w_left * e_a
+    rhs[1:2] = -w_left * e_ma
+    ab[0, -1:] = w_right * e_a
+    ab[1, -1:] = diag + w_outer_right * e_a1
+    return MatchingSystem(radius=a, phi=p, ab=ab, rhs=rhs)
 
 
-def matching_row_residual(spec: ScattererSpec | BondMap, phi, wave):
-    """Max relative residual of the discrete Schroedinger rows over the sample.
+def matching_row_residual(spec: ScattererSpec | BondMap, phi: float, wave: WaveSample) -> float:
+    """Max relative residual of the discrete Schroedinger rows over the sample at one angle.
 
     Every site with both neighbors inside the sample window contributes one
     row; each residual is normalized by the sum of its term magnitudes.
-    spec may be its bond map.  A WaveSample at one angle gives a float; an
-    array of angles with a 2-D array of sampled waves (one per row, sites
-    -m, ..., m) gives one residual per angle.
+    spec may be its bond map.
     """
     bonds = spec if isinstance(spec, dict) else spec.bond_map()
-    one = isinstance(wave, WaveSample)
-    vals = wave.values[None, :] if one else wave
-    m = (vals.shape[1] - 1) // 2
+    vals = wave.values
+    m = (len(vals) - 1) // 2
     # row r is site k = r - (m - 1); bond b weighs the left neighbour of
     # row b + m and the right neighbour of row b + m - 1
     rows = 2 * m - 1
@@ -176,9 +167,9 @@ def matching_row_residual(spec: ScattererSpec | BondMap, phi, wave):
             wl[b + m] = -1.0 + gamma
         if 0 <= b + m - 1 < rows:
             wr[b + m - 1] = -1.0 - gamma
-    tl = wl * vals[:, :-2]
-    tc = 2.0 * np.cos(_angle_array(phi))[:, None] * vals[:, 1:-1]
-    tr = wr * vals[:, 2:]
+    tl = wl * vals[:-2]
+    tc = 2.0 * np.cos(np.array([as_angle(phi)])) * vals[1:-1]
+    tr = wr * vals[2:]
     # (tl + tc + tr) and |tl| + |tc| + |tr|, summed in place to hold fewer temporaries
     total = tl + tc
     total += tr
@@ -187,8 +178,7 @@ def matching_row_residual(spec: ScattererSpec | BondMap, phi, wave):
     den += np.abs(tc)
     den += np.abs(tr)
     num /= np.maximum(den, 1e-30, out=den)
-    worst = num.max(axis=1)
-    return float(worst[0]) if one else worst
+    return float(num.max())
 
 
 def _bond_clusters(bonds: BondMap) -> tuple[list[list[int]], int]:
@@ -327,11 +317,6 @@ def _solve_partner(bonds: BondMap, p):
     return x, layout
 
 
-def _half_log_ratio(gamma: float) -> float:
-    """log sqrt((1 - gamma)/(1 + gamma)): one bond's term of log sqrt(theta_L/theta_R)."""
-    return 0.5 * (math.log1p(-gamma) - math.log1p(gamma))
-
-
 def _partner_amplitudes(x, bonds: BondMap, p):
     """R = R_h and T = T_h sqrt(theta_L/theta_R) from _solve_partner's x; a list for an array p.
 
@@ -341,7 +326,7 @@ def _partner_amplitudes(x, bonds: BondMap, p):
     """
     one = isinstance(p, float)
     try:
-        scale = math.exp(math.fsum(_half_log_ratio(g) for g in bonds.values()))
+        scale = math.exp(math.fsum(half_log_ratio(g) for g in bonds.values()))
     except OverflowError:
         raise DomainError(f"|T| exceeds the double range at phi={p if one else float(p[0])!r}") from None
     R, T_h = x[0], x[-1]
@@ -406,7 +391,7 @@ def numeric_wave(spec: ScattererSpec, phi: float, h: float = 1.0) -> tuple[Ampli
     # bond b lies left of the sites from b + 1 on
     half_log = np.zeros(window.n_sites)
     for b, g in bonds.items():
-        half_log[b + m + 1] = _half_log_ratio(g)
+        half_log[b + m + 1] = half_log_ratio(g)
     vals *= np.exp(np.cumsum(half_log))
     return _partner_amplitudes(x, bonds, p), WaveSample(window, vals)
 

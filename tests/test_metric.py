@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from qhscatter import (
     build_potential,
     positivity_check,
     quasi_hermiticity_residual,
+    solve_numeric,
 )
+from qhscatter.sweeps import DEFAULT_CHAIN_SPECS
 
 couplings_in_band = st.floats(min_value=-0.9, max_value=0.9)
 chains = st.lists(couplings_in_band, min_size=1, max_size=4).map(lambda cs: ChainSpec(tuple(cs)))
@@ -255,9 +258,27 @@ class TestAsymmetryRatio:
         assert asymmetry_ratio(spec) == pytest.approx(m.theta_at(-8) / m.theta_at(7))
 
     def test_blocks_are_reciprocal(self):
-        assert asymmetry_ratio(TwoCenterSpec(0.7, -1)) == pytest.approx(1.0, rel=1e-15)
+        # each block's two bonds cancel exactly in the log-form sum
+        assert asymmetry_ratio(TwoCenterSpec(0.7, -1)) == 1.0
+        assert asymmetry_ratio(TwoCenterSpec(-0.999999, 10**9)) == 1.0
         spec = MultiCenterSpec((-5, -1, 1, 6), (0.3, 0.6, 0.6, -0.8))
-        assert asymmetry_ratio(spec) == pytest.approx(1.0, rel=1e-15)
+        assert asymmetry_ratio(spec) == 1.0
+
+    def test_ratio_whose_products_underflow(self):
+        # both products underflow; the bonds leave one net (1 + 0.99)/(1 - 0.99)
+        assert asymmetry_ratio(ChainSpec((0.99,) * 200 + (-0.99,) * 200)) == pytest.approx(199.0, rel=1e-13)
+
+    def test_beyond_the_double_range(self):
+        assert asymmetry_ratio(ChainSpec((-0.5,) * 1000)) == math.inf
+        assert asymmetry_ratio(ChainSpec((0.5,) * 1000)) == 0.0
+
+    @pytest.mark.parametrize("couplings", DEFAULT_CHAIN_SPECS)
+    def test_chain_flux_identity(self, couplings):
+        # the flux entering on the left leaves on the right: (1 - |R|^2) theta_L/theta_R = |T|^2
+        spec = ChainSpec(couplings)
+        for phi in (0.05, 0.9, 1.7, 3.0):
+            amp = solve_numeric(spec, phi)
+            assert abs((1.0 - abs(amp.R) ** 2) * asymmetry_ratio(spec) - abs(amp.T) ** 2) <= 1e-12
 
     @pytest.mark.parametrize("a", [0.999, 0.9999])
     def test_degenerates_at_positivity_boundary(self, a):

@@ -7,7 +7,7 @@ multi-center layouts.  Failures must surface as the first failing angle in
 grid order, exactly as that loop would raise them.  H's own banded LU
 (build_matching_system and matching_row_residual, public and no longer
 used by the library) is the independent reference: the route agrees with
-it to rounding, and its stacked build equals a per-row reference.
+it to rounding, and its build at each angle equals a per-row reference.
 """
 
 import cmath
@@ -188,46 +188,44 @@ def _reference_matching_system(bonds, phi, radius):
     return ab, rhs
 
 
-class TestStackedMatchingSystem:
-    """build_matching_system over an array of angles: per-angle blocks with no coupling."""
+class TestMatchingSystemAtEachAngle:
+    """build_matching_system at each angle: the per-row reference's system, and lu_on_h's solution."""
 
-    def _assert_blocks(self, spec, phis):
-        phis = np.asarray(phis, dtype=float)
+    def _assert_angles(self, spec, phis):
         a = spec.matching_radius
-        n = 2 * a + 1
-        system = build_matching_system(spec.bond_map(), phis, a)
-        x = scipy.linalg.solve_banded((1, 1), system.ab, system.rhs).reshape(len(phis), -1)
-        vals = np.array([_reference_wave(a, phi, x[i], 1.0) for i, phi in enumerate(phis.tolist())])
-        checks = matching_row_residual(spec, phis, vals)
-        for i, phi in enumerate(phis.tolist()):
-            ab_ref, rhs_ref = _reference_matching_system(spec.bond_map(), phi, a)
-            block = system.ab[:, i * n : (i + 1) * n]
-            # the stacked layout leaves the two coupling slots of each block at zero
-            assert block[0, 0] == 0 and block[2, -1] == 0
-            assert block[:, 1:-1].tobytes() == ab_ref[:, 1:-1].tobytes()
-            assert block[0, -1] == ab_ref[0, -1] and block[2, 0] == ab_ref[2, 0]
-            assert system.rhs[i * n : (i + 1) * n].tobytes() == rhs_ref.tobytes()
+        bonds = spec.bond_map()
+        checks = []
+        for phi in np.asarray(phis, dtype=float).tolist():
+            system = build_matching_system(bonds, phi, a)
+            ab_ref, rhs_ref = _reference_matching_system(bonds, phi, a)
+            assert system.phi == phi and system.size == 2 * a + 1
+            # the two slots outside the band stay at zero
+            assert system.ab[0, 0] == 0 and system.ab[2, -1] == 0
+            assert system.ab[:, 1:-1].tobytes() == ab_ref[:, 1:-1].tobytes()
+            assert system.ab[0, -1] == ab_ref[0, -1] and system.ab[2, 0] == ab_ref[2, 0]
+            assert system.rhs.tobytes() == rhs_ref.tobytes()
+            x = scipy.linalg.solve_banded((1, 1), system.ab, system.rhs)
             R, T, wave, residual = lu_on_h(spec, phi)
-            assert x[i].tobytes() == scipy.linalg.solve_banded((1, 1), ab_ref, rhs_ref).tobytes()
-            assert (complex(x[i, 0]), complex(x[i, -1])) == (R, T)
-            assert vals[i].tobytes() == wave.values.tobytes()
-            assert checks[i] == residual
-        return checks
+            assert x.tobytes() == scipy.linalg.solve_banded((1, 1), ab_ref, rhs_ref).tobytes()
+            assert (complex(x[0]), complex(x[-1])) == (R, T)
+            assert _reference_wave(a, phi, x, 1.0).tobytes() == wave.values.tobytes()
+            assert matching_row_residual(bonds, phi, wave) == residual
+            checks.append(residual)
+        return np.array(checks)
 
     @pytest.mark.parametrize("g", DEFAULT_G_GRID)
     def test_verify_grid(self, g):
         for n in DEFAULT_N_GRID:
-            self._assert_blocks(TwoCenterSpec(g, n), VERIFY_ANGLES[::7])
+            self._assert_angles(TwoCenterSpec(g, n), VERIFY_ANGLES[::7])
 
     @pytest.mark.parametrize("spec", CHAINS + CHAIN_AND_MULTI_SPECS, ids=repr)
     def test_chains_and_multi_center(self, spec):
-        self._assert_blocks(spec, RANDOM_ANGLES)
+        self._assert_angles(spec, RANDOM_ANGLES)
 
     def test_row_check_of_the_lu_on_h_near_the_band_edges(self):
         # H's row check refuses these angles (a false rejection: the partner
-        # route answers them); the stacked check value still equals the
-        # one-angle value bit for bit
-        checks = self._assert_blocks(TwoCenterSpec(0.999999, 3), [1e-8, 0.7, math.pi - 1e-8, 0.3])
+        # route answers them)
+        checks = self._assert_angles(TwoCenterSpec(0.999999, 3), [1e-8, 0.7, math.pi - 1e-8, 0.3])
         assert (checks > 1e-9).tolist() == [True, False, True, False]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,15 @@ from qhscatter import (
     build_laplacian,
     build_potential,
 )
+from qhscatter.potentials import MAX_N
 
 couplings_in_band = st.floats(min_value=-0.9, max_value=0.9)
+
+
+def element(op):
+    """The matrix element between sites i and j of a banded operator, read from its dense form."""
+    dense, w = op.to_dense(), op.window
+    return lambda i, j: dense[w.index_of(i), w.index_of(j)]
 
 
 class TestLaplacian:
@@ -47,11 +55,11 @@ class TestChainPotential:
         assert np.all(dense == 0)
 
     def test_two_couplings_layout(self):
-        v = build_potential(ChainSpec((0.5, 0.25)), SiteWindow(3))
+        v = element(build_potential(ChainSpec((0.5, 0.25)), SiteWindow(3)))
         # central bond carries a, both neighbors carry b
-        assert v.entry(0, -1) == 0.5 and v.entry(-1, 0) == -0.5
-        assert v.entry(1, 0) == 0.25 and v.entry(0, 1) == -0.25
-        assert v.entry(-1, -2) == 0.25 and v.entry(-2, -1) == -0.25
+        assert v(0, -1) == 0.5 and v(-1, 0) == -0.5
+        assert v(1, 0) == 0.25 and v(0, 1) == -0.25
+        assert v(-1, -2) == 0.25 and v(-2, -1) == -0.25
 
     def test_zero_couplings_zero_operator(self):
         v = build_potential(ChainSpec((0.0, 0.0)), SiteWindow(4))
@@ -84,26 +92,26 @@ class TestTwoCenterPotential:
         # H rows at a block center read (-1+g, 2cos phi, -1+g); adjacent rows carry -1-g
         g = 0.4
         spec = TwoCenterSpec(g, 0)
-        h = assemble_hamiltonian(build_potential(spec, SiteWindow(5)))
+        h = element(assemble_hamiltonian(build_potential(spec, SiteWindow(5))))
         for c in (-2, 2):
-            assert h.entry(c, c - 1) == pytest.approx(-1 + g)
-            assert h.entry(c, c + 1) == pytest.approx(-1 + g)
-            assert h.entry(c - 1, c) == pytest.approx(-1 - g)
-            assert h.entry(c + 1, c) == pytest.approx(-1 - g)
+            assert h(c, c - 1) == pytest.approx(-1 + g)
+            assert h(c, c + 1) == pytest.approx(-1 + g)
+            assert h(c - 1, c) == pytest.approx(-1 - g)
+            assert h(c + 1, c) == pytest.approx(-1 - g)
 
     def test_merged_blocks_reproduce_five_row_pattern(self):
         # N = -1: overlapping blocks at +-1; alternating -1+g / -1-g rows around the origin
         g = 0.3
-        h = assemble_hamiltonian(build_potential(TwoCenterSpec(g, -1), SiteWindow(4)))
-        assert h.entry(-2, -1) == pytest.approx(-1 - g)
-        assert h.entry(-1, -2) == pytest.approx(-1 + g)
-        assert h.entry(-1, 0) == pytest.approx(-1 + g)
-        assert h.entry(0, -1) == pytest.approx(-1 - g)
-        assert h.entry(0, 1) == pytest.approx(-1 - g)
-        assert h.entry(1, 0) == pytest.approx(-1 + g)
-        assert h.entry(1, 2) == pytest.approx(-1 + g)
-        assert h.entry(2, 1) == pytest.approx(-1 - g)
-        assert h.entry(-3, -2) == -1.0 and h.entry(3, 2) == -1.0
+        h = element(assemble_hamiltonian(build_potential(TwoCenterSpec(g, -1), SiteWindow(4))))
+        assert h(-2, -1) == pytest.approx(-1 - g)
+        assert h(-1, -2) == pytest.approx(-1 + g)
+        assert h(-1, 0) == pytest.approx(-1 + g)
+        assert h(0, -1) == pytest.approx(-1 - g)
+        assert h(0, 1) == pytest.approx(-1 - g)
+        assert h(1, 0) == pytest.approx(-1 + g)
+        assert h(1, 2) == pytest.approx(-1 + g)
+        assert h(2, 1) == pytest.approx(-1 - g)
+        assert h(-3, -2) == -1.0 and h(3, 2) == -1.0
 
     def test_zero_coupling(self):
         v = build_potential(TwoCenterSpec(0.0, 2), SiteWindow(8))
@@ -135,6 +143,43 @@ class TestTwoCenterPotential:
             TwoCenterSpec(0.5, -2)
 
 
+class TestTwoCenterIsTheTwoBlockMultiCenter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        n=st.sampled_from([-1, 0, 1, 10**9, MAX_N]),
+    )
+    def test_layout_of_two_blocks(self, g, n):
+        spec = TwoCenterSpec(g, n)
+        multi = MultiCenterSpec((-n - 2, n + 2), (g, g))
+        assert isinstance(spec, MultiCenterSpec)
+        assert spec.bond_map() == multi.bond_map()
+        assert spec.matching_radius == multi.matching_radius == n + 3
+        assert (spec.centers, spec.couplings) == (multi.centers, multi.couplings)
+        assert (spec.g, spec.N) == (g, n)
+        # equal layouts of the two classes stay unequal, so tables keep their labels
+        assert spec != multi and multi != spec
+        assert spec == TwoCenterSpec(g, n) and hash(spec) == hash(TwoCenterSpec(g, n))
+        assert repr(spec) == f"TwoCenterSpec(g={g!r}, N={n!r})"
+
+    def test_read_only(self):
+        spec = TwoCenterSpec(0.5, 2)
+        for name, value in (("g", 0.1), ("N", 3), ("centers", (-1, 1)), ("couplings", (0.1, 0.1))):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, value)
+        assert repr(spec) == "TwoCenterSpec(g=0.5, N=2)"
+
+    @pytest.mark.parametrize("n", [-2, 1.5, MAX_N + 1])
+    def test_separation_outside_its_range(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"N={n!r} must be an integer in [-1, {MAX_N}]")):
+            TwoCenterSpec(0.5, n)
+
+    @pytest.mark.parametrize("g", [1.0, -1.0])
+    def test_coupling_on_the_positivity_boundary(self, g):
+        with pytest.raises(PositivityError, match=re.escape(f"g={g!r} outside the open interval (-1, 1)")):
+            TwoCenterSpec(g, 0)
+
+
 class TestMultiCenter:
     def test_matches_two_center(self):
         w = SiteWindow(7)
@@ -150,12 +195,12 @@ class TestMultiCenter:
 
     def test_three_centers_disjoint_entries(self):
         spec = MultiCenterSpec((-6, 0, 5), (0.2, -0.4, 0.6))
-        v = build_potential(spec, SiteWindow(9))
+        v = element(build_potential(spec, SiteWindow(9)))
         for c, g in zip(spec.centers, spec.couplings):
-            assert v.entry(c - 1, c) == pytest.approx(-g)
-            assert v.entry(c, c - 1) == pytest.approx(g)
-            assert v.entry(c, c + 1) == pytest.approx(g)
-            assert v.entry(c + 1, c) == pytest.approx(-g)
+            assert v(c - 1, c) == pytest.approx(-g)
+            assert v(c, c - 1) == pytest.approx(g)
+            assert v(c, c + 1) == pytest.approx(g)
+            assert v(c + 1, c) == pytest.approx(-g)
 
     def test_too_close_rejected(self):
         with pytest.raises(ValueError):
@@ -179,6 +224,6 @@ class TestAssembly:
         assert np.max(np.abs(h - h.T)) == pytest.approx(2 * g, abs=1e-15)
 
     def test_chain_antisymmetric_part_cancels(self):
-        h = assemble_hamiltonian(build_potential(ChainSpec((0.8,)), SiteWindow(3)))
-        assert h.entry(0, 1) + h.entry(1, 0) == -2.0
-        assert h.entry(0, -1) + h.entry(-1, 0) == -2.0
+        h = element(assemble_hamiltonian(build_potential(ChainSpec((0.8,)), SiteWindow(3))))
+        assert h(0, 1) + h(1, 0) == -2.0
+        assert h(0, -1) + h(-1, 0) == -2.0

@@ -310,6 +310,34 @@ class TestCliVerify:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 7 + 3 and all(line.endswith("PASS") for line in lines)
 
+    def test_couplings_set_the_chains_without_a_model(self, capsys):
+        assert main(["verify", "--suite", "metric", "--couplings", "0.9,0.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main(["verify", "--suite", "metric", "--model", "chain", "--couplings", "0.9,0.1"]) == 0
+        assert lines[1:] == capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("suite=metric check=two-center") and len(lines) == 2
+        # a chain whose residual is not finite fails, where the default chains pass
+        long_chain = ",".join(["0.5"] * 1000)
+        assert main(["verify", "--suite", "metric", "--couplings", long_chain]) == 1
+        assert capsys.readouterr().out.splitlines()[1].endswith("length=1000] FAIL")
+
+    def test_couplings_with_the_two_center_model_rejected(self, capsys):
+        assert main(["verify", "--model", "two-center", "--couplings", "0.9"]) == 2
+        assert "--couplings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["unitarity", "closed-vs-numeric"])
+    @pytest.mark.parametrize("flags", [["--model", "chain"], ["--couplings", "0.5"]])
+    def test_chain_flags_with_an_amplitude_suite_rejected(self, suite, flags, capsys):
+        assert main(["verify", "--suite", suite, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: --suite {suite} checks the two-center grid")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-12", "-inf"])
+    def test_tolerance_that_is_not_a_bound_rejected(self, tolerance, capsys):
+        assert main(["verify", f"--tolerance={tolerance}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --tolerance")
+
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["verify", "--suite", "unitarity", "--tolerance", "1e-16"])
         out = capsys.readouterr().out
@@ -356,6 +384,25 @@ class TestCliProbe:
         )
         assert 0.9 <= float(exps["t_exponent"]) <= 1.1
         assert 0.9 <= float(exps["psi0_exponent"]) <= 1.1
+
+    def test_default_h_list_is_h_start_halved(self, capsys):
+        assert main(["probe-continuum", "--g", "0.5"]) == 0
+        default = capsys.readouterr().out
+        hs = ",".join(repr(0.2 / 2**i) for i in range(7))
+        assert main(["probe-continuum", "--g", "0.5", "--h-list", hs]) == 0
+        assert capsys.readouterr().out == default
+        # ldexp gives the bits of h / 2**i wherever 2**i is a double
+        for h in (0.2, 0.3, 1.0, 7.5e-300):
+            assert all(math.ldexp(h, -i) == h / 2**i for i in range(1024))
+
+    @pytest.mark.parametrize("halvings", [1100, 10**9, 0, -2000])
+    def test_halvings_outside_the_double_range_rejected(self, halvings, capsys):
+        assert main(["probe-continuum", "--g", "0.5", f"--halvings={halvings}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --halvings {halvings} must be at least 1 and keep h_start / 2**halvings a positive double\n"
+        )
 
     def test_probe_to_file(self, tmp_path):
         out = tmp_path / "probe.csv"
