@@ -55,8 +55,19 @@ def _phi_grid_spec(text: str) -> tuple[int, float | None, float | None]:
     raise ValueError("--phi-grid expects COUNT or COUNT:MIN:MAX")
 
 
+# the grid flags each model reads; --couplings holds chain vectors, --g block couplings
+_MODEL_FLAGS = {"two-center": ("g", "N"), "chain": ("couplings",), "multi-center": ("g", "centers")}
+
+
 def _grid(args) -> dict:
-    """The scatterer grid that --model, --g/--couplings, --N and --centers describe."""
+    """The scatterer grid that --model, --g/--couplings, --N and --centers describe.
+
+    A grid flag the model does not read is a usage error, not dropped.
+    """
+    unread = [f"--{flag}" for flag in ("g", "couplings", "N", "centers")
+              if flag not in _MODEL_FLAGS[args.model] and getattr(args, flag) is not None]
+    if unread:
+        raise QhScatterError(f"--model {args.model} does not read {', '.join(unread)}")
     return dict(
         model=args.model,
         couplings=(args.couplings if args.model == "chain" else args.g) or (),

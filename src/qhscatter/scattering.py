@@ -12,11 +12,14 @@ unknowns are psi on each bond cluster (the rows that touch a bond, one site
 beyond on each side, and any free stretch of fewer than JUMP_ROWS rows),
 two plane-wave coefficients per longer free stretch, R and T_h; one banded
 LU with partial pivoting solves them, so the cost grows with the number of
-bonds and not with N.  Many angles of one scatterer are solved in one call,
-their systems stacked block-diagonally with no coupling between blocks, up
-to CHUNK_UNKNOWNS unknowns per call.  h reflects as H does, and
-T = T_h sqrt(theta_L/theta_R).  The self-check is the partner's unitarity
-|R|^2 + |T_h|^2 = 1, per angle.
+bonds and not with N.  Where each entry sits depends on the bond positions
+alone: each bond layout is planned once (its clusters, its constant entries
+and the places of the hops and phases, in a bounded cache), and each call
+fills in the couplings' hops, 2 cos(phi) and the angle's phases.  Many
+angles of one scatterer are solved in one call, their systems stacked
+block-diagonally with no coupling between blocks, up to CHUNK_UNKNOWNS
+unknowns per call.  h reflects as H does, and T = T_h sqrt(theta_L/theta_R).
+The self-check is the partner's unitarity |R|^2 + |T_h|^2 = 1, per angle.
 
 H's own matching rows over its matching radius at one angle
 (build_matching_system) and their residual (matching_row_residual) stay
@@ -43,8 +46,10 @@ U = -q < 0; V likewise with cos for sin.  Neither vanishes for |g| < 1 and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zgbsv
@@ -60,6 +65,9 @@ CHUNK_UNKNOWNS = 1 << 12
 # the one-angle route jumps a free stretch of at least this many rows
 # between bond clusters; shorter stretches stay in the cluster as plain rows
 JUMP_ROWS = 8
+# bond layouts whose partner-system plan is kept; a plan depends on the bond
+# positions only, so a sweep or the verify grid needs one per N or chain length
+PLAN_CACHE = 64
 
 
 @dataclass(frozen=True)
@@ -181,12 +189,13 @@ def matching_row_residual(spec: ScattererSpec | BondMap, phi: float, wave: WaveS
     return float(num.max())
 
 
-def _bond_clusters(bonds: BondMap) -> tuple[list[list[int]], int]:
+def _bond_clusters(bonds) -> tuple[list[list[int]], int]:
     """([first, last] touched row of each bond cluster, left to right; partner unknowns).
 
-    Row k touches bonds k - 1 and k.  Touched rows with fewer than
-    JUMP_ROWS free rows between them share a cluster.  The partner system
-    solves R, T_h, each cluster's sites and (a, b) per jumped stretch.
+    bonds is a bond map or its bond positions.  Row k touches bonds k - 1
+    and k.  Touched rows with fewer than JUMP_ROWS free rows between them
+    share a cluster.  The partner system solves R, T_h, each cluster's
+    sites and (a, b) per jumped stretch.
     """
     rows = sorted({r for b in bonds for r in (b, b + 1)})
     clusters = [[rows[0], rows[0]]]
@@ -233,19 +242,124 @@ def _phase(k, p):
     return w
 
 
+class _Plan(NamedTuple):
+    """Where each entry of a bond layout's partner system sits; see _plan."""
+
+    n: int
+    layout: tuple[tuple[int, int, int], ...]
+    constants: np.ndarray
+    constant_values: np.ndarray
+    entries: np.ndarray
+    n_diagonal: int
+    ks: tuple[int, ...]
+    phase_sources: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _plan(positions: tuple[int, ...]) -> _Plan:
+    """The partner system of bonds at these positions, but for the couplings and the angle.
+
+    LAPACK band storage, column-major, for 2 sub- and 2 superdiagonals and
+    2 rows of fill-in, puts entry (i, j) at flat index 7 j + 4 + i - j.
+    x = [R, cluster sites..., a, b, cluster sites..., T_h], and layout holds
+    the (first site, last site, column of the first site) of each cluster;
+    the plane-wave coefficients (a, b) of a jumped stretch sit in the two
+    columns before the cluster on its right.  constants holds the flat
+    indices of the entries 1.0 and of the free hops -1.0.  entries holds
+    those of each call's values: the n_diagonal entries 2 cos(phi), the
+    hop -t_b of each bond b of positions in the row of site b, then those
+    in the row of site b + 1, and the phases: with w = [e(k) for k in ks],
+    the phase entries take concatenate((-w, -conj(w)))[phase_sources].  The
+    right-hand side is w[:2], e(s) and e(s + 1) at the first two sites.
+    """
+    clusters, n = _bond_clusters(positions)
+    constants = {}  # flat index: 1.0, or -1.0 for a free hop
+    diagonal, hops, phases = [], {}, []  # phases: (flat index, k, conjugated)
+    layout = []
+    col = 1  # column of the next unknown; a cluster's row of site k has the column of psi_k
+    for r0, r1 in clusters:
+        s, e = r0 - 1, r1 + 1
+        if not layout:
+            # rows 0, 1: psi_j = e(j) + R e(-j) at the first two sites
+            for i, j in ((0, s), (1, s + 1)):
+                phases.append((4 + i, j, True))
+                constants[6 * (col + i) + i + 4] = 1.0
+        else:
+            # free rows g1..g2 jumped: psi_j = a e(j - g1) + b e(g1 - j) at sites
+            # g1 - 1, g1 (the last two of the cluster before) and g2, g2 + 1
+            g1, g2, a = layout[-1][1], s, col
+            col += 2
+            relations = ((a - 1, g1 - 1, a - 2), (a, g1, a - 1), (a + 1, g2, col), (a + 2, g2 + 1, col + 1))
+            for i, j, cj in relations:  # row, site, column of the site
+                constants[6 * cj + i + 4] = 1.0
+                phases += ((6 * a + i + 4, j - g1, False), (6 * a + i + 10, j - g1, True))
+        layout.append((s, e, col))
+        for i in range(col + 1, col + e - s):
+            # row of site k = i - col + s: -t_{k-1} psi_{k-1} + 2 cos(phi) psi_k - t_k psi_{k+1}
+            k = i - col + s
+            hops[k - 1, 1] = 7 * i - 2
+            hops[k, 0] = 7 * i + 10
+            diagonal.append(7 * i + 4)
+        col += e - s + 1
+    # the last two rows: psi_j = T_h e(j) at the last two sites
+    for i, j in ((col - 1, e - 1), (col, e)):
+        constants[6 * (i - 1) + i + 4] = 1.0
+        phases.append((6 * col + i + 4, j, False))
+    bond_hops = [hops.pop((b, side)) for side in (0, 1) for b in positions]
+    constants.update(dict.fromkeys(hops.values(), -1.0))  # the hops of free rows
+    ks = tuple(dict.fromkeys(k for _, k, _ in phases))
+    return _Plan(
+        n=n,
+        layout=tuple(layout),
+        constants=np.array(list(constants)),
+        constant_values=np.array(list(constants.values()), dtype=np.complex128),
+        entries=np.array(diagonal + bond_hops + [index for index, _, _ in phases]),
+        n_diagonal=len(diagonal),
+        ks=ks,
+        phase_sources=tuple(ks.index(k) + len(ks) * conjugated for _, k, conjugated in phases),
+    )
+
+
+def _partner_system(bonds: BondMap, p) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    """(plan, ab, rhs) of the partner system of bonds at angle p, filled by its layout's plan.
+
+    p is one angle or a 1-D array of angles.  ab has shape (7 n,) for one
+    angle and (7 n, m) for m angles, rhs (n,) or (n, m); each flat index
+    of the plan is a row holding one entry per angle.  One angle's values
+    stay Python scalars until the one write that places them all.
+    """
+    plan = _plan(tuple(bonds))
+    one = isinstance(p, float)
+    angles = () if one else (len(p),)
+    ab = np.zeros((7 * plan.n, *angles), dtype=np.complex128, order="F")
+    rhs = np.zeros((plan.n, *angles), dtype=np.complex128, order="F")
+    ab[plan.constants] = plan.constant_values if one else plan.constant_values[:, None]
+    c2 = 2.0 * (math.cos(p) if one else np.cos(p))
+    hops = [-math.sqrt((1.0 - g) * (1.0 + g)) for g in bonds.values()] * 2  # one per side
+    w = [_phase(k, p) for k in plan.ks]
+    rhs[:2] = w[:2]
+    w = [-v for v in w]
+    w += [v.conjugate() for v in w]  # -e(k), then -conj(e(k)), for k in ks
+    if one:
+        ab[plan.entries] = [c2] * plan.n_diagonal + hops + [w[i] for i in plan.phase_sources]
+    else:
+        ab[plan.entries] = np.concatenate((
+            np.broadcast_to(c2, (plan.n_diagonal, len(p))),
+            np.broadcast_to(np.array(hops)[:, None], (len(hops), len(p))),
+            np.array(w)[list(plan.phase_sources)],
+        ))
+    return plan, ab, rhs
+
+
 def _solve_partner(bonds: BondMap, p):
     """Solve the compressed matching system of the Hermitian partner at angle p.
 
-    p is one angle or a 1-D array of angles.  Returns (x, layout): x =
-    [R, cluster sites..., a, b, cluster sites..., T_h], a list for one angle
-    and an array with one column per angle otherwise, and layout the (first
-    site, last site, column of the first site) of each cluster; the
-    plane-wave coefficients (a, b) of a jumped stretch sit in the two
-    columns before the cluster on its right.  One complex band array holds
-    the system, of shape (7 n,) for one angle and (7 n, m) for m angles;
-    the systems of an array of angles sit uncoupled on its diagonal and
-    share one LAPACK call, so each angle's solution is the one it gets
-    alone.  Past the solve, one angle stays in Python scalars.
+    p is one angle or a 1-D array of angles.  Returns (x, layout), x a
+    list for one angle and an array with one column per angle otherwise;
+    see _plan for x and layout.  The systems of an array of angles sit
+    uncoupled on the band's diagonal and share one LAPACK call, so each
+    angle's solution is the one it gets alone.  Past the solve, one angle
+    stays in Python scalars.
 
     Raises ResonanceError for the first angle, in order, whose system is
     singular or whose solution breaks the partner's unitarity
@@ -254,49 +368,8 @@ def _solve_partner(bonds: BondMap, p):
     R of an earlier angle).
     """
     one = isinstance(p, float)
-    c2 = 2.0 * (math.cos(p) if one else np.cos(p))
-    hop = {b: math.sqrt((1.0 - g) * (1.0 + g)) for b, g in bonds.items()}
-    clusters, n = _bond_clusters(bonds)
-    # LAPACK band storage, column-major, for 2 sub- and 2 superdiagonals and
-    # 2 rows of fill-in: entry (i, j) at flat index 7 j + 4 + i - j; for m
-    # angles each flat index is a row holding one entry per angle
-    angles = () if one else (len(p),)
-    ab = np.zeros((7 * n, *angles), dtype=np.complex128, order="F")
-    rhs = np.zeros((n, *angles), dtype=np.complex128, order="F")
-    layout = []
-    col = 1  # column of the next unknown; a cluster's row of site k has the column of psi_k
-    for r0, r1 in clusters:
-        s, e = r0 - 1, r1 + 1
-        if not layout:
-            # rows 0, 1: psi_j = e(j) + R e(-j) at the first two sites
-            for i, j in ((0, s), (1, s + 1)):
-                w = _phase(j, p)
-                ab[4 + i] = -w.conjugate()
-                ab[6 * (col + i) + i + 4] = 1.0
-                rhs[i] = w
-        else:
-            # free rows g1..g2 jumped: psi_j = a e(j - g1) + b e(g1 - j) at sites
-            # g1 - 1, g1 (the last two of the cluster before) and g2, g2 + 1
-            g1, g2, a = layout[-1][1], s, col
-            col += 2
-            relations = ((a - 1, g1 - 1, a - 2), (a, g1, a - 1), (a + 1, g2, col), (a + 2, g2 + 1, col + 1))
-            for i, j, cj in relations:  # row, site, column of the site
-                w = _phase(j - g1, p)
-                ab[6 * cj + i + 4] = 1.0
-                ab[6 * a + i + 4] = -w
-                ab[6 * a + i + 10] = -w.conjugate()
-        layout.append((s, e, col))
-        for i in range(col + 1, col + e - s):
-            # row of site k = i - col + s: -t_{k-1} psi_{k-1} + 2 cos(phi) psi_k - t_k psi_{k+1}
-            k = i - col + s
-            ab[7 * i - 2] = -hop.get(k - 1, 1.0)
-            ab[7 * i + 4] = c2
-            ab[7 * i + 10] = -hop.get(k, 1.0)
-        col += e - s + 1
-    # the last two rows: psi_j = T_h e(j) at the last two sites
-    for i, j in ((col - 1, e - 1), (col, e)):
-        ab[6 * (i - 1) + i + 4] = 1.0
-        ab[6 * col + i + 4] = -_phase(j, p)
+    plan, ab, rhs = _partner_system(bonds, p)
+    n = plan.n
     # the angles' (7, n) blocks one after another
     band, b = ab.reshape(7, -1, order="F"), rhs.reshape(-1, order="F")
     _, _, x, info = zgbsv(2, 2, band, b, overwrite_ab=1, overwrite_b=1)
@@ -314,7 +387,7 @@ def _solve_partner(bonds: BondMap, p):
         for d, q in zip(np.atleast_1d(defect).tolist(), np.atleast_1d(p).tolist()):
             if not d <= 1e-9:
                 raise ResonanceError(f"partner unitarity violated (defect {d:.2e}) at phi={q!r}")
-    return x, layout
+    return x, plan.layout
 
 
 def _partner_amplitudes(x, bonds: BondMap, p):
@@ -361,7 +434,7 @@ def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
     """
     phis = _angle_array(phis)
     bonds = spec.bond_map()
-    step = max(1, CHUNK_UNKNOWNS // _bond_clusters(bonds)[1])
+    step = max(1, CHUNK_UNKNOWNS // _plan(tuple(bonds)).n)
     amps = []
     for start in range(0, len(phis), step):
         batch = phis[start : start + step]

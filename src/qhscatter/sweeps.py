@@ -253,9 +253,31 @@ def render_csv(table: dict[str, list]) -> str:
     return (",".join(COLUMNS) + "\n" + _ROW * len(table["phi"])) % values
 
 
+# one row of json.dumps(rows, indent=1), each value a %s
+_JSON_ROW = " {\n" + ",\n".join(f"  {json.dumps(c)}: %s" for c in COLUMNS) + "\n }"
+
+
+def _json_cells(column: list) -> list[str]:
+    """The JSON text of each value of a column, from one pass of the C encoder over the column.
+
+    The encoder separates the values with ", ", which no number, null or
+    sweep label contains; a column whose text splits into another count is
+    encoded value by value.
+    """
+    cells = json.dumps(column)[1:-1].split(", ")
+    return cells if len(cells) == len(column) else [json.dumps(v) for v in column]
+
+
 def render_json(table: dict[str, list]) -> str:
-    rows = [dict(zip(COLUMNS, row)) for row in zip(*(table[c] for c in COLUMNS))]
-    return json.dumps(rows, indent=1) + "\n"
+    """The table as JSON, the bytes of json.dumps(rows, indent=1) + "\\n" for its dict rows.
+
+    One row template is applied to all rows at once, as render_csv does.
+    """
+    count = len(table["phi"])
+    if not count:
+        return "[]\n"
+    values = tuple(chain.from_iterable(zip(*(_json_cells(table[c]) for c in COLUMNS))))
+    return ("[\n" + ",\n".join([_JSON_ROW] * count) + "\n]\n") % values
 
 
 def write_table(table: dict[str, list], fmt: str, path: str | Path) -> None:

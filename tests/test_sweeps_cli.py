@@ -367,6 +367,41 @@ class TestCliOneScatterer:
         assert "needs g and N" in capsys.readouterr().err
 
 
+# (model, its own grid flags, a flag it does not read) for every such pair
+MODEL_AND_UNREAD_FLAG = [
+    ("two-center", ["--g", "0.5", "--N", "1"], ["--couplings", "0.9"]),
+    ("two-center", ["--g", "0.5", "--N", "1"], ["--centers", "3,9"]),
+    ("chain", ["--couplings", "0.5"], ["--g", "0.9"]),
+    ("chain", ["--couplings", "0.5"], ["--N", "4"]),
+    ("chain", ["--couplings", "0.5"], ["--centers", "-3,3"]),
+    ("multi-center", ["--centers", "-4,5", "--g", "0.4"], ["--couplings", "0.9"]),
+    ("multi-center", ["--centers", "-4,5", "--g", "0.4"], ["--N", "2"]),
+]
+
+
+class TestCliGridFlagsTheModelDoesNotRead:
+    """amplitudes and sweep refuse a grid flag of another model instead of dropping it."""
+
+    @pytest.mark.parametrize(
+        "model, own, unread", MODEL_AND_UNREAD_FLAG, ids=[m + u[0] for m, _, u in MODEL_AND_UNREAD_FLAG]
+    )
+    @pytest.mark.parametrize("command", ["amplitudes", "sweep"])
+    def test_rejected(self, command, model, own, unread, tmp_path, capsys):
+        tail = ["--phi", "1.0"] if command == "amplitudes" else ["--out", str(tmp_path / "s.csv")]
+        assert main([command, "--model", model, *own, *unread, *tail]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --model {model} does not read {unread[0]}\n"
+        assert not (tmp_path / "s.csv").exists()
+        # without the flag the same command answers
+        assert main([command, "--model", model, *own, *tail]) == 0
+
+    def test_every_unread_flag_is_named(self, capsys):
+        argv = ["amplitudes", "--model", "chain", "--couplings", "0.5", "--g", "0.9", "--N", "4", "--phi", "1.0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --model chain does not read --g, --N\n"
+
+
 class TestCliProbe:
     def test_free_model_rejected(self, capsys):
         code = main(["probe-continuum", "--g", "0"])

@@ -100,6 +100,19 @@ def reference_json(records) -> str:
     return json.dumps(out, indent=1) + "\n"
 
 
+def _special_row(g, n, floats, method, flag, gap):
+    return dict(zip(COLUMNS, (g, n, *floats, method, flag, gap)))
+
+
+SPECIAL_ROWS = [
+    _special_row(0.5, -1, (1.0, math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 2.5e300), "closed", 0, None),
+    _special_row("0.5:0.29999999999999999", None, (np.float64(0.1), -1.5, 3, -2, 0.25, 1.0, 0.0, 1e-17),
+                 "numeric", 1, math.nan),
+    _special_row("a, b", 2**60, (math.pi, 0.0, -0.0, 1.0, 0.0, 1.0, 0.0, 0.0), "numeric", 0, -0.0),
+    _special_row(-0.0, 0, (1e-3, 0.5, -0.5, 0.5, -0.5, 0.5, 0.5, 5e-324), "both \"é\"", 0, math.inf),
+]
+
+
 class GivenSpecs(SweepConfig):
     """A sweep over an explicit scatterer list, for layouts the CLI grids cannot name."""
 
@@ -151,6 +164,13 @@ class TestColumnsMatchDictRows:
     def test_json_bytes(self, tables):
         _, table, records = tables
         assert render_json(table).encode() == reference_json(records).encode()
+
+    @pytest.mark.parametrize("rows", [SPECIAL_ROWS, SPECIAL_ROWS[:1], []], ids=["special", "one", "empty"])
+    def test_json_bytes_of_special_cells(self, rows):
+        # None, NaN, +-inf, -0.0, int N, chain labels, method strings, a numpy
+        # float, and a label that the encoder's separator would split
+        table = {c: [row[c] for row in rows] for c in COLUMNS}
+        assert render_json(table) == json.dumps(rows, indent=1) + "\n"
 
     def test_grids_reach_every_kind_of_cell(self, tables):
         name, table, _ = tables
