@@ -43,12 +43,14 @@ from .scattering import (
     MatchingSystem,
     build_matching_system,
     closed_form,
+    closed_form_arrays,
     closed_form_wave,
     continuum_probe,
     interior_plane_wave_fit,
     matching_row_residual,
     numeric_wave,
     solve_numeric,
+    solve_numeric_arrays,
     solve_numeric_batch,
 )
 from .sweeps import SweepConfig, sweep_records, write_table
@@ -81,6 +83,7 @@ __all__ = [
     "build_metric",
     "build_potential",
     "closed_form",
+    "closed_form_arrays",
     "closed_form_wave",
     "continuum_probe",
     "energy_from_phi",
@@ -91,6 +94,7 @@ __all__ = [
     "positivity_check",
     "quasi_hermiticity_residual",
     "solve_numeric",
+    "solve_numeric_arrays",
     "solve_numeric_batch",
     "sweep_records",
     "write_table",

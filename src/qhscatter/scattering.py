@@ -1,7 +1,7 @@
 """Reflection/transmission amplitudes: the matching solver and closed forms.
 
 One numeric route solves every scatterer (solve_numeric at one angle,
-solve_numeric_batch at many, numeric_wave for the sampled wave).  It works
+solve_numeric_arrays at many, numeric_wave for the sampled wave).  It works
 on the Hermitian partner h = Theta^(1/2) H Theta^(-1/2), the real symmetric
 lattice whose row k reads
 
@@ -42,6 +42,16 @@ up to real factors, at N = -1 its S_lam and S_mu up to a real factor and a
 phase.  Im U = -k sin(M phi)^2, so U = 0 needs k sin(M phi) = 0, and then
 U = -q < 0; V likewise with cos for sin.  Neither vanishes for |g| < 1 and
 0 < phi < pi, so the form answers every angle of the band.
+
+closed_form takes one angle in Python complex arithmetic; closed_form_arrays
+takes a scatterer's whole angle array in the same operations on real and
+imaginary parts, written out as CPython performs them (a float operand is
+the complex (x, 0.0), a quotient divides through by the larger part of the
+divisor as _Py_c_quot does), so every angle keeps the one-angle bits, signed
+zeros included.  solve_numeric_arrays likewise returns R and T as complex
+arrays and solve_numeric_batch wraps them as Amplitudes.  Squares such as
+|R|^2 are taken on Python floats by the callers: numpy's a*a and glibc's
+pow(a, 2), which x**2 calls, differ in the last bit for some doubles.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ from scipy.linalg.lapack import zgbsv
 from .errors import DomainError, ResonanceError
 from .lattice import SiteWindow, WaveSample, as_angle
 from .metric import half_log_ratio
-from .potentials import BondMap, ScattererSpec, TwoCenterSpec
+from .potentials import BondMap, MultiCenterSpec, ScattererSpec, TwoCenterSpec
 
 # partner unknowns per batched solve: a batch's band (112 bytes per unknown)
 # stays near 460 kB, so a batch's working memory does not grow with the grid
@@ -236,10 +246,14 @@ def _phase(k, p):
         cos_hi, sin_hi, cos_lo, sin_lo = math.cos(hi), math.sin(hi), math.cos(lo), math.sin(lo)
         return complex(cos_hi * cos_lo - sin_hi * sin_lo, sin_hi * cos_lo + cos_hi * sin_lo)
     cos_hi, sin_hi, cos_lo, sin_lo = np.cos(hi), np.sin(hi), np.cos(lo), np.sin(lo)
-    # each part set on its own, as the scalar complex() above does
-    w = (cos_hi * cos_lo - sin_hi * sin_lo).astype(np.complex128)
-    w.imag = sin_hi * cos_lo + cos_hi * sin_lo
-    return w
+    return _complex(cos_hi * cos_lo - sin_hi * sin_lo, sin_hi * cos_lo + cos_hi * sin_lo)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array of these parts, each set on its own as complex(re, im) sets it."""
+    z = re.astype(np.complex128)
+    z.imag = im
+    return z
 
 
 class _Plan(NamedTuple):
@@ -265,7 +279,8 @@ def _plan(positions: tuple[int, ...]) -> _Plan:
     the (first site, last site, column of the first site) of each cluster;
     the plane-wave coefficients (a, b) of a jumped stretch sit in the two
     columns before the cluster on its right.  constants holds the flat
-    indices of the entries 1.0 and of the free hops -1.0.  entries holds
+    indices of the entries 1.0, of the free hops -1.0 and of the phases
+    -e(0) and -conj(e(0)) of a jumped stretch's first site.  entries holds
     those of each call's values: the n_diagonal entries 2 cos(phi), the
     hop -t_b of each bond b of positions in the row of site b, then those
     in the row of site b + 1, and the phases: with w = [e(k) for k in ks],
@@ -273,7 +288,7 @@ def _plan(positions: tuple[int, ...]) -> _Plan:
     right-hand side is w[:2], e(s) and e(s + 1) at the first two sites.
     """
     clusters, n = _bond_clusters(positions)
-    constants = {}  # flat index: 1.0, or -1.0 for a free hop
+    constants = {}  # flat index: 1.0, -1.0 for a free hop, or a stretch's phase of k = 0
     diagonal, hops, phases = [], {}, []  # phases: (flat index, k, conjugated)
     layout = []
     col = 1  # column of the next unknown; a cluster's row of site k has the column of psi_k
@@ -292,7 +307,10 @@ def _plan(positions: tuple[int, ...]) -> _Plan:
             relations = ((a - 1, g1 - 1, a - 2), (a, g1, a - 1), (a + 1, g2, col), (a + 2, g2 + 1, col + 1))
             for i, j, cj in relations:  # row, site, column of the site
                 constants[6 * cj + i + 4] = 1.0
-                phases += ((6 * a + i + 4, j - g1, False), (6 * a + i + 10, j - g1, True))
+                if j == g1:  # -e(0) and -conj(e(0)), with e(0) = 1 + 0j at every angle
+                    constants[6 * a + i + 4], constants[6 * a + i + 10] = complex(-1.0, -0.0), complex(-1.0, 0.0)
+                else:
+                    phases += ((6 * a + i + 4, j - g1, False), (6 * a + i + 10, j - g1, True))
         layout.append((s, e, col))
         for i in range(col + 1, col + e - s):
             # row of site k = i - col + s: -t_{k-1} psi_{k-1} + 2 cos(phi) psi_k - t_k psi_{k+1}
@@ -390,23 +408,25 @@ def _solve_partner(bonds: BondMap, p):
     return x, plan.layout
 
 
-def _partner_amplitudes(x, bonds: BondMap, p):
-    """R = R_h and T = T_h sqrt(theta_L/theta_R) from _solve_partner's x; a list for an array p.
+def _partner_amplitudes(x, spec: ScattererSpec, bonds: BondMap, p):
+    """R = R_h and T = T_h sqrt(theta_L/theta_R) from _solve_partner's x; arrays R, T for an array p.
 
-    The scale is summed in log form and is exactly 1 for blocks, whose two
-    bonds cancel.  Below the double range T is 0; above it a DomainError
-    names the (first) angle.
+    The scale is exactly 1 for blocks: a block's bonds hold +g and -g and
+    never merge with another block's, and their log-form terms cancel
+    exactly.  A chain's is summed in log form; below the double range T is
+    0, above it a DomainError names the (first) angle.
     """
     one = isinstance(p, float)
-    try:
-        scale = math.exp(math.fsum(half_log_ratio(g) for g in bonds.values()))
-    except OverflowError:
-        raise DomainError(f"|T| exceeds the double range at phi={p if one else float(p[0])!r}") from None
+    scale = 1.0
+    if not isinstance(spec, MultiCenterSpec):
+        try:
+            scale = math.exp(math.fsum(half_log_ratio(g) for g in bonds.values()))
+        except OverflowError:
+            raise DomainError(f"|T| exceeds the double range at phi={p if one else float(p[0])!r}") from None
     R, T_h = x[0], x[-1]
     if one:
         return Amplitudes(R=R, T=complex(T_h.real * scale, T_h.imag * scale), phi=p)
-    T = map(complex, (T_h.real * scale).tolist(), (T_h.imag * scale).tolist())
-    return list(map(Amplitudes, R.tolist(), T, p.tolist()))
+    return R, _complex(T_h.real * scale, T_h.imag * scale)
 
 
 def solve_numeric(spec: ScattererSpec, phi: float) -> Amplitudes:
@@ -421,11 +441,11 @@ def solve_numeric(spec: ScattererSpec, phi: float) -> Amplitudes:
     p = as_angle(phi)
     bonds = spec.bond_map()
     x, _ = _solve_partner(bonds, p)
-    return _partner_amplitudes(x, bonds, p)
+    return _partner_amplitudes(x, spec, bonds, p)
 
 
-def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
-    """solve_numeric at every angle of phis, in order.
+def solve_numeric_arrays(spec: ScattererSpec, phis) -> tuple[np.ndarray, np.ndarray]:
+    """solve_numeric's R and T at every angle of phis, in order, as two complex arrays.
 
     The angles go in batches of up to CHUNK_UNKNOWNS partner unknowns, one
     banded solve per batch.  Each angle gets solve_numeric's bits where
@@ -435,11 +455,18 @@ def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
     phis = _angle_array(phis)
     bonds = spec.bond_map()
     step = max(1, CHUNK_UNKNOWNS // _plan(tuple(bonds)).n)
-    amps = []
+    R, T = np.empty((2, len(phis)), dtype=np.complex128)
     for start in range(0, len(phis), step):
         batch = phis[start : start + step]
-        amps += _partner_amplitudes(_solve_partner(bonds, batch)[0], bonds, batch)
-    return amps
+        x, _ = _solve_partner(bonds, batch)
+        R[start : start + step], T[start : start + step] = _partner_amplitudes(x, spec, bonds, batch)
+    return R, T
+
+
+def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
+    """solve_numeric at every angle of phis, in order: solve_numeric_arrays as Amplitudes."""
+    phis = _angle_array(phis)
+    return list(map(Amplitudes, *(z.tolist() for z in solve_numeric_arrays(spec, phis)), phis.tolist()))
 
 
 def numeric_wave(spec: ScattererSpec, phi: float, h: float = 1.0) -> tuple[Amplitudes, WaveSample]:
@@ -466,26 +493,68 @@ def numeric_wave(spec: ScattererSpec, phi: float, h: float = 1.0) -> tuple[Ampli
     for b, g in bonds.items():
         half_log[b + m + 1] = half_log_ratio(g)
     vals *= np.exp(np.cumsum(half_log))
-    return _partner_amplitudes(x, bonds, p), WaveSample(window, vals)
+    return _partner_amplitudes(x, spec, bonds, p), WaveSample(window, vals)
 
 
-def _closed(spec: TwoCenterSpec, p: float) -> tuple[Amplitudes, float, complex, complex]:
-    """(closed amplitudes, q, U, V) at angle p; see the module docstring."""
+def _quot(ar, ai, br, bi):
+    """The parts of (ar + i ai)/(br + i bi) as CPython's _Py_c_quot divides, per element.
+
+    It divides through by the larger of |br| and |bi|; b is never 0 or NaN here.
+    """
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):  # the branch not taken may divide by 0 or overflow
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+        return re, np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+
+
+def _closed(spec: TwoCenterSpec, p):
+    """(R, T, q, U, V) of the closed form at angle p; see the module docstring.
+
+    p is one angle, taken in Python complex arithmetic, or a 1-D array of
+    angles, taken in the same operations on real parts as CPython performs
+    them: a float x is the complex (x, 0.0) in a sum or product, so
+    x e = (x c - 0.0 s, x s + 0.0 c), and a quotient is _quot's.  Each
+    angle of an array thus gets one angle's bits, signed zeros included;
+    R and T are then complex arrays, U and V (real, imaginary) array pairs.
+    """
     g = spec.g
-    q = (1.0 - g) * (1.0 + g) * math.sin(p)
-    k = 2.0 * g * g * math.cos(p)
-    e = _phase(spec.N + 2, p)  # cos(M phi) + i sin(M phi)
-    U = -q - k * e.imag * e
-    V = 1j * q - k * e.real * e
-    r_minus_t = -U.conjugate() / U
-    r_plus_t = -V.conjugate() / V
-    amp = Amplitudes(R=(r_plus_t + r_minus_t) / 2.0, T=(r_plus_t - r_minus_t) / 2.0, phi=p)
-    return amp, q, U, V
+    if isinstance(p, float):
+        q = (1.0 - g) * (1.0 + g) * math.sin(p)
+        k = 2.0 * g * g * math.cos(p)
+        e = _phase(spec.N + 2, p)  # cos(M phi) + i sin(M phi)
+        U = -q - k * e.imag * e
+        V = 1j * q - k * e.real * e
+        r_minus_t = -U.conjugate() / U
+        r_plus_t = -V.conjugate() / V
+        return (r_plus_t + r_minus_t) / 2.0, (r_plus_t - r_minus_t) / 2.0, q, U, V
+    q = (1.0 - g) * (1.0 + g) * np.sin(p)
+    k = 2.0 * g * g * np.cos(p)
+    e = _phase(spec.N + 2, p)
+    c, s = e.real, e.imag
+    ks, kc = k * s, k * c
+    u = -q - (ks * c - 0.0 * s), 0.0 - (ks * s + 0.0 * c)
+    v = (0.0 * q - 0.0) - (kc * c - 0.0 * s), (0.0 + q) - (kc * s + 0.0 * c)  # 1j q = (0.0 q - 0.0, 0.0 + q)
+    mr, mi = _quot(-u[0], u[1], *u)  # -conj(U)/U
+    pr, pi = _quot(-v[0], v[1], *v)
+    sr, si, dr, di = pr + mr, pi + mi, pr - mr, pi - mi
+    # z / 2.0 divides by 2.0 + 0.0j: ratio 0.0, denominator 2.0
+    R = _complex((sr + si * 0.0) / 2.0, (si - sr * 0.0) / 2.0)
+    T = _complex((dr + di * 0.0) / 2.0, (di - dr * 0.0) / 2.0)
+    return R, T, q, u, v
 
 
 def closed_form(spec: TwoCenterSpec, phi: float) -> Amplitudes:
     """Closed amplitudes of a two-center scatterer at any N >= -1 and any angle of the band."""
-    return _closed(spec, as_angle(phi))[0]
+    p = as_angle(phi)
+    R, T = _closed(spec, p)[:2]
+    return Amplitudes(R=R, T=T, phi=p)
+
+
+def closed_form_arrays(spec: TwoCenterSpec, phis) -> tuple[np.ndarray, np.ndarray]:
+    """closed_form's R and T at every angle of phis, in order, as two complex arrays."""
+    return _closed(spec, _angle_array(phis))[:2]
 
 
 def closed_form_wave(spec: TwoCenterSpec, phi: float, h: float = 1.0) -> tuple[Amplitudes, WaveSample]:
@@ -499,19 +568,19 @@ def closed_form_wave(spec: TwoCenterSpec, phi: float, h: float = 1.0) -> tuple[A
     if N < 1:
         raise DomainError(f"closed-form wave needs separated blocks (N >= 1), got N={N}")
     p = as_angle(phi)
-    amp, q, U, V = _closed(spec, p)
+    R, T, q, U, V = _closed(spec, p)
     c_plus_d, c_minus_d = 1j * q / V, -q / U
     C, D = (c_plus_d + c_minus_d) / 2.0, (c_plus_d - c_minus_d) / 2.0
     window = SiteWindow(spec.matching_radius + 2, h)
     ks = window.sites
     out = _phase(ks, p)
     back = out.conj()
-    vals = np.where(ks < 0, out + amp.R * back, amp.T * out)
+    vals = np.where(ks < 0, out + R * back, T * out)
     inner = np.abs(ks) <= N + 1
     vals[inner] = C * out[inner] + D * back[inner]
     vals[window.index_of(-(N + 2))] /= 1.0 + spec.g
     vals[window.index_of(N + 2)] /= 1.0 + spec.g
-    return amp, WaveSample(window, vals)
+    return Amplitudes(R=R, T=T, phi=p), WaveSample(window, vals)
 
 
 def interior_plane_wave_fit(wave: WaveSample, N: int, phi: float) -> tuple[complex, complex, float]:

@@ -5,12 +5,12 @@ one row per evaluation; it is built a scatterer at a time from the
 scatterer's amplitudes and written by one row template.  Numbers are
 printed with 17 significant digits so a re-parsed file reproduces the
 original doubles exactly; identical configurations produce byte-identical
-files.  Every numeric value comes from the one route on the Hermitian
-partner: sweeps and the amplitude suites solve each scatterer's angles in
-one solve_numeric_batch call, evaluate_point its one angle with
-solve_numeric, with the same bits.  Every closed value comes from
-closed_form, which answers every angle; resonance_flag stays in the table
-as a column that reads 0.
+files.  Sweeps and the amplitude suites build each scatterer's columns at
+once from its whole angle array: closed_form_arrays and one
+solve_numeric_arrays call give R and T as arrays, and the squares, defects
+and discrepancies are taken from them as evaluate_point takes them from
+closed_form and solve_numeric at one angle, with the same bits.
+resonance_flag stays in the table as a column that reads 0.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .potentials import (
     build_potential,
 )
 from .lattice import SiteWindow, as_angle
-from .scattering import Amplitudes, closed_form, solve_numeric, solve_numeric_batch
+from .scattering import closed_form, closed_form_arrays, solve_numeric, solve_numeric_arrays
 
 COLUMNS = (
     "g",
@@ -111,55 +111,33 @@ def _check_method(spec: ScattererSpec, method: str) -> None:
         raise DomainError("closed forms exist only for the two-center model")
 
 
-def _amplitudes(spec: ScattererSpec, phis: list[float], method: str) -> tuple[list, list]:
-    """(closed amplitudes, numeric amplitudes) per angle, each None where the method leaves it out.
-
-    One batched numeric solve covers the angles under 'numeric' and 'both'.
-    """
-    _check_method(spec, method)
-    none = [None] * len(phis)
-    closed = none if method == "numeric" else [closed_form(spec, phi) for phi in phis]
-    numeric = none if method == "closed" else solve_numeric_batch(spec, phis)
-    return closed, numeric
-
-
-def _amp_values(amp: Amplitudes) -> tuple:
-    """re_R, im_R, re_T, im_T, abs_R2, abs_T2 and defect of one row, each square taken once."""
-    R, T = amp.R, amp.T
-    abs_R2 = R.real**2 + R.imag**2
-    abs_T2 = T.real**2 + T.imag**2
-    return R.real, R.imag, T.real, T.imag, abs_R2, abs_T2, abs(abs_R2 + abs_T2 - 1.0)
-
-
-def _angle_rows(phi: float, amp_c, amp_n) -> tuple:
-    """The rows of one angle as (phi, amplitudes, method, discrepancy).
-
-    The closed row comes first, then the numeric row, where present; a pair
-    shares its discrepancy.
-    """
-    if amp_c is None:
-        return ((phi, amp_n, "numeric", None),)
-    if amp_n is None:
-        return ((phi, amp_c, "closed", None),)
-    gap = max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T))
-    return ((phi, amp_c, "closed", gap), (phi, amp_n, "numeric", gap))
-
-
 def evaluate_point(spec: ScattererSpec, phi: float, method: str) -> list[dict]:
     """Records for one grid point; method is 'numeric', 'closed' or 'both'.
 
     The records are the point's rows of a sweep table, as dicts keyed by
-    COLUMNS.
+    COLUMNS: the closed row first, then the numeric row, where present; a
+    pair shares its discrepancy.
     """
     _check_method(spec, method)
     phi = as_angle(phi)
-    amp_closed = None if method == "numeric" else closed_form(spec, phi)
-    amp_num = None if method == "closed" else solve_numeric(spec, phi)
+    amps = {}
+    if method != "numeric":
+        amps["closed"] = closed_form(spec, phi)
+    if method != "closed":
+        amps["numeric"] = solve_numeric(spec, phi)
+    gap = None
+    if len(amps) == 2:
+        amp_c, amp_n = amps.values()
+        gap = max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T))
     g, n = _scatterer_cells(spec)
-    return [
-        dict(zip(COLUMNS, (g, n, phi, *_amp_values(amp), used, 0, gap)))
-        for _, amp, used, gap in _angle_rows(phi, amp_closed, amp_num)
-    ]
+    records = []
+    for used, amp in amps.items():
+        R, T = amp.R, amp.T
+        abs_R2, abs_T2 = R.real**2 + R.imag**2, T.real**2 + T.imag**2
+        defect = abs(abs_R2 + abs_T2 - 1.0)
+        values = (g, n, phi, R.real, R.imag, T.real, T.imag, abs_R2, abs_T2, defect, used, 0, gap)
+        records.append(dict(zip(COLUMNS, values)))
+    return records
 
 
 def scatterer_specs(model: str, couplings, n_values=(), centers=()) -> list[ScattererSpec]:
@@ -204,24 +182,54 @@ class SweepConfig:
         return phi_grid(self.phi_count, self.phi_min, self.phi_max)
 
 
+def _scatterer_columns(spec: ScattererSpec, phis: np.ndarray, method: str) -> tuple[dict, tuple]:
+    """(spec's rows at the angles phis as columns keyed by COLUMNS; |R_c - R_n| and |T_c - T_n|).
+
+    Each row has evaluate_point's values at its angle, bit for bit: the
+    closed form and the numeric route answer all angles as arrays, and the
+    squares are taken on Python floats.  A pair shares one discrepancy
+    object, max(|dR|, |dT|) as max() takes it (a NaN in dT alone is
+    dropped); the gaps are kept apart under 'both' and are empty otherwise.
+    """
+    _check_method(spec, method)
+    amps = {}  # (R, T) arrays of each method, closed first
+    if method != "numeric":
+        amps["closed"] = closed_form_arrays(spec, phis)
+    if method != "closed":
+        amps["numeric"] = solve_numeric_arrays(spec, phis)
+    # R and T of the rows, each angle's rows side by side
+    z = np.stack(list(amps.values()), axis=-1).reshape(2, -1)
+    (re_R, re_T), (im_R, im_T) = z.real.tolist(), z.imag.tolist()
+    abs_R2 = [x**2 + y**2 for x, y in zip(re_R, im_R)]
+    abs_T2 = [x**2 + y**2 for x, y in zip(re_T, im_T)]
+    defect = [abs(r2 + t2 - 1.0) for r2, t2 in zip(abs_R2, abs_T2)]
+    count, gaps, discrepancy = len(re_R), ((), ()), [None] * len(re_R)
+    if len(amps) == 2:
+        (R_c, T_c), (R_n, T_n) = amps.values()
+        gap_R, gap_T = (np.hypot(d.real, d.imag) for d in (R_c - R_n, T_c - T_n))
+        discrepancy = [d for d in np.where(gap_T > gap_R, gap_T, gap_R).tolist() for _ in (0, 1)]
+        gaps = gap_R.tolist(), gap_T.tolist()
+    g, n = _scatterer_cells(spec)
+    angles, used = np.repeat(phis, len(amps)).tolist(), list(amps) * len(phis)
+    columns = (
+        [g] * count, [n] * count, angles, re_R, im_R, re_T, im_T, abs_R2, abs_T2, defect, used, [0] * count, discrepancy
+    )
+    return dict(zip(COLUMNS, columns)), gaps
+
+
 def sweep_records(config: SweepConfig) -> dict[str, list]:
     """The table of the full grid: one list per name in COLUMNS, in grid order.
 
     Rows run couplings outer, N middle, phi inner.  Each scatterer's rows
-    are added as columns at once, from its closed amplitudes and one
-    batched numeric solve.
+    are added as columns at once, from its closed form and one batched
+    numeric solve over all angles.
     """
-    phis = config.angles().tolist()
+    phis = config.angles()
     table = {c: [] for c in COLUMNS}
     for spec in config.specs():
-        closed, numeric = _amplitudes(spec, phis, config.method)
-        rows = [row for point in zip(phis, closed, numeric) for row in _angle_rows(*point)]
-        angles, amps, used, gaps = zip(*rows)
-        g, n = _scatterer_cells(spec)
-        count = len(rows)
-        columns = ((g,) * count, (n,) * count, angles, *zip(*map(_amp_values, amps)), used, (0,) * count, gaps)
-        for column, values in zip(table.values(), columns):
-            column += values
+        columns, _ = _scatterer_columns(spec, phis, config.method)
+        for c in COLUMNS:
+            table[c] += columns[c]
     return table
 
 
@@ -363,12 +371,12 @@ def suite_scores() -> list[tuple]:
     Only these numbers are kept, not the amplitudes.
     """
     # strictly inside (DEFAULT_PHI_MIN, DEFAULT_PHI_MAX)
-    phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, DEFAULT_PHI_COUNT + 2)[1:-1].tolist()
+    phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, DEFAULT_PHI_COUNT + 2)[1:-1]
     scores = []
     for spec in (TwoCenterSpec(g, n) for g in DEFAULT_G_GRID for n in DEFAULT_N_GRID):
-        for phi, amp_c, amp_n in zip(phis, *_amplitudes(spec, phis, "both")):
-            gaps = abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T)
-            scores.append((spec, phi, amp_n.unitarity_defect, amp_c.unitarity_defect, *gaps))
+        columns, gaps = _scatterer_columns(spec, phis, "both")
+        defect = columns["defect"]
+        scores += zip(repeat(spec), phis.tolist(), defect[1::2], defect[::2], *gaps)
     return scores
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qhscatter.sweeps as sweeps
-from qhscatter import Amplitudes, DomainError, TwoCenterSpec
+from qhscatter import DomainError, TwoCenterSpec
 from qhscatter.cli import main
 from qhscatter.sweeps import (
     COLUMNS,
@@ -275,17 +275,17 @@ class TestCliVerify:
 
     def test_non_finite_amplitude_fails_both_amplitude_suites(self, capsys, monkeypatch):
         # a NaN in T alone: max(|dR|, |dT|) would drop it, and so would a max taken with >
-        closed_form = sweeps.closed_form
+        closed_form_arrays = sweeps.closed_form_arrays
         spec = TwoCenterSpec(0.5, 2)
         phi = np.linspace(sweeps.DEFAULT_PHI_MIN, sweeps.DEFAULT_PHI_MAX, 42)[1:-1].tolist()[10]
 
-        def nan_at_one_point(s, p):
-            amp = closed_form(s, p)
-            if (s, p) == (spec, phi):
-                amp = Amplitudes(R=amp.R, T=complex(math.nan, 0.0), phi=amp.phi)
-            return amp
+        def nan_at_one_point(s, phis):
+            R, T = closed_form_arrays(s, phis)
+            if s == spec:
+                T = np.where(phis == phi, complex(math.nan, 0.0), T)
+            return R, T
 
-        monkeypatch.setattr(sweeps, "closed_form", nan_at_one_point)
+        monkeypatch.setattr(sweeps, "closed_form_arrays", nan_at_one_point)
         code = main(["verify"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
@@ -298,10 +298,11 @@ class TestCliVerify:
         assert len(lines) == 7
 
     def test_amplitude_suites_evaluate_each_point_once_per_call(self, capsys, monkeypatch):
+        # closed holds each angle the closed form answers, batches each scatterer solved numerically
         closed, batches = [], []
-        closed_form, batch = sweeps.closed_form, sweeps.solve_numeric_batch
-        monkeypatch.setattr(sweeps, "closed_form", lambda s, p: closed.append(p) or closed_form(s, p))
-        monkeypatch.setattr(sweeps, "solve_numeric_batch", lambda s, p: batches.append(s) or batch(s, p))
+        closed_arrays, numeric_arrays = sweeps.closed_form_arrays, sweeps.solve_numeric_arrays
+        monkeypatch.setattr(sweeps, "closed_form_arrays", lambda s, p: closed.extend(p) or closed_arrays(s, p))
+        monkeypatch.setattr(sweeps, "solve_numeric_arrays", lambda s, p: batches.append(s) or numeric_arrays(s, p))
         assert main(["verify", "--suite", "all"]) == 0
         assert (len(closed), len(batches)) == (3200, 80)
         # nothing is kept from one call to the next

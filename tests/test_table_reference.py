@@ -212,13 +212,13 @@ class TestEvaluatePointMatchesDictRows:
 
 def test_each_scatterer_is_solved_once(monkeypatch):
     calls = []
-    batch = sweeps.solve_numeric_batch
+    numeric_arrays = sweeps.solve_numeric_arrays
 
     def spy(spec, phis):
         calls.append(spec)
-        return batch(spec, phis)
+        return numeric_arrays(spec, phis)
 
-    monkeypatch.setattr(sweeps, "solve_numeric_batch", spy)
+    monkeypatch.setattr(sweeps, "solve_numeric_arrays", spy)
     config = CONFIGS["two-center-both"]
     sweep_records(config)
     assert calls == config.specs()
