@@ -44,16 +44,13 @@ from .scattering import (
     build_matching_system,
     closed_form,
     closed_form_arrays,
-    closed_form_wave,
     continuum_probe,
-    interior_plane_wave_fit,
     matching_row_residual,
     numeric_wave,
     solve_numeric,
     solve_numeric_arrays,
-    solve_numeric_batch,
 )
-from .sweeps import SweepConfig, sweep_records, write_table
+from .sweeps import sweep_records, write_table
 
 __version__ = "0.1.0"
 
@@ -71,7 +68,6 @@ __all__ = [
     "QhScatterError",
     "ResonanceError",
     "SiteWindow",
-    "SweepConfig",
     "TwoCenterSpec",
     "WaveSample",
     "WindowError",
@@ -84,10 +80,8 @@ __all__ = [
     "build_potential",
     "closed_form",
     "closed_form_arrays",
-    "closed_form_wave",
     "continuum_probe",
     "energy_from_phi",
-    "interior_plane_wave_fit",
     "matching_row_residual",
     "numeric_wave",
     "phi_from_energy",
@@ -95,7 +89,6 @@ __all__ = [
     "quasi_hermiticity_residual",
     "solve_numeric",
     "solve_numeric_arrays",
-    "solve_numeric_batch",
     "sweep_records",
     "write_table",
 ]

@@ -18,10 +18,10 @@ from .errors import QhScatterError, ResonanceError
 from .scattering import continuum_probe
 from .sweeps import (
     DEFAULT_PHI_COUNT,
-    SweepConfig,
     closed_vs_numeric_suite,
     evaluate_point,
     metric_suite,
+    phi_grid,
     scatterer_specs,
     suite_scores,
     sweep_records,
@@ -84,12 +84,16 @@ def _one_spec(grid: dict):
     return specs[0]
 
 
+def _method(args) -> str:
+    """--method; by default both for the two-center model, else numeric."""
+    if args.method is not None:
+        return args.method
+    return "both" if args.model == "two-center" else "numeric"
+
+
 def cmd_amplitudes(args) -> int:
     spec = _one_spec(_grid(args))
-    method = args.method
-    if method is None:
-        method = "both" if args.model == "two-center" else "numeric"
-    records = evaluate_point(spec, args.phi, method)
+    records = evaluate_point(spec, args.phi, _method(args))
     for row in records:
         bits = [f"{key}={_fmt(row[key])}" for key in
                 ("method", "re_R", "im_R", "re_T", "im_T", "abs_R2", "abs_T2", "defect")]
@@ -102,12 +106,9 @@ def cmd_amplitudes(args) -> int:
 def cmd_sweep(args) -> int:
     if args.out is None:
         raise QhScatterError("--out required for sweep")
-    count, lo, hi = args.phi_grid if args.phi_grid else (DEFAULT_PHI_COUNT, None, None)
-    method = args.method
-    if method is None:
-        method = "both" if args.model == "two-center" else "numeric"
-    config = SweepConfig(**_grid(args), phi_count=count, phi_min=lo, phi_max=hi, method=method)
-    table = sweep_records(config)
+    grid = _grid(args)
+    phis = phi_grid(*(args.phi_grid or (DEFAULT_PHI_COUNT,)))
+    table = sweep_records(scatterer_specs(**grid), phis, _method(args))
     write_table(table, args.format, args.out)
     print(f"wrote {len(table['phi'])} rows to {args.out}")
     return EXIT_OK
@@ -134,13 +135,12 @@ def cmd_verify(args) -> int:
         if args.couplings:
             kwargs.update(chain_specs=args.couplings)
         checks += metric_suite(**kwargs)
-    scores = None
     if args.suite in ("unitarity", "closed-vs-numeric") or run_all:
         scores = suite_scores()  # each point evaluated once for both amplitude suites
     if args.suite == "unitarity" or run_all:
-        checks += unitarity_suite(tolerance=tol(1e-11), scores=scores)
+        checks += unitarity_suite(scores, tol(1e-11))
     if args.suite == "closed-vs-numeric" or run_all:
-        checks += closed_vs_numeric_suite(tolerance=tol(1e-10), scores=scores)
+        checks += closed_vs_numeric_suite(scores, tol(1e-10))
     ok = True
     for c in checks:
         status = "PASS" if c.passed else "FAIL"

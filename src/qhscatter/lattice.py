@@ -1,9 +1,9 @@
 """Site indexing, band energies and sampled waves on the 1D lattice.
 
-Sites are integers k in [-M, M] at coordinates x_k = k*h.  All matching
-algebra downstream is dimensionless (diagonal entries 2*cos(phi)); the
-spacing h enters only through the energy conversion E = (2 - 2 cos phi)/h^2
-and the continuum probes.
+Sites are integers k in a window [-M, M].  All matching algebra downstream
+is dimensionless (diagonal entries 2*cos(phi)); a lattice spacing h enters
+only through the energy conversion E = (2 - 2 cos phi)/h^2 and the
+continuum probe's angle phi = kappa*h.
 """
 
 from __future__ import annotations
@@ -60,18 +60,14 @@ def phi_from_energy(energy: float, h: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class SiteWindow:
-    """Symmetric site window k in [-half_width, half_width] with spacing h."""
+    """Symmetric site window k in [-half_width, half_width]."""
 
     half_width: int
-    spacing: float = 1.0
 
     def __post_init__(self) -> None:
         if int(self.half_width) != self.half_width or self.half_width < 1:
             raise WindowError(f"half_width={self.half_width!r} must be an integer >= 1")
-        if self.spacing <= 0.0:
-            raise WindowError(f"spacing={self.spacing!r} must be positive")
         object.__setattr__(self, "half_width", int(self.half_width))
-        object.__setattr__(self, "spacing", float(self.spacing))
 
     @property
     def n_sites(self) -> int:
@@ -80,11 +76,6 @@ class SiteWindow:
     @property
     def sites(self) -> np.ndarray:
         return np.arange(-self.half_width, self.half_width + 1)
-
-    def coordinate(self, k: int) -> float:
-        """x_k = k*h for a site inside the window."""
-        self.index_of(k)
-        return k * self.spacing
 
     def index_of(self, k: int) -> int:
         """Array index of site k; raises WindowError if outside."""

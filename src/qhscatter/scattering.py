@@ -32,7 +32,6 @@ N >= -1 with one formula in the block center M = N + 2:
     q = (1 - g)(1 + g) sin(phi),   k = 2 g^2 cos(phi),   e = exp(i M phi)
     U = -q - k sin(M phi) e,       V = i q - k cos(M phi) e
     R - T = -conj(U)/U,            R + T = -conj(V)/V
-    C + D = i q/V,                 C - D = -q/U   (interior psi_k = C e(k) + D e(-k))
 
 For N >= 1, U = u sin(N phi) sin((N+1) phi) and V = v cos(N phi) cos((N+1) phi)
 for the paper's separated-block branches u = B/sin((N+1) phi) - A/sin(N phi)
@@ -49,9 +48,9 @@ imaginary parts, written out as CPython performs them (a float operand is
 the complex (x, 0.0), a quotient divides through by the larger part of the
 divisor as _Py_c_quot does), so every angle keeps the one-angle bits, signed
 zeros included.  solve_numeric_arrays likewise returns R and T as complex
-arrays and solve_numeric_batch wraps them as Amplitudes.  Squares such as
-|R|^2 are taken on Python floats by the callers: numpy's a*a and glibc's
-pow(a, 2), which x**2 calls, differ in the last bit for some doubles.
+arrays.  Squares such as |R|^2 are taken on Python floats by the callers:
+numpy's a*a and glibc's pow(a, 2), which x**2 calls, differ in the last
+bit for some doubles.
 """
 
 from __future__ import annotations
@@ -463,14 +462,8 @@ def solve_numeric_arrays(spec: ScattererSpec, phis) -> tuple[np.ndarray, np.ndar
     return R, T
 
 
-def solve_numeric_batch(spec: ScattererSpec, phis) -> list[Amplitudes]:
-    """solve_numeric at every angle of phis, in order: solve_numeric_arrays as Amplitudes."""
-    phis = _angle_array(phis)
-    return list(map(Amplitudes, *(z.tolist() for z in solve_numeric_arrays(spec, phis)), phis.tolist()))
-
-
-def numeric_wave(spec: ScattererSpec, phi: float, h: float = 1.0) -> tuple[Amplitudes, WaveSample]:
-    """solve_numeric plus the sampled wave over [-(A+2), A+2] with spacing h.
+def numeric_wave(spec: ScattererSpec, phi: float) -> tuple[Amplitudes, WaveSample]:
+    """solve_numeric plus the sampled wave over the sites [-(A+2), A+2].
 
     The partner's wave comes from the solved cluster sites, the plane waves
     of the jumped stretches and the asymptotic flanks; it maps back to H
@@ -479,7 +472,7 @@ def numeric_wave(spec: ScattererSpec, phi: float, h: float = 1.0) -> tuple[Ampli
     p = as_angle(phi)
     bonds = spec.bond_map()
     x, layout = _solve_partner(bonds, p)
-    window = SiteWindow(spec.matching_radius + 2, h)
+    window = SiteWindow(spec.matching_radius + 2)
     m, ks = window.half_width, window.sites
     phases = _phase(ks, p)
     vals = np.where(ks < layout[0][0], phases + x[0] * phases.conj(), x[-1] * phases)
@@ -510,14 +503,14 @@ def _quot(ar, ai, br, bi):
 
 
 def _closed(spec: TwoCenterSpec, p):
-    """(R, T, q, U, V) of the closed form at angle p; see the module docstring.
+    """(R, T) of the closed form at angle p; see the module docstring.
 
     p is one angle, taken in Python complex arithmetic, or a 1-D array of
     angles, taken in the same operations on real parts as CPython performs
     them: a float x is the complex (x, 0.0) in a sum or product, so
     x e = (x c - 0.0 s, x s + 0.0 c), and a quotient is _quot's.  Each
-    angle of an array thus gets one angle's bits, signed zeros included;
-    R and T are then complex arrays, U and V (real, imaginary) array pairs.
+    angle of an array thus gets one angle's bits, signed zeros included,
+    and R and T are complex arrays.
     """
     g = spec.g
     if isinstance(p, float):
@@ -528,7 +521,7 @@ def _closed(spec: TwoCenterSpec, p):
         V = 1j * q - k * e.real * e
         r_minus_t = -U.conjugate() / U
         r_plus_t = -V.conjugate() / V
-        return (r_plus_t + r_minus_t) / 2.0, (r_plus_t - r_minus_t) / 2.0, q, U, V
+        return (r_plus_t + r_minus_t) / 2.0, (r_plus_t - r_minus_t) / 2.0
     q = (1.0 - g) * (1.0 + g) * np.sin(p)
     k = 2.0 * g * g * np.cos(p)
     e = _phase(spec.N + 2, p)
@@ -542,61 +535,19 @@ def _closed(spec: TwoCenterSpec, p):
     # z / 2.0 divides by 2.0 + 0.0j: ratio 0.0, denominator 2.0
     R = _complex((sr + si * 0.0) / 2.0, (si - sr * 0.0) / 2.0)
     T = _complex((dr + di * 0.0) / 2.0, (di - dr * 0.0) / 2.0)
-    return R, T, q, u, v
+    return R, T
 
 
 def closed_form(spec: TwoCenterSpec, phi: float) -> Amplitudes:
     """Closed amplitudes of a two-center scatterer at any N >= -1 and any angle of the band."""
     p = as_angle(phi)
-    R, T = _closed(spec, p)[:2]
+    R, T = _closed(spec, p)
     return Amplitudes(R=R, T=T, phi=p)
 
 
 def closed_form_arrays(spec: TwoCenterSpec, phis) -> tuple[np.ndarray, np.ndarray]:
     """closed_form's R and T at every angle of phis, in order, as two complex arrays."""
-    return _closed(spec, _angle_array(phis))[:2]
-
-
-def closed_form_wave(spec: TwoCenterSpec, phi: float, h: float = 1.0) -> tuple[Amplitudes, WaveSample]:
-    """closed_form plus the closed wave over [-(A+2), A+2] with spacing h, separated blocks only.
-
-    Interior sites |k| <= N+1 follow C e^{i k phi} + D e^{-i k phi}; the
-    block centers -(N+2) and N+2 carry their flank's plane-wave value
-    divided by 1 + g; everything beyond is asymptotic.
-    """
-    N = spec.N
-    if N < 1:
-        raise DomainError(f"closed-form wave needs separated blocks (N >= 1), got N={N}")
-    p = as_angle(phi)
-    R, T, q, U, V = _closed(spec, p)
-    c_plus_d, c_minus_d = 1j * q / V, -q / U
-    C, D = (c_plus_d + c_minus_d) / 2.0, (c_plus_d - c_minus_d) / 2.0
-    window = SiteWindow(spec.matching_radius + 2, h)
-    ks = window.sites
-    out = _phase(ks, p)
-    back = out.conj()
-    vals = np.where(ks < 0, out + R * back, T * out)
-    inner = np.abs(ks) <= N + 1
-    vals[inner] = C * out[inner] + D * back[inner]
-    vals[window.index_of(-(N + 2))] /= 1.0 + spec.g
-    vals[window.index_of(N + 2)] /= 1.0 + spec.g
-    return Amplitudes(R=R, T=T, phi=p), WaveSample(window, vals)
-
-
-def interior_plane_wave_fit(wave: WaveSample, N: int, phi: float) -> tuple[complex, complex, float]:
-    """Least-squares fit psi_k ~= C e^{i k phi} + D e^{-i k phi} over |k| <= N.
-
-    Returns (C, D, residual) with residual the max absolute misfit.
-    """
-    if N < 1:
-        raise DomainError(f"interior fit needs N >= 1 (at least 3 sites), got {N}")
-    p = as_angle(phi)
-    ks = np.arange(-N, N + 1)
-    vals = wave.values[wave.window.index_of(-N) : wave.window.index_of(N) + 1]
-    design = np.stack([np.exp(1j * ks * p), np.exp(-1j * ks * p)], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    misfit = float(np.max(np.abs(design @ coeffs - vals)))
-    return complex(coeffs[0]), complex(coeffs[1]), misfit
+    return _closed(spec, _angle_array(phis))
 
 
 @dataclass(frozen=True)
@@ -621,18 +572,21 @@ class ContinuumProbeResult:
 def continuum_probe(g: float, kappa: float, h_list) -> ContinuumProbeResult:
     """Run the merged-block model at phi = kappa*h for each h.
 
-    Uses both the closed form and the matching solver; the table carries the
-    numeric values.  Fitted log-log slopes of |T| and |psi_0| against h
-    quantify the linear-in-h decay toward the hard wall (slope 0 at g = 0
-    where the lattice stays transparent).
+    h enters only through that angle and the table's h column.  Uses both
+    the closed form and the matching solver; the table carries the numeric
+    values.  Fitted log-log slopes of |T| and |psi_0| against h quantify
+    the linear-in-h decay toward the hard wall (slope 0 at g = 0 where the
+    lattice stays transparent).
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:  # NaN included
         raise DomainError(f"kappa={kappa!r} must be positive")
     hs = [float(h) for h in h_list]
     if len(hs) < 2:
         raise DomainError("need at least two h values")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
+    if any(not b < a for a, b in zip(hs, hs[1:])):
         raise DomainError("h sequence must be strictly decreasing")
+    if not hs[-1] > 0.0:
+        raise DomainError(f"h={hs[-1]!r} must be positive")
     if kappa * hs[0] >= math.pi:
         raise DomainError("kappa*h leaves the band; shrink h or kappa")
     spec = TwoCenterSpec(g, -1)
@@ -640,7 +594,7 @@ def continuum_probe(g: float, kappa: float, h_list) -> ContinuumProbeResult:
     gap = 0.0
     for h in hs:
         p = kappa * h
-        amp_num, wave = numeric_wave(spec, p, h=h)
+        amp_num, wave = numeric_wave(spec, p)
         amp_cf = closed_form(spec, p)
         gap = max(gap, abs(amp_cf.R - amp_num.R), abs(amp_cf.T - amp_num.T))
         rows.append(

@@ -162,26 +162,6 @@ def scatterer_specs(model: str, couplings, n_values=(), centers=()) -> list[Scat
     raise DomainError(f"unknown model {model!r}")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid description for one sweep run."""
-
-    model: str  # "two-center" | "chain" | "multi-center"
-    couplings: tuple  # g values, chain coupling vectors, or multi-center couplings
-    n_values: tuple[int, ...]  # two-center separations; ignored otherwise
-    phi_count: int
-    phi_min: float | None = None
-    phi_max: float | None = None
-    method: str = "numeric"
-    centers: tuple[int, ...] = ()  # multi-center only
-
-    def specs(self) -> list[ScattererSpec]:
-        return scatterer_specs(self.model, self.couplings, self.n_values, self.centers)
-
-    def angles(self) -> np.ndarray:
-        return phi_grid(self.phi_count, self.phi_min, self.phi_max)
-
-
 def _scatterer_columns(spec: ScattererSpec, phis: np.ndarray, method: str) -> tuple[dict, tuple]:
     """(spec's rows at the angles phis as columns keyed by COLUMNS; |R_c - R_n| and |T_c - T_n|).
 
@@ -217,17 +197,16 @@ def _scatterer_columns(spec: ScattererSpec, phis: np.ndarray, method: str) -> tu
     return dict(zip(COLUMNS, columns)), gaps
 
 
-def sweep_records(config: SweepConfig) -> dict[str, list]:
-    """The table of the full grid: one list per name in COLUMNS, in grid order.
+def sweep_records(specs: list[ScattererSpec], phis: np.ndarray, method: str) -> dict[str, list]:
+    """The table of the scatterers specs at the angles phis: one list per name in COLUMNS.
 
-    Rows run couplings outer, N middle, phi inner.  Each scatterer's rows
-    are added as columns at once, from its closed form and one batched
-    numeric solve over all angles.
+    Rows run in the order of specs, phi inner.  Each scatterer's rows are
+    added as columns at once, from its closed form and one batched numeric
+    solve over all angles.
     """
-    phis = config.angles()
     table = {c: [] for c in COLUMNS}
-    for spec in config.specs():
-        columns, _ = _scatterer_columns(spec, phis, config.method)
+    for spec in specs:
+        columns, _ = _scatterer_columns(spec, phis, method)
         for c in COLUMNS:
             table[c] += columns[c]
     return table
@@ -380,9 +359,8 @@ def suite_scores() -> list[tuple]:
     return scores
 
 
-def unitarity_suite(tolerance: float = 1e-11, scores=None) -> list[SuiteCheck]:
-    """| |R|^2 + |T|^2 - 1 | over suite_scores (computed unless given), numeric and closed paths."""
-    scores = suite_scores() if scores is None else scores
+def unitarity_suite(scores, tolerance: float = 1e-11) -> list[SuiteCheck]:
+    """| |R|^2 + |T|^2 - 1 | over suite_scores' scores, numeric and closed paths."""
     numeric = ((d_n, (spec, phi)) for spec, phi, d_n, *_ in scores)
     closed = ((d_c, (spec, phi)) for spec, phi, _, d_c, _, _ in scores)
     return [
@@ -391,9 +369,8 @@ def unitarity_suite(tolerance: float = 1e-11, scores=None) -> list[SuiteCheck]:
     ]
 
 
-def closed_vs_numeric_suite(tolerance: float = 1e-10, scores=None) -> list[SuiteCheck]:
-    """Componentwise closed-form vs matching-solver agreement over suite_scores, per family."""
-    scores = suite_scores() if scores is None else scores
+def closed_vs_numeric_suite(scores, tolerance: float = 1e-10) -> list[SuiteCheck]:
+    """Componentwise closed-form vs matching-solver agreement over suite_scores' scores, per family."""
 
     def gaps(key: str):
         # R and T scored apart, so that a NaN in either cannot hide behind max()

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from closed_wave import interior_plane_wave_fit
 from qhscatter import (
     ChainSpec,
     SiteWindow,
@@ -18,7 +19,6 @@ from qhscatter import (
     build_potential,
     closed_form,
     continuum_probe,
-    interior_plane_wave_fit,
     numeric_wave,
     quasi_hermiticity_residual,
     solve_numeric,
@@ -29,6 +29,7 @@ from qhscatter.sweeps import (
     DEFAULT_N_GRID,
     closed_vs_numeric_suite,
     metric_suite,
+    suite_scores,
     unitarity_suite,
 )
 from test_metric import metric_oracle
@@ -44,7 +45,7 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_unitarity():
     start = time.perf_counter()
-    checks = unitarity_suite(tolerance=1e-11)
+    checks = unitarity_suite(suite_scores(), tolerance=1e-11)
     elapsed = time.perf_counter() - start
     worst = max(c.max_value for c in checks)
     ok = all(c.passed for c in checks) and elapsed < 10.0
@@ -53,7 +54,7 @@ def test_criterion_1_unitarity():
 
 def test_criterion_2_closed_vs_numeric():
     start = time.perf_counter()
-    checks = closed_vs_numeric_suite(tolerance=1e-10)
+    checks = closed_vs_numeric_suite(suite_scores(), tolerance=1e-10)
     elapsed = time.perf_counter() - start
     detail = ", ".join(f"{c.label}: {c.max_value:.2e}" for c in checks)
     ok = all(c.passed for c in checks) and elapsed < 10.0

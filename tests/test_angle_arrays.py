@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import qhscatter.scattering as scattering
 import qhscatter.sweeps as sweeps
-from qhscatter import ChainSpec, MultiCenterSpec, SweepConfig, TwoCenterSpec, closed_form, solve_numeric, sweep_records
+from qhscatter import ChainSpec, MultiCenterSpec, TwoCenterSpec, closed_form, solve_numeric, sweep_records
 from qhscatter.metric import half_log_ratio
 from qhscatter.potentials import MAX_N
 from qhscatter.scattering import _quot, closed_form_arrays, solve_numeric_arrays
@@ -100,10 +100,9 @@ def test_quot_is_python_complex_division():
 class TestColumnsAreEvaluatePoint:
     @pytest.mark.parametrize("method", ["both", "closed", "numeric"])
     def test_every_cell(self, method):
-        config = SweepConfig(model="two-center", couplings=(0.3, -0.9), n_values=(-1, 0, 7), phi_count=23,
-                             phi_min=1e-9, method=method)
-        table = sweep_records(config)
-        rows = [r for s in config.specs() for phi in config.angles() for r in evaluate_point(s, phi, method)]
+        specs, phis = [TwoCenterSpec(g, n) for g in (0.3, -0.9) for n in (-1, 0, 7)], phi_grid(23, 1e-9)
+        table = sweep_records(specs, phis, method)
+        rows = [r for s in specs for phi in phis for r in evaluate_point(s, phi, method)]
         assert len(rows) == len(table["phi"])
         for c in COLUMNS:
             assert repr(table[c]) == repr([r[c] for r in rows]), c

@@ -88,16 +88,15 @@ class TestEnergyConversion:
 
 
 class TestWindowAndSample:
-    def test_sites_and_coordinates(self):
-        w = SiteWindow(3, spacing=0.5)
+    def test_sites(self):
+        w = SiteWindow(3)
         assert w.n_sites == 7
         assert list(w.sites) == [-3, -2, -1, 0, 1, 2, 3]
-        assert w.coordinate(-2) == -1.0
 
-    @pytest.mark.parametrize("half,spacing", [(0, 1.0), (-2, 1.0), (2, 0.0), (2, -0.5)])
-    def test_invalid_window(self, half, spacing):
+    @pytest.mark.parametrize("half", [0, -2])
+    def test_invalid_window(self, half):
         with pytest.raises(WindowError):
-            SiteWindow(half, spacing)
+            SiteWindow(half)
 
     def test_site_outside_window(self):
         with pytest.raises(WindowError):

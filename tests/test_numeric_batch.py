@@ -1,6 +1,6 @@
 """The batched numeric route: many angles of one scatterer in one partner solve.
 
-solve_numeric_batch must equal a loop of solve_numeric (the one-angle
+solve_numeric_arrays must equal a loop of solve_numeric (the one-angle
 solve of the Hermitian partner) bit for bit, across chunk boundaries, on
 the verify grid, the benchmark grids and edge points, and for chains and
 multi-center layouts.  Failures must surface as the first failing angle in
@@ -24,15 +24,15 @@ import scipy.linalg
 import qhscatter.scattering as scattering
 import qhscatter.sweeps as sweeps
 from qhscatter import (
+    Amplitudes,
     BandError,
     ChainSpec,
     ResonanceError,
-    SweepConfig,
     TwoCenterSpec,
     build_matching_system,
     matching_row_residual,
     solve_numeric,
-    solve_numeric_batch,
+    solve_numeric_arrays,
     sweep_records,
 )
 from qhscatter.cli import main
@@ -64,8 +64,14 @@ def _bits(amp):
     return (amp.R.real, amp.R.imag, amp.T.real, amp.T.imag, amp.phi)
 
 
+def _amplitudes(spec, phis):
+    """solve_numeric_arrays at phis, as the Amplitudes solve_numeric returns at each angle."""
+    R, T = solve_numeric_arrays(spec, phis)
+    return list(map(Amplitudes, R.tolist(), T.tolist(), np.asarray(phis, dtype=float).tolist()))
+
+
 def _assert_batch_is_the_one_angle_route(spec, phis):
-    amps = solve_numeric_batch(spec, phis)
+    amps = _amplitudes(spec, phis)
     assert len(amps) == len(phis)
     for phi, amp in zip(np.asarray(phis, dtype=float).tolist(), amps):
         one = solve_numeric(spec, phi)
@@ -124,7 +130,7 @@ class TestBitForBit:
             return zgbsv(kl, ku, ab, b, **kwargs)
 
         monkeypatch.setattr(scattering, "zgbsv", spy)
-        amps = solve_numeric_batch(spec, phis)
+        amps = _amplitudes(spec, phis)
         assert sizes == [n * len(phis[i : i + per_call]) for i in range(0, len(phis), per_call)]
         assert len(sizes) > 1
         monkeypatch.setattr(scattering, "zgbsv", zgbsv)
@@ -136,14 +142,15 @@ class TestBitForBit:
         assert 7 * 16 * CHUNK_UNKNOWNS <= 1 << 20
 
     def test_empty_angle_list(self):
-        assert solve_numeric_batch(TwoCenterSpec(0.5, 2), []) == []
+        R, T = solve_numeric_arrays(TwoCenterSpec(0.5, 2), [])
+        assert R.shape == T.shape == (0,) and R.dtype == T.dtype == np.complex128
 
 
 class TestAgreesWithTheLuOnH:
     """The route solves the Hermitian partner, the reference solves H: equal to rounding."""
 
     def _assert_agrees(self, spec, phis):
-        for phi, amp in zip(phis.tolist(), solve_numeric_batch(spec, phis)):
+        for phi, amp in zip(phis.tolist(), _amplitudes(spec, phis)):
             R, T, _, _ = lu_on_h(spec, phi)
             assert max(abs(R - amp.R), abs(T - amp.T)) <= 1e-12
 
@@ -208,7 +215,7 @@ class TestMatchingSystemAtEachAngle:
             R, T, wave, residual = lu_on_h(spec, phi)
             assert x.tobytes() == scipy.linalg.solve_banded((1, 1), ab_ref, rhs_ref).tobytes()
             assert (complex(x[0]), complex(x[-1])) == (R, T)
-            assert _reference_wave(a, phi, x, 1.0).tobytes() == wave.values.tobytes()
+            assert _reference_wave(a, phi, x).tobytes() == wave.values.tobytes()
             assert matching_row_residual(bonds, phi, wave) == residual
             checks.append(residual)
         return np.array(checks)
@@ -279,31 +286,31 @@ class TestFailuresInGridOrder:
     )
     def test_refusal_in_the_middle_of_a_batch(self, monkeypatch, failures, first):
         _force(monkeypatch, {(self.SPEC, self.ANGLES[i]): f for i, f in failures.items()})
-        got = _first_error(lambda: solve_numeric_batch(self.SPEC, self.ANGLES))
+        got = _first_error(lambda: solve_numeric_arrays(self.SPEC, self.ANGLES))
         assert got == _first_error(lambda: solve_numeric(self.SPEC, self.ANGLES[first]))
         assert got.endswith(f"at phi={self.ANGLES[first]!r}")
         kind = "matching system singular" if failures[first] == SINGULAR else "partner unitarity violated"
         assert got.startswith(kind)
 
-    def _config(self):
-        return SweepConfig(model="two-center", couplings=(0.3,), n_values=(0, 1, 4, 6), phi_count=9, method="both")
+    SWEEP_SPECS = [TwoCenterSpec(0.3, n) for n in (0, 1, 4, 6)]
+    SWEEP_ANGLES = phi_grid(9)
 
-    def _targets(self, config, factor):
+    def _targets(self, factor):
         # the third scatterer fails at angle 4, the fourth already at angle 2:
         # grid order reports the third
-        angles = config.angles().tolist()
+        angles = self.SWEEP_ANGLES.tolist()
         return {(TwoCenterSpec(0.3, 4), angles[4]): factor, (TwoCenterSpec(0.3, 6), angles[2]): factor}
 
     @pytest.mark.parametrize("factor", [BROKEN, SINGULAR])
     def test_sweep_raises_what_the_per_point_loop_raises(self, monkeypatch, factor):
-        config = self._config()
-        _force(monkeypatch, self._targets(config, factor))
-        expected = _first_error(lambda: [solve_numeric(s, p) for s in config.specs() for p in config.angles()])
-        assert expected.endswith(f"at phi={float(config.angles()[4])!r}")
-        assert _first_error(lambda: sweep_records(config)) == expected
+        specs, phis = self.SWEEP_SPECS, self.SWEEP_ANGLES
+        _force(monkeypatch, self._targets(factor))
+        expected = _first_error(lambda: [solve_numeric(s, p) for s in specs for p in phis])
+        assert expected.endswith(f"at phi={float(phis[4])!r}")
+        assert _first_error(lambda: sweep_records(specs, phis, "both")) == expected
 
     def test_cli_exits_3_on_a_refusal(self, tmp_path, monkeypatch, capsys):
-        _force(monkeypatch, self._targets(self._config(), BROKEN))
+        _force(monkeypatch, self._targets(BROKEN))
         rc = main(["sweep", "--g", "0.3", "--N", "0,1,4,6", "--phi-grid", "9", "--out", str(tmp_path / "s.csv")])
         assert rc == 3
         assert "partner unitarity violated" in capsys.readouterr().err
@@ -334,7 +341,7 @@ class TestAngleArray:
     )
     def test_first_bad_angle(self, phis, bad):
         with pytest.raises(BandError) as exc:
-            solve_numeric_batch(TwoCenterSpec(0.4, 2), phis)
+            solve_numeric_arrays(TwoCenterSpec(0.4, 2), phis)
         assert str(exc.value) == f"phi={bad!r} outside the open band interval (0, pi)"
 
     def test_good_angles_pass_through(self):
@@ -355,11 +362,8 @@ class TestClosedMethodSolvesNothing:
 
     def test_sweep_records(self):
         # every N >= 1 sat on a guard of the paper's form at phi = pi/2, the grid midpoint
-        config = SweepConfig(
-            model="two-center", couplings=(0.4,), n_values=(1, 0), phi_count=5,
-            phi_min=0.5, phi_max=math.pi - 0.5, method="closed",
-        )
-        table = sweep_records(config)
+        specs = [TwoCenterSpec(0.4, 1), TwoCenterSpec(0.4, 0)]
+        table = sweep_records(specs, phi_grid(5, 0.5, math.pi - 0.5), "closed")
         assert list(zip(table["N"], table["method"], table["resonance_flag"])) == [
             *[(1, "closed", 0)] * 5, *[(0, "closed", 0)] * 5,
         ]

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from closed_wave import closed_form_wave, interior_plane_wave_fit
 from paper_forms import (
     ResonantAngleError,
     closed_form_generalN,
@@ -23,9 +24,7 @@ from qhscatter import (
     MultiCenterSpec,
     TwoCenterSpec,
     closed_form,
-    closed_form_wave,
     continuum_probe,
-    interior_plane_wave_fit,
     matching_row_residual,
     numeric_wave,
     solve_numeric,
@@ -397,7 +396,7 @@ class TestUnitarityDefect:
         assert amp.unitarity_defect <= 1e-12
 
 
-def lu_on_h(spec, phi, h=1.0):
+def lu_on_h(spec, phi):
     """H's own banded LU at one angle, the tests' reference route: (R, T, wave, row residual).
 
     Built only from the public build_matching_system, scipy's solve_banded
@@ -406,13 +405,13 @@ def lu_on_h(spec, phi, h=1.0):
     """
     system = build_matching_system(spec.bond_map(), phi, spec.matching_radius)
     x = scipy.linalg.solve_banded((1, 1), system.ab, system.rhs)
-    wave = _lu_wave(system.radius, phi, x, h)
+    wave = _lu_wave(system.radius, phi, x)
     return complex(x[0]), complex(x[-1]), wave, matching_row_residual(spec, phi, wave)
 
 
-def _lu_wave(radius, phi, x, h=1.0, extra=2):
+def _lu_wave(radius, phi, x, extra=2):
     """The LU wave over [-(radius+extra), radius+extra] for x = (R, interior..., T)."""
-    return WaveSample(SiteWindow(radius + extra, h), _reference_wave(radius, phi, x, h, extra))
+    return WaveSample(SiteWindow(radius + extra), _reference_wave(radius, phi, x, extra))
 
 
 def _flanked_wave(phi, R, T, radius=1, extra=60, interior=None):
@@ -540,9 +539,9 @@ class TestContinuumProbe:
             continuum_probe(0.5, 40.0, [0.2, 0.1])
 
 
-def _reference_wave(radius, phi, x, h, extra=2):
+def _reference_wave(radius, phi, x, extra=2):
     """Per-site wave of an LU solution x = (R, interior..., T): interior, then asymptotic flanks."""
-    window = SiteWindow(radius + extra, h)
+    window = SiteWindow(radius + extra)
     vals = np.empty(window.n_sites, dtype=np.complex128)
     R, T = x[0], x[-1]
     for i, k in enumerate(window.sites):
@@ -584,9 +583,9 @@ class TestSelfCheckBitExact:
     """The loop-free row residual equals the per-row loop bit for bit."""
 
     @pytest.mark.parametrize("spec", TWO_CENTER_SPECS + CHAIN_AND_MULTI_SPECS, ids=repr)
-    @pytest.mark.parametrize("phi, h", [(0.37, 1.0), (1.9, 1.0), (2.8, 0.05)])
-    def test_matches_per_site_loops(self, spec, phi, h):
-        _, _, wave, residual = lu_on_h(spec, phi, h)
+    @pytest.mark.parametrize("phi", [0.37, 1.9, 2.8])
+    def test_matches_per_site_loops(self, spec, phi):
+        _, _, wave, residual = lu_on_h(spec, phi)
         assert residual == _reference_row_residual(spec, phi, wave)
         assert residual <= 1e-9
 
@@ -607,14 +606,14 @@ class TestNumericWave:
     """numeric_wave: the partner's wave mapped back to H site by site, jumped stretches included."""
 
     @pytest.mark.parametrize("spec", TWO_CENTER_SPECS + CHAIN_AND_MULTI_SPECS, ids=repr)
-    @pytest.mark.parametrize("phi, h", [(1e-6, 1.0), (1.9, 1.0), (math.pi - 1e-6, 0.05)])
-    def test_numeric_wave_is_the_lu_wave(self, spec, phi, h):
-        amp, wave = numeric_wave(spec, phi, h=h)
+    @pytest.mark.parametrize("phi", [1e-6, 1.9, math.pi - 1e-6])
+    def test_numeric_wave_is_the_lu_wave(self, spec, phi):
+        amp, wave = numeric_wave(spec, phi)
         _, _, lu_wave, lu_residual = lu_on_h(spec, phi)
         lu_vals = lu_wave.values
         one = solve_numeric(spec, phi)
         assert lu_residual <= 1e-9
-        assert wave.window == SiteWindow(spec.matching_radius + 2, h)
+        assert wave.window == SiteWindow(spec.matching_radius + 2)
         assert (amp.R, amp.T) == (one.R, one.T)
         scale = max(1.0, float(np.abs(lu_vals).max()))
         assert np.abs(wave.values - lu_vals).max() <= 1e-12 * scale

@@ -7,32 +7,24 @@ import numpy as np
 import pytest
 
 import qhscatter.sweeps as sweeps
-from qhscatter import DomainError, TwoCenterSpec
+from qhscatter import ChainSpec, DomainError, TwoCenterSpec
 from qhscatter.cli import main
 from qhscatter.sweeps import (
     COLUMNS,
-    SweepConfig,
     _chain_label,
     evaluate_point,
     phi_grid,
     render_csv,
     render_json,
+    scatterer_specs,
     sweep_records,
 )
 
 
-def small_config(**overrides):
-    base = dict(
-        model="two-center",
-        couplings=(0.3, -0.5),
-        n_values=(-1, 0, 2),
-        phi_count=7,
-        phi_min=0.2,
-        phi_max=2.9,
-        method="both",
-    )
-    base.update(overrides)
-    return SweepConfig(**base)
+def small_table(method="both", count=7):
+    """The table of g in (0.3, -0.5) and N in (-1, 0, 2) at count angles over [0.2, 2.9]."""
+    specs = [TwoCenterSpec(g, n) for g in (0.3, -0.5) for n in (-1, 0, 2)]
+    return sweep_records(specs, phi_grid(count, 0.2, 2.9), method)
 
 
 class TestGrids:
@@ -75,19 +67,19 @@ class TestEvaluatePoint:
 
 class TestTables:
     def test_one_list_per_column(self):
-        table = sweep_records(small_config())
+        table = small_table()
         assert list(table) == list(COLUMNS)
         assert all(isinstance(table[c], list) and len(table[c]) == 2 * 2 * 3 * 7 for c in COLUMNS)
 
     def test_row_count_and_order(self):
-        table = sweep_records(small_config(method="numeric"))
+        table = small_table("numeric")
         assert len(table["phi"]) == 2 * 3 * 7
         # couplings outer, N middle, phi inner
         assert table["g"][:21] == [0.3] * 21
         assert table["N"][:7] == [-1] * 7
 
     def test_csv_reparse_defect_invariant(self):
-        text = render_csv(sweep_records(small_config()))
+        text = render_csv(small_table())
         reader = csv.DictReader(io.StringIO(text))
         n_rows = 0
         for row in reader:
@@ -103,39 +95,23 @@ class TestTables:
         assert n_rows == 2 * 2 * 3 * 7
 
     def test_json_round_trip(self):
-        table = sweep_records(small_config(method="numeric", phi_count=3))
+        table = small_table("numeric", 3)
         parsed = json.loads(render_json(table))
         assert len(parsed) == len(table["phi"])
         assert parsed[0]["re_T"] == table["re_T"][0]
         assert parsed[0]["N"] == -1
 
     def test_deterministic_rendering(self):
-        config = small_config()
-        assert render_csv(sweep_records(config)) == render_csv(sweep_records(config))
+        assert render_csv(small_table()) == render_csv(small_table())
 
     def test_full_grid_defects(self):
-        config = SweepConfig(
-            model="two-center",
-            couplings=(-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9),
-            n_values=(-1, 0, 2),
-            phi_count=40,
-            method="numeric",
-        )
-        table = sweep_records(config)
+        specs = scatterer_specs("two-center", (-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9), (-1, 0, 2))
+        table = sweep_records(specs, phi_grid(40), "numeric")
         assert len(table["phi"]) == 10 * 3 * 40
         assert max(table["defect"]) <= 1e-11
 
     def test_chain_records_label_couplings(self):
-        config = SweepConfig(
-            model="chain",
-            couplings=((0.5, 0.3),),
-            n_values=(),
-            phi_count=2,
-            phi_min=0.5,
-            phi_max=1.5,
-            method="numeric",
-        )
-        table = sweep_records(config)
+        table = sweep_records([ChainSpec((0.5, 0.3))], phi_grid(2, 0.5, 1.5), "numeric")
         assert table["g"][0] == "0.5:0.29999999999999999"
         assert table["N"][0] is None
 
@@ -235,6 +211,23 @@ class TestCliSweep:
     def test_missing_out(self, capsys):
         code = main(["sweep", "--g", "0.3", "--N", "0", "--phi-grid", "3"])
         assert code == 2
+
+
+class TestCliMethodDefault:
+    """Without --method a two-center scatterer gets closed and numeric rows, any other numeric rows."""
+
+    @pytest.mark.parametrize(
+        "flags, methods",
+        [(["--g", "0.5", "--N", "3"], ["closed", "numeric"]), (["--model", "chain", "--couplings", "0.5,0.3"], ["numeric"])],
+        ids=["two-center", "chain"],
+    )
+    def test_amplitudes_and_sweep(self, flags, methods, tmp_path, capsys):
+        assert main(["amplitudes", *flags, "--phi", "1.0"]) == 0
+        out = capsys.readouterr().out
+        assert [tok.split("=")[1] for tok in out.split() if tok.startswith("method=")] == methods
+        table = tmp_path / "s.csv"
+        assert main(["sweep", *flags, "--phi-grid", "3", "--out", str(table)]) == 0
+        assert [row["method"] for row in csv.DictReader(io.StringIO(table.read_text()))] == methods * 3
 
 
 class TestCliVerify:
@@ -445,3 +438,19 @@ class TestCliProbe:
         code = main(["probe-continuum", "--g", "0.3", "--halvings", "3", "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("h,phi")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kappa", "nan"], "kappa=nan must be positive"),
+            (["--h-list", "0.2,nan,0.1"], "h sequence must be strictly decreasing"),
+            (["--h-list", "0.2,0.1,-0.1"], "h=-0.1 must be positive"),
+        ],
+        ids=["kappa-nan", "h-nan", "h-negative"],
+    )
+    def test_bad_kappa_or_h_is_named(self, flags, message, capsys):
+        # every comparison with NaN is False, so each check must fail on it rather than pass
+        assert main(["probe-continuum", "--g", "0.5", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

@@ -16,9 +16,17 @@ import numpy as np
 import pytest
 
 import qhscatter.sweeps as sweeps
-from qhscatter import ChainSpec, MultiCenterSpec, TwoCenterSpec
-from qhscatter.scattering import closed_form, solve_numeric, solve_numeric_batch
-from qhscatter.sweeps import COLUMNS, SweepConfig, evaluate_point, render_csv, render_json, sweep_records
+from qhscatter import Amplitudes, ChainSpec, MultiCenterSpec, TwoCenterSpec
+from qhscatter.scattering import closed_form, solve_numeric, solve_numeric_arrays
+from qhscatter.sweeps import (
+    COLUMNS,
+    evaluate_point,
+    phi_grid,
+    render_csv,
+    render_json,
+    scatterer_specs,
+    sweep_records,
+)
 
 
 def _ref_fmt(x) -> str:
@@ -70,7 +78,10 @@ def reference_records(specs, phis, method):
     records = []
     for spec in specs:
         closed = [None if method == "numeric" else closed_form(spec, phi) for phi in phis]
-        numeric = [None] * len(phis) if method == "closed" else solve_numeric_batch(spec, phis)
+        numeric = [None] * len(phis)
+        if method != "closed":
+            R, T = solve_numeric_arrays(spec, phis)
+            numeric = list(map(Amplitudes, R.tolist(), T.tolist(), phis))
         for phi, amp_closed, amp_num in zip(phis, closed, numeric):
             records += _ref_point_records(spec, phi, method, amp_closed, amp_num)
     return records
@@ -113,47 +124,38 @@ SPECIAL_ROWS = [
 ]
 
 
-class GivenSpecs(SweepConfig):
-    """A sweep over an explicit scatterer list, for layouts the CLI grids cannot name."""
-
-    def __init__(self, specs, **kwargs):
-        super().__init__(model="multi-center", couplings=(), n_values=(), **kwargs)
-        object.__setattr__(self, "given", tuple(specs))
-
-    def specs(self):
-        return list(self.given)
+def two_center(method, couplings=(0.4, -0.9), n_values=(-1, 0, 1, 2, 50), count=41):
+    return scatterer_specs("two-center", couplings, n_values), phi_grid(count), method
 
 
-def two_center(method, **kwargs):
-    grid = dict(couplings=(0.4, -0.9), n_values=(-1, 0, 1, 2, 50), phi_count=41)
-    grid.update(kwargs)
-    return SweepConfig(model="two-center", method=method, **grid)
-
-
-CONFIGS = {
+# (scatterers, angles, method) of each sweep
+SWEEPS = {
     "two-center-both": two_center("both"),
     "two-center-numeric": two_center("numeric"),
     "two-center-closed": two_center("closed"),
     # 0.0 and -0.0 are equal but print as 0 and -0
-    "signed-zero": two_center("both", couplings=(0.0, -0.0, 0.0), n_values=(3,), phi_count=5),
-    "chain": SweepConfig(
-        model="chain", couplings=((0.5, 0.3), (0.4, -0.2, 0.6), (0.1,)), n_values=(), phi_count=30
-    ),
-    "multi-center-equal": SweepConfig(
-        model="multi-center", couplings=(0.3, 0.5), n_values=(), phi_count=30, centers=(-6, 0, 7)
-    ),
-    "multi-center-unequal": GivenSpecs(
-        [MultiCenterSpec((-6, 0, 7), (0.3, -0.5, 0.7)), MultiCenterSpec((-4, 4), (0.2, 0.2))],
-        phi_count=30,
+    "signed-zero": two_center("both", couplings=(0.0, -0.0, 0.0), n_values=(3,), count=5),
+    "chain": (scatterer_specs("chain", ((0.5, 0.3), (0.4, -0.2, 0.6), (0.1,))), phi_grid(30), "numeric"),
+    "multi-center-equal": (scatterer_specs("multi-center", (0.3, 0.5), centers=(-6, 0, 7)), phi_grid(30), "numeric"),
+    # an explicit list of every family, with layouts the CLI grids cannot name
+    "mixed": (
+        [
+            MultiCenterSpec((-6, 0, 7), (0.3, -0.5, 0.7)),
+            TwoCenterSpec(0.4, 3),
+            ChainSpec((0.5, 0.3)),
+            MultiCenterSpec((-4, 4), (0.2, 0.2)),
+        ],
+        phi_grid(30),
+        "numeric",
     ),
 }
 
 
-@pytest.fixture(scope="module", params=sorted(CONFIGS))
+@pytest.fixture(scope="module", params=sorted(SWEEPS))
 def tables(request):
-    config = CONFIGS[request.param]
-    records = reference_records(config.specs(), config.angles().tolist(), config.method)
-    return request.param, sweep_records(config), records
+    specs, phis, method = SWEEPS[request.param]
+    records = reference_records(specs, phis.tolist(), method)
+    return request.param, sweep_records(specs, phis, method), records
 
 
 class TestColumnsMatchDictRows:
@@ -181,10 +183,12 @@ class TestColumnsMatchDictRows:
         if name == "two-center-both":
             assert table["method"] == ["closed", "numeric"] * (len(table["phi"]) // 2)
             assert None not in table["discrepancy"]
-        if name in ("chain", "multi-center-unequal"):
+        if name == "chain":
             assert isinstance(table["g"][0], str) and set(table["N"]) == {None}
-        if name == "multi-center-unequal":
+        if name == "mixed":
             assert table["g"][0] == "0.29999999999999999:-0.5:0.69999999999999996"
+            assert table["g"][30:61:30] == [0.4, "0.5:0.29999999999999999"]
+            assert table["N"][::30] == [None, 3, None, None]
             assert table["g"][-1] == 0.2  # equal couplings print as one g
 
 
@@ -219,6 +223,6 @@ def test_each_scatterer_is_solved_once(monkeypatch):
         return numeric_arrays(spec, phis)
 
     monkeypatch.setattr(sweeps, "solve_numeric_arrays", spy)
-    config = CONFIGS["two-center-both"]
-    sweep_records(config)
-    assert calls == config.specs()
+    specs, phis, method = SWEEPS["two-center-both"]
+    sweep_records(specs, phis, method)
+    assert calls == specs
