@@ -159,6 +159,8 @@ def cmd_probe_continuum(args) -> int:
     if args.h_list:
         hs = list(args.h_list)
     else:
+        if not 0.0 < args.h_start < math.inf:  # NaN included
+            raise QhScatterError(f"--h-start {args.h_start!r} must be positive and finite")
         # ldexp(h, -i) has the bits of h / 2**i wherever 2**i is a double, and never overflows
         if not (args.halvings >= 1 and math.ldexp(args.h_start, -args.halvings) > 0.0):
             raise QhScatterError(

@@ -1,9 +1,9 @@
 """Reflection/transmission amplitudes: the matching solver and closed forms.
 
 One numeric route solves every scatterer (solve_numeric at one angle,
-solve_numeric_arrays at many, numeric_wave for the sampled wave).  It works
-on the Hermitian partner h = Theta^(1/2) H Theta^(-1/2), the real symmetric
-lattice whose row k reads
+solve_numeric_grid at many scatterers and angles, numeric_wave for the
+sampled wave).  It works on the Hermitian partner
+h = Theta^(1/2) H Theta^(-1/2), the real symmetric lattice whose row k reads
 
     -t_{k-1} psi_{k-1} + 2 cos(phi) psi_k - t_k psi_{k+1} = 0,
 
@@ -15,11 +15,21 @@ LU with partial pivoting solves them, so the cost grows with the number of
 bonds and not with N.  Where each entry sits depends on the bond positions
 alone: each bond layout is planned once (its clusters, its constant entries
 and the places of the hops and phases, in a bounded cache), and each call
-fills in the couplings' hops, 2 cos(phi) and the angle's phases.  Many
-angles of one scatterer are solved in one call, their systems stacked
-block-diagonally with no coupling between blocks, up to CHUNK_UNKNOWNS
-unknowns per call.  h reflects as H does, and T = T_h sqrt(theta_L/theta_R).
-The self-check is the partner's unitarity |R|^2 + |T_h|^2 = 1, per angle.
+fills in the couplings' hops, 2 cos(phi) and the angle's phases.
+
+Scatterers whose bonds sit at the same positions share a plan and form a
+layout group: every two-center spec of one N, every chain of one length,
+the multi-center specs of one set of centers.  solve_numeric_grid solves
+each group's (scatterer, angle) systems together, stacked block-diagonally
+with no coupling between blocks, in chunks of at most CHUNK_UNKNOWNS
+unknowns, one LAPACK call per chunk; solve_numeric_arrays is its case of
+one scatterer.  The transcendental values, 2 cos(phi) and each phase e(k),
+are taken once on the angle array and gathered per system, never taken on
+a tiled array; only the hops and a chain's T scale vary by scatterer.  So
+every system keeps the bits it has alone.  h reflects as H does, and
+T = T_h sqrt(theta_L/theta_R).  The self-check is the partner's unitarity
+|R|^2 + |T_h|^2 = 1, per system; a failure anywhere reruns the scatterers
+one at a time, so the first failing point in grid order raises.
 
 H's own matching rows over its matching radius at one angle
 (build_matching_system) and their residual (matching_row_residual) stay
@@ -42,15 +52,18 @@ phase.  Im U = -k sin(M phi)^2, so U = 0 needs k sin(M phi) = 0, and then
 U = -q < 0; V likewise with cos for sin.  Neither vanishes for |g| < 1 and
 0 < phi < pi, so the form answers every angle of the band.
 
-closed_form takes one angle in Python complex arithmetic; closed_form_arrays
-takes a scatterer's whole angle array in the same operations on real and
-imaginary parts, written out as CPython performs them (a float operand is
-the complex (x, 0.0), a quotient divides through by the larger part of the
-divisor as _Py_c_quot does), so every angle keeps the one-angle bits, signed
-zeros included.  solve_numeric_arrays likewise returns R and T as complex
-arrays.  Squares such as |R|^2 are taken on Python floats by the callers:
-numpy's a*a and glibc's pow(a, 2), which x**2 calls, differ in the last
-bit for some doubles.
+closed_form takes one angle in Python complex arithmetic; closed_form_grid
+takes many two-center specs at an angle array in the same operations on
+real and imaginary parts, written out as CPython performs them (a float
+operand is the complex (x, 0.0), a quotient divides through by the larger
+part of the divisor as _Py_c_quot does), so every point keeps the one-angle
+bits, signed zeros included.  sin(phi) and cos(phi) are taken once on the
+angle array and e((N + 2) phi) once per N, and the specs of one N share
+each operation over their (g, phi) array; closed_form_arrays is the case
+of one spec.  The grid routes return R and T as complex arrays with one
+row per scatterer.  Squares such as |R|^2 are taken on Python floats by
+the callers: numpy's a*a and glibc's pow(a, 2), which x**2 calls, differ
+in the last bit for some doubles.
 """
 
 from __future__ import annotations
@@ -68,8 +81,8 @@ from .lattice import SiteWindow, WaveSample, as_angle
 from .metric import half_log_ratio
 from .potentials import BondMap, MultiCenterSpec, ScattererSpec, TwoCenterSpec
 
-# partner unknowns per batched solve: a batch's band (112 bytes per unknown)
-# stays near 460 kB, so a batch's working memory does not grow with the grid
+# partner unknowns per chunk of a batched solve: a chunk's band (112 bytes per
+# unknown) stays near 460 kB, so a batch's working memory does not grow with the grid
 CHUNK_UNKNOWNS = 1 << 12
 # the one-angle route jumps a free stretch of at least this many rows
 # between bond clusters; shorter stretches stay in the cluster as plain rows
@@ -337,95 +350,68 @@ def _plan(positions: tuple[int, ...]) -> _Plan:
     )
 
 
-def _partner_system(bonds: BondMap, p) -> tuple[_Plan, np.ndarray, np.ndarray]:
-    """(plan, ab, rhs) of the partner system of bonds at angle p, filled by its layout's plan.
+def _partner_system(bonds: BondMap, p: float) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    """(plan, ab, rhs) of the partner system of bonds at one angle p, filled by its layout's plan.
 
-    p is one angle or a 1-D array of angles.  ab has shape (7 n,) for one
-    angle and (7 n, m) for m angles, rhs (n,) or (n, m); each flat index
-    of the plan is a row holding one entry per angle.  One angle's values
-    stay Python scalars until the one write that places them all.
+    ab has shape (7 n,) and rhs (n,).  The values stay Python scalars until
+    the one write that places them all.
     """
     plan = _plan(tuple(bonds))
-    one = isinstance(p, float)
-    angles = () if one else (len(p),)
-    ab = np.zeros((7 * plan.n, *angles), dtype=np.complex128, order="F")
-    rhs = np.zeros((plan.n, *angles), dtype=np.complex128, order="F")
-    ab[plan.constants] = plan.constant_values if one else plan.constant_values[:, None]
-    c2 = 2.0 * (math.cos(p) if one else np.cos(p))
+    ab = np.zeros(7 * plan.n, dtype=np.complex128)
+    rhs = np.zeros(plan.n, dtype=np.complex128)
+    ab[plan.constants] = plan.constant_values
+    c2 = 2.0 * math.cos(p)
     hops = [-math.sqrt((1.0 - g) * (1.0 + g)) for g in bonds.values()] * 2  # one per side
     w = [_phase(k, p) for k in plan.ks]
     rhs[:2] = w[:2]
     w = [-v for v in w]
     w += [v.conjugate() for v in w]  # -e(k), then -conj(e(k)), for k in ks
-    if one:
-        ab[plan.entries] = [c2] * plan.n_diagonal + hops + [w[i] for i in plan.phase_sources]
-    else:
-        ab[plan.entries] = np.concatenate((
-            np.broadcast_to(c2, (plan.n_diagonal, len(p))),
-            np.broadcast_to(np.array(hops)[:, None], (len(hops), len(p))),
-            np.array(w)[list(plan.phase_sources)],
-        ))
+    ab[plan.entries] = [c2] * plan.n_diagonal + hops + [w[i] for i in plan.phase_sources]
     return plan, ab, rhs
 
 
-def _solve_partner(bonds: BondMap, p):
-    """Solve the compressed matching system of the Hermitian partner at angle p.
+def _solve_partner(bonds: BondMap, p: float) -> tuple[list, tuple]:
+    """Solve the compressed matching system of the Hermitian partner at one angle p.
 
-    p is one angle or a 1-D array of angles.  Returns (x, layout), x a
-    list for one angle and an array with one column per angle otherwise;
-    see _plan for x and layout.  The systems of an array of angles sit
-    uncoupled on the band's diagonal and share one LAPACK call, so each
-    angle's solution is the one it gets alone.  Past the solve, one angle
-    stays in Python scalars.
-
-    Raises ResonanceError for the first angle, in order, whose system is
-    singular or whose solution breaks the partner's unitarity
-    |R|^2 + |T_h|^2 = 1 by more than 1e-9; a non-finite value in x reaches
-    R in the back substitution and breaks it too (in a batch, possibly the
-    R of an earlier angle).
+    Returns (x, layout), x a list of Python complex; see _plan for x and
+    layout.  Raises ResonanceError when the system is singular or its
+    solution breaks the partner's unitarity |R|^2 + |T_h|^2 = 1 by more
+    than 1e-9 (a non-finite value in x reaches R in the back substitution
+    and breaks it too).
     """
-    one = isinstance(p, float)
     plan, ab, rhs = _partner_system(bonds, p)
-    n = plan.n
-    # the angles' (7, n) blocks one after another
-    band, b = ab.reshape(7, -1, order="F"), rhs.reshape(-1, order="F")
-    _, _, x, info = zgbsv(2, 2, band, b, overwrite_ab=1, overwrite_b=1)
+    _, _, x, info = zgbsv(2, 2, ab.reshape(7, -1, order="F"), rhs, overwrite_ab=1, overwrite_b=1)
     if info != 0:
-        # info is the first zero pivot; the angles before its block factored
-        # cleanly but were not solved, and one of them may fail first
-        singular = (info - 1) // n
-        if singular:
-            _solve_partner(bonds, p[:singular])
-        raise ResonanceError(f"matching system singular at phi={p if one else float(p[singular])!r}")
-    x = x.tolist() if one else x.reshape(-1, n).T
+        raise ResonanceError(f"matching system singular at phi={p!r}")
+    x = x.tolist()
     R, T_h = x[0], x[-1]
     defect = abs(R.real**2 + R.imag**2 + T_h.real**2 + T_h.imag**2 - 1.0)
-    if not (defect <= 1e-9 if one else (defect <= 1e-9).all()):
-        for d, q in zip(np.atleast_1d(defect).tolist(), np.atleast_1d(p).tolist()):
-            if not d <= 1e-9:
-                raise ResonanceError(f"partner unitarity violated (defect {d:.2e}) at phi={q!r}")
+    if not defect <= 1e-9:
+        raise ResonanceError(f"partner unitarity violated (defect {defect:.2e}) at phi={p!r}")
     return x, plan.layout
 
 
-def _partner_amplitudes(x, spec: ScattererSpec, bonds: BondMap, p):
-    """R = R_h and T = T_h sqrt(theta_L/theta_R) from _solve_partner's x; arrays R, T for an array p.
+def _t_scale(spec: ScattererSpec, bonds: BondMap, p: float) -> float:
+    """sqrt(theta_L/theta_R), by which T = T_h scales; a DomainError names the angle p above the double range.
 
     The scale is exactly 1 for blocks: a block's bonds hold +g and -g and
     never merge with another block's, and their log-form terms cancel
-    exactly.  A chain's is summed in log form; below the double range T is
-    0, above it a DomainError names the (first) angle.
+    exactly.  A chain's is summed in log form; below the double range it
+    is 0.
     """
-    one = isinstance(p, float)
-    scale = 1.0
-    if not isinstance(spec, MultiCenterSpec):
-        try:
-            scale = math.exp(math.fsum(half_log_ratio(g) for g in bonds.values()))
-        except OverflowError:
-            raise DomainError(f"|T| exceeds the double range at phi={p if one else float(p[0])!r}") from None
+    if isinstance(spec, MultiCenterSpec):
+        return 1.0
+    try:
+        return math.exp(math.fsum(half_log_ratio(g) for g in bonds.values()))
+    except OverflowError:
+        raise DomainError(f"|T| exceeds the double range at phi={p!r}") from None
+
+
+def _partner_amplitudes(x, spec: ScattererSpec, bonds: BondMap, p: float) -> Amplitudes:
+    """R = R_h and T = T_h sqrt(theta_L/theta_R) from _solve_partner's x."""
+    scale = _t_scale(spec, bonds, p)
     R, T_h = x[0], x[-1]
-    if one:
-        return Amplitudes(R=R, T=complex(T_h.real * scale, T_h.imag * scale), phi=p)
-    return R, _complex(T_h.real * scale, T_h.imag * scale)
+    return Amplitudes(R=R, T=complex(T_h.real * scale, T_h.imag * scale), phi=p)
 
 
 def solve_numeric(spec: ScattererSpec, phi: float) -> Amplitudes:
@@ -443,23 +429,134 @@ def solve_numeric(spec: ScattererSpec, phi: float) -> Amplitudes:
     return _partner_amplitudes(x, spec, bonds, p)
 
 
-def solve_numeric_arrays(spec: ScattererSpec, phis) -> tuple[np.ndarray, np.ndarray]:
-    """solve_numeric's R and T at every angle of phis, in order, as two complex arrays.
+def _layout_groups(keys) -> dict:
+    """The indices of keys grouped by key, in order of first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
-    The angles go in batches of up to CHUNK_UNKNOWNS partner unknowns, one
-    banded solve per batch.  Each angle gets solve_numeric's bits where
-    numpy's cos and sin round as math's do (the tests check it), and the
-    first failing angle raises what it raises alone.
+
+def _group_fill(plan: _Plan, bond_maps: list[BondMap], phis: np.ndarray):
+    """fill(sc, ang): (ab, rhs) of the partner systems of scatterer sc[i] at angle phis[ang[i]].
+
+    The scatterers' bonds sit where plan says.  ab (7 n, m) and rhs (n, m)
+    hold the m systems side by side in Fortran order, each laid out as
+    _partner_system lays out one angle.  2 cos(phi) and each phase e(k) are
+    taken once on phis and each hop once per scatterer; fill only gathers
+    them, so every entry has the bits it has alone.
+    """
+    hop_at = plan.n_diagonal + 2 * len(bond_maps[0])  # the phase entries follow two hops per bond
+    diagonal, hop_entries, phase_entries = np.split(plan.entries, [plan.n_diagonal, hop_at])
+    two_cos = 2.0 * np.cos(phis)
+    w = np.array([_phase(k, phis) for k in plan.ks]).reshape(len(plan.ks), len(phis))
+    phases = np.concatenate((-w, (-w).conj()))[list(plan.phase_sources)]
+    hops = np.array([[-math.sqrt((1.0 - g) * (1.0 + g)) for g in bonds.values()] * 2 for bonds in bond_maps]).T
+
+    def fill(sc: np.ndarray, ang: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ab = np.zeros((7 * plan.n, len(sc)), dtype=np.complex128, order="F")
+        rhs = np.zeros((plan.n, len(sc)), dtype=np.complex128, order="F")
+        ab[plan.constants] = plan.constant_values[:, None]
+        ab[diagonal] = two_cos[ang]
+        ab[hop_entries] = hops[:, sc]
+        ab[phase_entries] = phases[:, ang]
+        rhs[:2] = w[:2, ang]
+        return ab, rhs
+
+    return fill
+
+
+def _solve_systems(fill, n: int, sc: np.ndarray, ang: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, T_h) of fill's systems (sc, ang), all n unknowns each, solved in one LAPACK call.
+
+    The systems sit uncoupled on the band's diagonal, so each gets the
+    solution it gets alone.  Raises ResonanceError for the first system, in
+    order, that is singular or breaks the partner's unitarity by more than
+    1e-9; a non-finite value in x reaches R in the back substitution and
+    breaks it too (possibly the R of an earlier system).
+    """
+    ab, rhs = fill(sc, ang)
+    _, _, x, info = zgbsv(2, 2, ab.reshape(7, -1, order="F"), rhs.reshape(-1, order="F"), overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        # info is the first zero pivot; the systems before its block factored
+        # cleanly but were not solved, and one of them may fail first
+        singular = (info - 1) // n
+        if singular:
+            _solve_systems(fill, n, sc[:singular], ang[:singular], phis)
+        raise ResonanceError(f"matching system singular at phi={float(phis[ang[singular]])!r}")
+    x = x.reshape(-1, n).T
+    R, T_h = x[0], x[-1]
+    defect = abs(R.real**2 + R.imag**2 + T_h.real**2 + T_h.imag**2 - 1.0)
+    if not (defect <= 1e-9).all():
+        for d, a in zip(defect.tolist(), ang.tolist()):
+            if not d <= 1e-9:
+                raise ResonanceError(f"partner unitarity violated (defect {d:.2e}) at phi={float(phis[a])!r}")
+    return R, T_h
+
+
+def _solve_group(specs: list, bond_maps: list[BondMap], phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R and T, each (len(specs), len(phis)), of scatterers whose bonds share one layout.
+
+    The (scatterer, angle) systems go scatterer outer, angle inner, in
+    chunks of at most CHUNK_UNKNOWNS unknowns (one system at least), one
+    zgbsv call per chunk.  The angles go in spans of whole chunks whose
+    values (2 cos(phi), the phases and the phase entries) take no more room
+    than a chunk's band, so a span's fill stays as small as a chunk, and
+    one scatterer's chunks start every CHUNK_UNKNOWNS // n angles, as they
+    always have.  A scatterer's T scale is taken once its first chunk is
+    solved: a chain beyond the double range raises its DomainError at its
+    first angle unless that chunk fails first.
+    """
+    plan = _plan(tuple(bond_maps[0]))
+    step = max(1, CHUNK_UNKNOWNS // plan.n)
+    per_angle = 1 + len(plan.ks) + len(plan.phase_sources)
+    span = step * max(1, 7 * CHUNK_UNKNOWNS // (per_angle * step))
+    R, T = np.empty((2, len(specs), len(phis)), dtype=np.complex128)
+    scales = []
+    for a0 in range(0, len(phis), span):
+        angles = phis[a0 : a0 + span]
+        fill = _group_fill(plan, bond_maps, angles)
+        pairs = len(specs) * len(angles)
+        for start in range(0, pairs, step):
+            sc, ang = np.divmod(np.arange(start, min(start + step, pairs)), len(angles))
+            R_h, T_h = _solve_systems(fill, plan.n, sc, ang, angles)
+            while len(scales) <= sc[-1]:
+                s = len(scales)
+                scales.append(_t_scale(specs[s], bond_maps[s], float(phis[0])))
+            scale = np.array(scales)[sc]
+            R[sc, a0 + ang] = R_h
+            T[sc, a0 + ang] = _complex(T_h.real * scale, T_h.imag * scale)
+    return R, T
+
+
+def solve_numeric_grid(specs: list, phis) -> tuple[np.ndarray, np.ndarray]:
+    """solve_numeric's R and T of each scatterer at every angle of phis, each of shape (len(specs), len(phis)).
+
+    Scatterers whose bonds sit at the same positions share a plan, and
+    each such group is solved as one batch (_solve_group).  Each point
+    gets solve_numeric's bits where numpy's cos and sin round as math's do
+    (the tests check it).  On a failure the scatterers run again one at a
+    time in the order of specs, so the first failing point in grid order
+    raises what it raises alone.
     """
     phis = _angle_array(phis)
-    bonds = spec.bond_map()
-    step = max(1, CHUNK_UNKNOWNS // _plan(tuple(bonds)).n)
-    R, T = np.empty((2, len(phis)), dtype=np.complex128)
-    for start in range(0, len(phis), step):
-        batch = phis[start : start + step]
-        x, _ = _solve_partner(bonds, batch)
-        R[start : start + step], T[start : start + step] = _partner_amplitudes(x, spec, bonds, batch)
+    bond_maps = [spec.bond_map() for spec in specs]
+    R, T = np.empty((2, len(specs), len(phis)), dtype=np.complex128)
+    try:
+        for rows in _layout_groups(tuple(bonds) for bonds in bond_maps).values():
+            R[rows], T[rows] = _solve_group([specs[i] for i in rows], [bond_maps[i] for i in rows], phis)
+    except (ResonanceError, DomainError):
+        if len(specs) > 1:
+            for spec in specs:
+                solve_numeric_grid([spec], phis)
+        raise
     return R, T
+
+
+def solve_numeric_arrays(spec: ScattererSpec, phis) -> tuple[np.ndarray, np.ndarray]:
+    """solve_numeric's R and T at every angle of phis, in order, as two complex arrays: solve_numeric_grid of one scatterer."""
+    R, T = solve_numeric_grid([spec], phis)
+    return R[0], T[0]
 
 
 def numeric_wave(spec: ScattererSpec, phi: float) -> tuple[Amplitudes, WaveSample]:
@@ -502,29 +599,30 @@ def _quot(ar, ai, br, bi):
         return re, np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
 
 
-def _closed(spec: TwoCenterSpec, p):
-    """(R, T) of the closed form at angle p; see the module docstring.
+def _closed(spec: TwoCenterSpec, p: float) -> tuple[complex, complex]:
+    """(R, T) of the closed form at one angle p, in Python complex arithmetic; see the module docstring."""
+    g = spec.g
+    q = (1.0 - g) * (1.0 + g) * math.sin(p)
+    k = 2.0 * g * g * math.cos(p)
+    e = _phase(spec.N + 2, p)  # cos(M phi) + i sin(M phi)
+    U = -q - k * e.imag * e
+    V = 1j * q - k * e.real * e
+    r_minus_t = -U.conjugate() / U
+    r_plus_t = -V.conjugate() / V
+    return (r_plus_t + r_minus_t) / 2.0, (r_plus_t - r_minus_t) / 2.0
 
-    p is one angle, taken in Python complex arithmetic, or a 1-D array of
-    angles, taken in the same operations on real parts as CPython performs
+
+def _closed_group(g: np.ndarray, sin: np.ndarray, cos: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, T) of _closed for the couplings g (a column) of one N at angles with these sin, cos and e(N + 2).
+
+    The operations are _closed's, taken on real parts as CPython performs
     them: a float x is the complex (x, 0.0) in a sum or product, so
     x e = (x c - 0.0 s, x s + 0.0 c), and a quotient is _quot's.  Each
-    angle of an array thus gets one angle's bits, signed zeros included,
-    and R and T are complex arrays.
+    point thus gets one angle's bits, signed zeros included, and R and T
+    are complex arrays of shape (len(g), len(e)).
     """
-    g = spec.g
-    if isinstance(p, float):
-        q = (1.0 - g) * (1.0 + g) * math.sin(p)
-        k = 2.0 * g * g * math.cos(p)
-        e = _phase(spec.N + 2, p)  # cos(M phi) + i sin(M phi)
-        U = -q - k * e.imag * e
-        V = 1j * q - k * e.real * e
-        r_minus_t = -U.conjugate() / U
-        r_plus_t = -V.conjugate() / V
-        return (r_plus_t + r_minus_t) / 2.0, (r_plus_t - r_minus_t) / 2.0
-    q = (1.0 - g) * (1.0 + g) * np.sin(p)
-    k = 2.0 * g * g * np.cos(p)
-    e = _phase(spec.N + 2, p)
+    q = (1.0 - g) * (1.0 + g) * sin
+    k = 2.0 * g * g * cos
     c, s = e.real, e.imag
     ks, kc = k * s, k * c
     u = -q - (ks * c - 0.0 * s), 0.0 - (ks * s + 0.0 * c)
@@ -545,9 +643,25 @@ def closed_form(spec: TwoCenterSpec, phi: float) -> Amplitudes:
     return Amplitudes(R=R, T=T, phi=p)
 
 
+def closed_form_grid(specs: list, phis) -> tuple[np.ndarray, np.ndarray]:
+    """closed_form's R and T of each two-center spec at every angle of phis, each of shape (len(specs), len(phis)).
+
+    sin(phi) and cos(phi) are taken once on phis and e(N + 2) once per N;
+    the specs of one N are answered together by _closed_group.
+    """
+    phis = _angle_array(phis)
+    sin, cos = np.sin(phis), np.cos(phis)
+    R, T = np.empty((2, len(specs), len(phis)), dtype=np.complex128)
+    for n, rows in _layout_groups(spec.N for spec in specs).items():
+        g = np.array([specs[i].g for i in rows])[:, None]
+        R[rows], T[rows] = _closed_group(g, sin, cos, _phase(n + 2, phis))
+    return R, T
+
+
 def closed_form_arrays(spec: TwoCenterSpec, phis) -> tuple[np.ndarray, np.ndarray]:
-    """closed_form's R and T at every angle of phis, in order, as two complex arrays."""
-    return _closed(spec, _angle_array(phis))
+    """closed_form's R and T at every angle of phis, in order, as two complex arrays: closed_form_grid of one spec."""
+    R, T = closed_form_grid([spec], phis)
+    return R[0], T[0]
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
 """Parameter sweeps, machine-readable tables and built-in verification suites.
 
 A sweep's table holds one list per column, in a fixed column order, and
-one row per evaluation; it is built a scatterer at a time from the
-scatterer's amplitudes and written by one row template.  Numbers are
-printed with 17 significant digits so a re-parsed file reproduces the
-original doubles exactly; identical configurations produce byte-identical
-files.  Sweeps and the amplitude suites build each scatterer's columns at
-once from its whole angle array: closed_form_arrays and one
-solve_numeric_arrays call give R and T as arrays, and the squares, defects
-and discrepancies are taken from them as evaluate_point takes them from
-closed_form and solve_numeric at one angle, with the same bits.
-resonance_flag stays in the table as a column that reads 0.
+one row per evaluation; it is built from the amplitudes of the whole grid
+and written by one row template.  Numbers are printed with 17 significant
+digits so a re-parsed file reproduces the original doubles exactly;
+identical configurations produce byte-identical files.  Sweeps and the
+amplitude suites share one route (_grid_columns): closed_form_grid and
+solve_numeric_grid give R and T of every point as arrays, answering the
+scatterers of one bond layout (the two-center specs of one N, the chains of
+one length) as one batch, and the squares, defects and discrepancies are
+taken from them as evaluate_point takes them from closed_form and
+solve_numeric at one angle, with the same bits.  resonance_flag stays in
+the table as a column that reads 0.
+
+The suites keep their scores as arrays in grid order (SuiteScores), and
+one rule picks each check's worst point: the first NaN or +inf, else the
+first maximum above 0.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ import math
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QhScatterError
 from .metric import build_metric, quasi_hermiticity_residual
 from .potentials import (
     ChainSpec,
@@ -34,7 +40,7 @@ from .potentials import (
     build_potential,
 )
 from .lattice import SiteWindow, as_angle
-from .scattering import closed_form, closed_form_arrays, solve_numeric, solve_numeric_arrays
+from .scattering import closed_form, closed_form_grid, solve_numeric, solve_numeric_grid
 
 COLUMNS = (
     "g",
@@ -162,22 +168,31 @@ def scatterer_specs(model: str, couplings, n_values=(), centers=()) -> list[Scat
     raise DomainError(f"unknown model {model!r}")
 
 
-def _scatterer_columns(spec: ScattererSpec, phis: np.ndarray, method: str) -> tuple[dict, tuple]:
-    """(spec's rows at the angles phis as columns keyed by COLUMNS; |R_c - R_n| and |T_c - T_n|).
+def _grid_columns(specs: list[ScattererSpec], phis: np.ndarray, method: str) -> tuple[dict, tuple]:
+    """(the rows of specs at the angles phis as columns keyed by COLUMNS; |R_c - R_n| and |T_c - T_n|).
 
-    Each row has evaluate_point's values at its angle, bit for bit: the
-    closed form and the numeric route answer all angles as arrays, and the
+    Rows run in the order of specs, phi inner, and each has evaluate_point's
+    values at its point, bit for bit: closed_form_grid and solve_numeric_grid
+    answer every point as arrays, one batch per bond layout, and the
     squares are taken on Python floats.  A pair shares one discrepancy
     object, max(|dR|, |dT|) as max() takes it (a NaN in dT alone is
-    dropped); the gaps are kept apart under 'both' and are empty otherwise.
+    dropped); the gaps are kept apart under 'both', in grid order, and are
+    empty otherwise.  A scatterer the method does not fit is refused after
+    the scatterers before it are answered, as a loop over specs would.
     """
-    _check_method(spec, method)
+    for i, spec in enumerate(specs):
+        try:
+            _check_method(spec, method)
+        except DomainError:
+            if i:
+                _grid_columns(specs[:i], phis, method)
+            raise
     amps = {}  # (R, T) arrays of each method, closed first
     if method != "numeric":
-        amps["closed"] = closed_form_arrays(spec, phis)
+        amps["closed"] = closed_form_grid(specs, phis)
     if method != "closed":
-        amps["numeric"] = solve_numeric_arrays(spec, phis)
-    # R and T of the rows, each angle's rows side by side
+        amps["numeric"] = solve_numeric_grid(specs, phis)
+    # R and T of the rows, each point's rows side by side
     z = np.stack(list(amps.values()), axis=-1).reshape(2, -1)
     (re_R, re_T), (im_R, im_T) = z.real.tolist(), z.imag.tolist()
     abs_R2 = [x**2 + y**2 for x, y in zip(re_R, im_R)]
@@ -186,13 +201,20 @@ def _scatterer_columns(spec: ScattererSpec, phis: np.ndarray, method: str) -> tu
     count, gaps, discrepancy = len(re_R), ((), ()), [None] * len(re_R)
     if len(amps) == 2:
         (R_c, T_c), (R_n, T_n) = amps.values()
-        gap_R, gap_T = (np.hypot(d.real, d.imag) for d in (R_c - R_n, T_c - T_n))
+        gap_R, gap_T = (np.hypot(d.real, d.imag).reshape(-1) for d in (R_c - R_n, T_c - T_n))
         discrepancy = [d for d in np.where(gap_T > gap_R, gap_T, gap_R).tolist() for _ in (0, 1)]
         gaps = gap_R.tolist(), gap_T.tolist()
-    g, n = _scatterer_cells(spec)
-    angles, used = np.repeat(phis, len(amps)).tolist(), list(amps) * len(phis)
+    per_spec = len(phis) * len(amps)
+    cells = [_scatterer_cells(spec) for spec in specs]
+    g, n = (list(chain.from_iterable(repeat(cell[j], per_spec) for cell in cells)) for j in (0, 1))
     columns = (
-        [g] * count, [n] * count, angles, re_R, im_R, re_T, im_T, abs_R2, abs_T2, defect, used, [0] * count, discrepancy
+        g,
+        n,
+        np.tile(np.repeat(phis, len(amps)), len(specs)).tolist(),
+        re_R, im_R, re_T, im_T, abs_R2, abs_T2, defect,
+        list(amps) * (len(phis) * len(specs)),
+        [0] * count,
+        discrepancy,
     )
     return dict(zip(COLUMNS, columns)), gaps
 
@@ -200,16 +222,11 @@ def _scatterer_columns(spec: ScattererSpec, phis: np.ndarray, method: str) -> tu
 def sweep_records(specs: list[ScattererSpec], phis: np.ndarray, method: str) -> dict[str, list]:
     """The table of the scatterers specs at the angles phis: one list per name in COLUMNS.
 
-    Rows run in the order of specs, phi inner.  Each scatterer's rows are
-    added as columns at once, from its closed form and one batched numeric
-    solve over all angles.
+    Rows run in the order of specs, phi inner.  The scatterers that share
+    a bond layout are answered together, by one closed form and one
+    chunked numeric solve over all their points.
     """
-    table = {c: [] for c in COLUMNS}
-    for spec in specs:
-        columns, _ = _scatterer_columns(spec, phis, method)
-        for c in COLUMNS:
-            table[c] += columns[c]
-    return table
+    return _grid_columns(specs, phis, method)[0]
 
 
 # the row template prints these with 17 significant digits and the others with %s:
@@ -298,11 +315,14 @@ def metric_suite(
     """Quasi-Hermiticity residuals of build_metric on each family's grid."""
     checks = []
     if g_grid and n_grid:
-        scored = ((_metric_residual(TwoCenterSpec(g, n)), f"g={g} N={n}") for g in g_grid for n in n_grid)
-        checks.append(_check("metric", "two-center", tolerance_two_center, scored))
+        points = [(g, n) for g in g_grid for n in n_grid]
+        residuals = [_metric_residual(TwoCenterSpec(g, n)) for g, n in points]
+        label = lambda i: "g={} N={}".format(*points[i])  # noqa: E731
+        checks.append(_check("metric", "two-center", tolerance_two_center, residuals, label))
     if chain_specs:
-        scored = ((_metric_residual(ChainSpec(tuple(cs))), _chain_label(tuple(cs))) for cs in chain_specs)
-        checks.append(_check("metric", "chain", tolerance_chain, scored))
+        chains = [tuple(cs) for cs in chain_specs]
+        residuals = [_metric_residual(ChainSpec(cs)) for cs in chains]
+        checks.append(_check("metric", "chain", tolerance_chain, residuals, lambda i: _chain_label(chains[i])))
     return checks
 
 
@@ -321,64 +341,80 @@ def _metric_residual(spec: ScattererSpec) -> float:
         return quasi_hermiticity_residual(h, build_metric(spec, window))
 
 
-def _point_label(point) -> str:
-    spec, phi = point
-    return f"g={spec.g} N={spec.N} phi={phi:.6f}"
+def _check(suite: str, label: str, tolerance: float, values, point_label) -> SuiteCheck:
+    """The worst of values against tolerance, at point_label(its index).
 
-
-def _check(suite: str, label: str, tolerance: float, scored, point_label=str) -> SuiteCheck:
-    """The largest value over (value, point) pairs against tolerance, at point_label(its point).
-
-    A value that is not finite ends the scan and is reported with its
-    point: it fails any tolerance, where a NaN would slip past a max.  With
-    no value above 0 the check reads 0 at an empty point.
+    The worst value is the first NaN or +inf, which fails any tolerance
+    where a NaN would slip past a max; else the first maximum above 0.
+    With no value above 0 the check reads 0 at an empty point.
     """
-    worst, worst_at = 0.0, None
-    for value, point in scored:
-        if not value <= worst:
-            worst, worst_at = value, point
-            if not math.isfinite(value):
-                break
-    return SuiteCheck(suite, label, worst, tolerance, "" if worst_at is None else point_label(worst_at))
+    values = np.asarray(values, dtype=np.float64)
+    not_finite = np.isnan(values) | (values == math.inf)
+    if not_finite.any():
+        worst = int(not_finite.argmax())
+    elif values.size and values.max() > 0.0:
+        worst = int(values.argmax())
+    else:
+        return SuiteCheck(suite, label, 0.0, tolerance, "")
+    return SuiteCheck(suite, label, float(values[worst]), tolerance, point_label(worst))
 
 
-def suite_scores() -> list[tuple]:
+class SuiteScores(NamedTuple):
+    """What the amplitude suites score: one value per point of specs x phis, in grid order (phi inner)."""
+
+    specs: list[TwoCenterSpec]
+    phis: np.ndarray
+    numeric_defect: np.ndarray
+    closed_defect: np.ndarray
+    gap_R: np.ndarray
+    gap_T: np.ndarray
+
+    def label(self, point: int) -> str:
+        spec, phi = self.specs[point // len(self.phis)], self.phis[point % len(self.phis)]
+        return f"g={spec.g} N={spec.N} phi={phi:.6f}"
+
+
+def suite_scores() -> SuiteScores:
     """What the amplitude suites score at each point of the default grid, each point evaluated once.
 
-    One (spec, phi, numeric defect, closed defect, |R_c - R_n|, |T_c - T_n|)
-    per point, its numeric amplitudes from one batched solve per scatterer.
-    Only these numbers are kept, not the amplitudes.
+    The points are answered as a sweep's are, one N at a time: the specs
+    of one N are one bond layout and one batch, and only that batch's
+    columns are held at once.  A failure is raised for the first failing
+    point in grid order, as a sweep of the grid raises it.  Only the
+    defects and the gaps are kept, not the amplitudes.
     """
     # strictly inside (DEFAULT_PHI_MIN, DEFAULT_PHI_MAX)
     phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, DEFAULT_PHI_COUNT + 2)[1:-1]
-    scores = []
-    for spec in (TwoCenterSpec(g, n) for g in DEFAULT_G_GRID for n in DEFAULT_N_GRID):
-        columns, gaps = _scatterer_columns(spec, phis, "both")
-        defect = columns["defect"]
-        scores += zip(repeat(spec), phis.tolist(), defect[1::2], defect[::2], *gaps)
-    return scores
+    specs = [TwoCenterSpec(g, n) for g in DEFAULT_G_GRID for n in DEFAULT_N_GRID]
+    scores = np.empty((4, len(DEFAULT_G_GRID), len(DEFAULT_N_GRID), len(phis)))
+    try:
+        for j, n in enumerate(DEFAULT_N_GRID):
+            columns, gaps = _grid_columns(specs[j :: len(DEFAULT_N_GRID)], phis, "both")  # every g at N = n
+            defect = columns["defect"]
+            scores[:, :, j] = np.reshape([defect[1::2], defect[::2], *gaps], (4, len(DEFAULT_G_GRID), len(phis)))
+    except QhScatterError:
+        solve_numeric_grid(specs, phis)  # raises for the first failing point in grid order
+        raise
+    return SuiteScores(specs, phis, *scores.reshape(4, -1))
 
 
-def unitarity_suite(scores, tolerance: float = 1e-11) -> list[SuiteCheck]:
+def unitarity_suite(scores: SuiteScores, tolerance: float = 1e-11) -> list[SuiteCheck]:
     """| |R|^2 + |T|^2 - 1 | over suite_scores' scores, numeric and closed paths."""
-    numeric = ((d_n, (spec, phi)) for spec, phi, d_n, *_ in scores)
-    closed = ((d_c, (spec, phi)) for spec, phi, _, d_c, _, _ in scores)
     return [
-        _check("unitarity", "numeric", tolerance, numeric, _point_label),
-        _check("unitarity", "closed", tolerance, closed, _point_label),
+        _check("unitarity", "numeric", tolerance, scores.numeric_defect, scores.label),
+        _check("unitarity", "closed", tolerance, scores.closed_defect, scores.label),
     ]
 
 
-def closed_vs_numeric_suite(scores, tolerance: float = 1e-10) -> list[SuiteCheck]:
+def closed_vs_numeric_suite(scores: SuiteScores, tolerance: float = 1e-10) -> list[SuiteCheck]:
     """Componentwise closed-form vs matching-solver agreement over suite_scores' scores, per family."""
-
-    def gaps(key: str):
-        # R and T scored apart, so that a NaN in either cannot hide behind max()
-        for spec, phi, _, _, gap_R, gap_T in scores:
-            family = "N=-1" if spec.N == -1 else ("N=0" if spec.N == 0 else "N>=1")
-            if family == key:
-                yield gap_R, (spec, phi)
-                yield gap_T, (spec, phi)
-
-    keys = ("N=-1", "N=0", "N>=1")
-    return [_check("closed-vs-numeric", key, tolerance, gaps(key), _point_label) for key in keys]
+    family = np.repeat([min(spec.N, 1) for spec in scores.specs], len(scores.phis))  # -1, 0, or 1 for N >= 1
+    # each point's R and T gaps in turn, scored apart so that a NaN in either cannot hide behind max()
+    gaps = np.stack((scores.gap_R, scores.gap_T), axis=-1)
+    checks = []
+    for key, f in (("N=-1", -1), ("N=0", 0), ("N>=1", 1)):
+        points = np.flatnonzero(family == f)
+        checks.append(
+            _check("closed-vs-numeric", key, tolerance, gaps[points].reshape(-1), lambda i: scores.label(points[i // 2]))
+        )
+    return checks

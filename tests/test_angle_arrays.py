@@ -109,7 +109,7 @@ class TestColumnsAreEvaluatePoint:
 
     def test_discrepancy_is_pythons_max(self):
         spec, phis = TwoCenterSpec(-0.7, 10), phi_grid(200)
-        columns, (gap_R, gap_T) = sweeps._scatterer_columns(spec, phis, "both")
+        columns, (gap_R, gap_T) = sweeps._grid_columns([spec], phis, "both")
         for i, phi in enumerate(phis.tolist()):
             amp_c, amp_n = closed_form(spec, phi), solve_numeric(spec, phi)
             d_R, d_T = abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T)
@@ -122,15 +122,15 @@ class TestColumnsAreEvaluatePoint:
     def test_a_nan_in_one_amplitude(self, part, monkeypatch):
         # max(|dR|, nan) is |dR| and max(nan, |dT|) is nan, as evaluate_point takes them
         spec, phis = TwoCenterSpec(0.5, 2), phi_grid(9)
-        closed_arrays = sweeps.closed_form_arrays
+        closed_grid = sweeps.closed_form_grid
 
         def nan_at_angle_4(s, p):
-            R, T = closed_arrays(s, p)
-            (R if part == "R" else T)[4] = complex(math.nan, 0.0)
+            R, T = closed_grid(s, p)
+            (R if part == "R" else T)[0, 4] = complex(math.nan, 0.0)
             return R, T
 
-        monkeypatch.setattr(sweeps, "closed_form_arrays", nan_at_angle_4)
-        columns, (gap_R, gap_T) = sweeps._scatterer_columns(spec, phis, "both")
+        monkeypatch.setattr(sweeps, "closed_form_grid", nan_at_angle_4)
+        columns, (gap_R, gap_T) = sweeps._grid_columns([spec], phis, "both")
         amp_c, amp_n = closed_form(spec, phis[4]), solve_numeric(spec, phis[4])
         if part == "R":
             expected = max(abs(complex(math.nan, 0.0) - amp_n.R), abs(amp_c.T - amp_n.T))

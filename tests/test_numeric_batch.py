@@ -357,7 +357,7 @@ class TestClosedMethodSolvesNothing:
         def refuse(*args, **kwargs):
             raise AssertionError("a numeric solve ran under --method closed")
 
-        monkeypatch.setattr(sweeps, "solve_numeric_arrays", refuse)
+        monkeypatch.setattr(sweeps, "solve_numeric_grid", refuse)
         monkeypatch.setattr(sweeps, "solve_numeric", refuse)
 
     def test_sweep_records(self):

@@ -35,13 +35,38 @@ MULTI_CENTER = [s for s in CHAIN_AND_MULTI_SPECS if isinstance(s, MultiCenterSpe
 LONG_CHAIN = ChainSpec(tuple(np.random.default_rng(4).uniform(-0.9, 0.9, 1000)))
 
 
+def _negated(spec):
+    """spec with every coupling negated: the same bond positions, other hops."""
+    if isinstance(spec, TwoCenterSpec):
+        return TwoCenterSpec(-spec.g, spec.N)
+    if isinstance(spec, ChainSpec):
+        return ChainSpec(tuple(-c for c in spec.couplings))
+    return MultiCenterSpec(spec.centers, tuple(-g for g in spec.couplings))
+
+
 def _assert_fills_the_reference(spec, phis):
-    """The plan's fill equals the reference at each angle of phis alone and for phis as one batch."""
-    bonds = spec.bond_map()
+    """The plan's fill equals the reference at each angle of phis alone and for phis as one batch.
+
+    The batches are the group fill of spec alone at all of phis, and of
+    spec with its negated twin (one layout) at their (scatterer, angle)
+    pairs in a shuffled order, each column the reference's column of its pair.
+    """
+    bonds, twin = spec.bond_map(), _negated(spec).bond_map()
     batch = np.asarray(phis, dtype=np.float64)
-    for p in [*batch.tolist(), batch]:
-        plan, ab, rhs = scattering._partner_system(bonds, p)
-        ab_ref, rhs_ref, layout_ref = reference_partner_system(bonds, p)
+    plan = scattering._plan(tuple(bonds))
+    cases = []
+    for p in batch.tolist():
+        one_plan, ab, rhs = scattering._partner_system(bonds, p)
+        assert one_plan == plan
+        cases.append((ab, rhs, reference_partner_system(bonds, p)))
+    refs = [reference_partner_system(b, batch) for b in (bonds, twin)]
+    alone = scattering._group_fill(plan, [bonds], batch)
+    cases.append((*alone(np.zeros(len(batch), dtype=int), np.arange(len(batch))), refs[0]))
+    sc, ang = np.divmod(np.random.default_rng(len(batch)).permutation(2 * len(batch)), len(batch))
+    pair_ref = [np.asfortranarray(np.stack([refs[i][k][:, a] for i, a in zip(sc, ang)], axis=1)) for k in (0, 1)]
+    pair = scattering._group_fill(plan, [bonds, twin], batch)
+    cases.append((*pair(sc, ang), (*pair_ref, refs[0][2])))
+    for ab, rhs, (ab_ref, rhs_ref, layout_ref) in cases:
         assert ab.shape == ab_ref.shape and rhs.shape == rhs_ref.shape
         assert ab.flags.f_contiguous and rhs.flags.f_contiguous
         assert ab.tobytes() == ab_ref.tobytes()

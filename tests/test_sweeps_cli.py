@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -268,17 +269,16 @@ class TestCliVerify:
 
     def test_non_finite_amplitude_fails_both_amplitude_suites(self, capsys, monkeypatch):
         # a NaN in T alone: max(|dR|, |dT|) would drop it, and so would a max taken with >
-        closed_form_arrays = sweeps.closed_form_arrays
+        closed_form_grid = sweeps.closed_form_grid
         spec = TwoCenterSpec(0.5, 2)
         phi = np.linspace(sweeps.DEFAULT_PHI_MIN, sweeps.DEFAULT_PHI_MAX, 42)[1:-1].tolist()[10]
 
-        def nan_at_one_point(s, phis):
-            R, T = closed_form_arrays(s, phis)
-            if s == spec:
-                T = np.where(phis == phi, complex(math.nan, 0.0), T)
-            return R, T
+        def nan_at_one_point(specs, phis):
+            R, T = closed_form_grid(specs, phis)
+            at = np.logical_and.outer([s == spec for s in specs], phis == phi)
+            return R, np.where(at, complex(math.nan, 0.0), T)
 
-        monkeypatch.setattr(sweeps, "closed_form_arrays", nan_at_one_point)
+        monkeypatch.setattr(sweeps, "closed_form_grid", nan_at_one_point)
         code = main(["verify"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
@@ -291,11 +291,11 @@ class TestCliVerify:
         assert len(lines) == 7
 
     def test_amplitude_suites_evaluate_each_point_once_per_call(self, capsys, monkeypatch):
-        # closed holds each angle the closed form answers, batches each scatterer solved numerically
+        # closed holds each point the closed form answers, batches each scatterer solved numerically
         closed, batches = [], []
-        closed_arrays, numeric_arrays = sweeps.closed_form_arrays, sweeps.solve_numeric_arrays
-        monkeypatch.setattr(sweeps, "closed_form_arrays", lambda s, p: closed.extend(p) or closed_arrays(s, p))
-        monkeypatch.setattr(sweeps, "solve_numeric_arrays", lambda s, p: batches.append(s) or numeric_arrays(s, p))
+        closed_grid, numeric_grid = sweeps.closed_form_grid, sweeps.solve_numeric_grid
+        monkeypatch.setattr(sweeps, "closed_form_grid", lambda s, p: closed.extend(product(s, p)) or closed_grid(s, p))
+        monkeypatch.setattr(sweeps, "solve_numeric_grid", lambda s, p: batches.extend(s) or numeric_grid(s, p))
         assert main(["verify", "--suite", "all"]) == 0
         assert (len(closed), len(batches)) == (3200, 80)
         # nothing is kept from one call to the next
@@ -432,6 +432,14 @@ class TestCliProbe:
         assert captured.err == (
             f"error: --halvings {halvings} must be at least 1 and keep h_start / 2**halvings a positive double\n"
         )
+
+    @pytest.mark.parametrize("h_start", ["nan", "-0.2", "0", "inf"])
+    def test_h_start_outside_the_open_range_is_named(self, h_start, capsys):
+        # --halvings keeps its default and is not blamed; inf halved stays inf
+        assert main(["probe-continuum", "--g", "0.5", f"--h-start={h_start}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --h-start {float(h_start)!r} must be positive and finite\n"
 
     def test_probe_to_file(self, tmp_path):
         out = tmp_path / "probe.csv"

@@ -216,13 +216,13 @@ class TestEvaluatePointMatchesDictRows:
 
 def test_each_scatterer_is_solved_once(monkeypatch):
     calls = []
-    numeric_arrays = sweeps.solve_numeric_arrays
+    numeric_grid = sweeps.solve_numeric_grid
 
-    def spy(spec, phis):
-        calls.append(spec)
-        return numeric_arrays(spec, phis)
+    def spy(specs, phis):
+        calls.extend(specs)
+        return numeric_grid(specs, phis)
 
-    monkeypatch.setattr(sweeps, "solve_numeric_arrays", spy)
+    monkeypatch.setattr(sweeps, "solve_numeric_grid", spy)
     specs, phis, method = SWEEPS["two-center-both"]
     sweep_records(specs, phis, method)
     assert calls == specs
