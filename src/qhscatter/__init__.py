@@ -43,12 +43,12 @@ from .scattering import (
     MatchingSystem,
     build_matching_system,
     closed_form,
-    closed_form_arrays,
+    closed_form_grid,
     continuum_probe,
     matching_row_residual,
     numeric_wave,
     solve_numeric,
-    solve_numeric_arrays,
+    solve_numeric_grid,
 )
 from .sweeps import sweep_records, write_table
 
@@ -79,7 +79,7 @@ __all__ = [
     "build_metric",
     "build_potential",
     "closed_form",
-    "closed_form_arrays",
+    "closed_form_grid",
     "continuum_probe",
     "energy_from_phi",
     "matching_row_residual",
@@ -88,7 +88,7 @@ __all__ = [
     "positivity_check",
     "quasi_hermiticity_residual",
     "solve_numeric",
-    "solve_numeric_arrays",
+    "solve_numeric_grid",
     "sweep_records",
     "write_table",
 ]

@@ -37,13 +37,13 @@ EXIT_RESONANT = 3
 EXIT_IO = 4
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok != "")
+    return tuple(float(tok) for tok in text.split(","))
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok != "")
+    return tuple(int(tok) for tok in text.split(","))
 
 def _chain_grid(text: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(_floats(group) for group in text.split(";") if group != "")
+    return tuple(_floats(group) for group in text.split(";"))
 
 
 def _phi_grid_spec(text: str) -> tuple[int, float | None, float | None]:

@@ -22,14 +22,16 @@ layout group: every two-center spec of one N, every chain of one length,
 the multi-center specs of one set of centers.  solve_numeric_grid solves
 each group's (scatterer, angle) systems together, stacked block-diagonally
 with no coupling between blocks, in chunks of at most CHUNK_UNKNOWNS
-unknowns, one LAPACK call per chunk; solve_numeric_arrays is its case of
-one scatterer.  The transcendental values, 2 cos(phi) and each phase e(k),
-are taken once on the angle array and gathered per system, never taken on
-a tiled array; only the hops and a chain's T scale vary by scatterer.  So
-every system keeps the bits it has alone.  h reflects as H does, and
-T = T_h sqrt(theta_L/theta_R).  The self-check is the partner's unitarity
-|R|^2 + |T_h|^2 = 1, per system; a failure anywhere reruns the scatterers
-one at a time, so the first failing point in grid order raises.
+unknowns, one LAPACK call per chunk.  The transcendental values, 2 cos(phi)
+and each phase e(k), are taken once on the angle array and gathered per
+system, never taken on a tiled array; only the hops and a chain's T scale
+vary by scatterer.  So every system keeps the bits it has alone.  h
+reflects as H does, and T = T_h sqrt(theta_L/theta_R).  The self-check is
+the partner's unitarity |R|^2 + |T_h|^2 = 1, per system.  A chunk that
+holds a singular or failing system raises; solve_numeric_grid then runs
+solve_numeric at each point in grid order, so every batched route refuses
+the first failing point with the one-angle message, as a per-point loop
+does.
 
 H's own matching rows over its matching radius at one angle
 (build_matching_system) and their residual (matching_row_residual) stay
@@ -59,11 +61,10 @@ operand is the complex (x, 0.0), a quotient divides through by the larger
 part of the divisor as _Py_c_quot does), so every point keeps the one-angle
 bits, signed zeros included.  sin(phi) and cos(phi) are taken once on the
 angle array and e((N + 2) phi) once per N, and the specs of one N share
-each operation over their (g, phi) array; closed_form_arrays is the case
-of one spec.  The grid routes return R and T as complex arrays with one
-row per scatterer.  Squares such as |R|^2 are taken on Python floats by
-the callers: numpy's a*a and glibc's pow(a, 2), which x**2 calls, differ
-in the last bit for some doubles.
+each operation over their (g, phi) array.  The grid routes return R and
+T as complex arrays with one row per scatterer.  Squares such as |R|^2
+are taken on Python floats by the callers: numpy's a*a and glibc's
+pow(a, 2), which x**2 calls, differ in the last bit for some doubles.
 """
 
 from __future__ import annotations
@@ -466,31 +467,24 @@ def _group_fill(plan: _Plan, bond_maps: list[BondMap], phis: np.ndarray):
     return fill
 
 
-def _solve_systems(fill, n: int, sc: np.ndarray, ang: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R, T_h) of fill's systems (sc, ang), all n unknowns each, solved in one LAPACK call.
+def _solve_systems(ab: np.ndarray, rhs: np.ndarray, n: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, T_h) of a chunk's systems of n unknowns each, at the angles phis, solved in one LAPACK call.
 
     The systems sit uncoupled on the band's diagonal, so each gets the
-    solution it gets alone.  Raises ResonanceError for the first system, in
-    order, that is singular or breaks the partner's unitarity by more than
-    1e-9; a non-finite value in x reaches R in the back substitution and
-    breaks it too (possibly the R of an earlier system).
+    solution it gets alone.  Raises ResonanceError at the angle of the
+    singular system, or else of the first that breaks the partner's
+    unitarity by more than 1e-9 (a non-finite x breaks R); which point
+    fails first in grid order is solve_numeric_grid's to find.
     """
-    ab, rhs = fill(sc, ang)
     _, _, x, info = zgbsv(2, 2, ab.reshape(7, -1, order="F"), rhs.reshape(-1, order="F"), overwrite_ab=1, overwrite_b=1)
     if info != 0:
-        # info is the first zero pivot; the systems before its block factored
-        # cleanly but were not solved, and one of them may fail first
-        singular = (info - 1) // n
-        if singular:
-            _solve_systems(fill, n, sc[:singular], ang[:singular], phis)
-        raise ResonanceError(f"matching system singular at phi={float(phis[ang[singular]])!r}")
+        raise ResonanceError(f"matching system singular at phi={float(phis[(info - 1) // n])!r}")
     x = x.reshape(-1, n).T
     R, T_h = x[0], x[-1]
     defect = abs(R.real**2 + R.imag**2 + T_h.real**2 + T_h.imag**2 - 1.0)
-    if not (defect <= 1e-9).all():
-        for d, a in zip(defect.tolist(), ang.tolist()):
-            if not d <= 1e-9:
-                raise ResonanceError(f"partner unitarity violated (defect {d:.2e}) at phi={float(phis[a])!r}")
+    i = int(np.argmin(defect <= 1e-9))  # the first defect above 1e-9 or NaN, else 0
+    if not defect[i] <= 1e-9:
+        raise ResonanceError(f"partner unitarity violated (defect {defect[i]:.2e}) at phi={float(phis[i])!r}")
     return R, T_h
 
 
@@ -503,29 +497,24 @@ def _solve_group(specs: list, bond_maps: list[BondMap], phis: np.ndarray) -> tup
     values (2 cos(phi), the phases and the phase entries) take no more room
     than a chunk's band, so a span's fill stays as small as a chunk, and
     one scatterer's chunks start every CHUNK_UNKNOWNS // n angles, as they
-    always have.  A scatterer's T scale is taken once its first chunk is
-    solved: a chain beyond the double range raises its DomainError at its
-    first angle unless that chunk fails first.
+    always have.  Each scatterer's T scale is taken once, before any
+    chunk, at the first angle (an empty phis takes none).
     """
     plan = _plan(tuple(bond_maps[0]))
     step = max(1, CHUNK_UNKNOWNS // plan.n)
     per_angle = 1 + len(plan.ks) + len(plan.phase_sources)
     span = step * max(1, 7 * CHUNK_UNKNOWNS // (per_angle * step))
     R, T = np.empty((2, len(specs), len(phis)), dtype=np.complex128)
-    scales = []
+    scales = np.array([_t_scale(spec, bonds, p) for spec, bonds in zip(specs, bond_maps) for p in phis[:1].tolist()])
     for a0 in range(0, len(phis), span):
         angles = phis[a0 : a0 + span]
         fill = _group_fill(plan, bond_maps, angles)
         pairs = len(specs) * len(angles)
         for start in range(0, pairs, step):
             sc, ang = np.divmod(np.arange(start, min(start + step, pairs)), len(angles))
-            R_h, T_h = _solve_systems(fill, plan.n, sc, ang, angles)
-            while len(scales) <= sc[-1]:
-                s = len(scales)
-                scales.append(_t_scale(specs[s], bond_maps[s], float(phis[0])))
-            scale = np.array(scales)[sc]
+            R_h, T_h = _solve_systems(*fill(sc, ang), plan.n, angles[ang])
             R[sc, a0 + ang] = R_h
-            T[sc, a0 + ang] = _complex(T_h.real * scale, T_h.imag * scale)
+            T[sc, a0 + ang] = _complex(T_h.real * scales[sc], T_h.imag * scales[sc])
     return R, T
 
 
@@ -535,9 +524,10 @@ def solve_numeric_grid(specs: list, phis) -> tuple[np.ndarray, np.ndarray]:
     Scatterers whose bonds sit at the same positions share a plan, and
     each such group is solved as one batch (_solve_group).  Each point
     gets solve_numeric's bits where numpy's cos and sin round as math's do
-    (the tests check it).  On a failure the scatterers run again one at a
-    time in the order of specs, so the first failing point in grid order
-    raises what it raises alone.
+    (the tests check it).  The one refusal rule of the batched routes:
+    when a batch fails, solve_numeric runs at each point in grid order
+    (specs outer), and the first failing point raises its own error, or,
+    should every point answer, the batch's error is raised.
     """
     phis = _angle_array(phis)
     bond_maps = [spec.bond_map() for spec in specs]
@@ -546,17 +536,11 @@ def solve_numeric_grid(specs: list, phis) -> tuple[np.ndarray, np.ndarray]:
         for rows in _layout_groups(tuple(bonds) for bonds in bond_maps).values():
             R[rows], T[rows] = _solve_group([specs[i] for i in rows], [bond_maps[i] for i in rows], phis)
     except (ResonanceError, DomainError):
-        if len(specs) > 1:
-            for spec in specs:
-                solve_numeric_grid([spec], phis)
+        for spec in specs:
+            for p in phis.tolist():
+                solve_numeric(spec, p)
         raise
     return R, T
-
-
-def solve_numeric_arrays(spec: ScattererSpec, phis) -> tuple[np.ndarray, np.ndarray]:
-    """solve_numeric's R and T at every angle of phis, in order, as two complex arrays: solve_numeric_grid of one scatterer."""
-    R, T = solve_numeric_grid([spec], phis)
-    return R[0], T[0]
 
 
 def numeric_wave(spec: ScattererSpec, phi: float) -> tuple[Amplitudes, WaveSample]:
@@ -656,12 +640,6 @@ def closed_form_grid(specs: list, phis) -> tuple[np.ndarray, np.ndarray]:
         g = np.array([specs[i].g for i in rows])[:, None]
         R[rows], T[rows] = _closed_group(g, sin, cos, _phase(n + 2, phis))
     return R, T
-
-
-def closed_form_arrays(spec: TwoCenterSpec, phis) -> tuple[np.ndarray, np.ndarray]:
-    """closed_form's R and T at every angle of phis, in order, as two complex arrays: closed_form_grid of one spec."""
-    R, T = closed_form_grid([spec], phis)
-    return R[0], T[0]
 
 
 @dataclass(frozen=True)

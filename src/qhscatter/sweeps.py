@@ -11,7 +11,8 @@ scatterers of one bond layout (the two-center specs of one N, the chains of
 one length) as one batch, and the squares, defects and discrepancies are
 taken from them as evaluate_point takes them from closed_form and
 solve_numeric at one angle, with the same bits.  resonance_flag stays in
-the table as a column that reads 0.
+the table as a column that reads 0.  A refusal is solve_numeric_grid's:
+the first failing point in grid order raises what solve_numeric raises.
 
 The suites keep their scores as arrays in grid order (SuiteScores), and
 one rule picks each check's worst point: the first NaN or +inf, else the
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, QhScatterError
+from .errors import DomainError
 from .metric import build_metric, quasi_hermiticity_residual
 from .potentials import (
     ChainSpec,
@@ -377,25 +378,17 @@ class SuiteScores(NamedTuple):
 def suite_scores() -> SuiteScores:
     """What the amplitude suites score at each point of the default grid, each point evaluated once.
 
-    The points are answered as a sweep's are, one N at a time: the specs
-    of one N are one bond layout and one batch, and only that batch's
-    columns are held at once.  A failure is raised for the first failing
-    point in grid order, as a sweep of the grid raises it.  Only the
-    defects and the gaps are kept, not the amplitudes.
+    The whole grid is one _grid_columns call, as a sweep of it is: the
+    specs of one N are one bond layout and one batch, and a refusal is the
+    first failing point in grid order, as solve_numeric_grid keeps it.
+    Only the defects and the gaps are kept, not the amplitudes.
     """
     # strictly inside (DEFAULT_PHI_MIN, DEFAULT_PHI_MAX)
     phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, DEFAULT_PHI_COUNT + 2)[1:-1]
     specs = [TwoCenterSpec(g, n) for g in DEFAULT_G_GRID for n in DEFAULT_N_GRID]
-    scores = np.empty((4, len(DEFAULT_G_GRID), len(DEFAULT_N_GRID), len(phis)))
-    try:
-        for j, n in enumerate(DEFAULT_N_GRID):
-            columns, gaps = _grid_columns(specs[j :: len(DEFAULT_N_GRID)], phis, "both")  # every g at N = n
-            defect = columns["defect"]
-            scores[:, :, j] = np.reshape([defect[1::2], defect[::2], *gaps], (4, len(DEFAULT_G_GRID), len(phis)))
-    except QhScatterError:
-        solve_numeric_grid(specs, phis)  # raises for the first failing point in grid order
-        raise
-    return SuiteScores(specs, phis, *scores.reshape(4, -1))
+    columns, gaps = _grid_columns(specs, phis, "both")
+    defect = columns["defect"]
+    return SuiteScores(specs, phis, *np.array([defect[1::2], defect[::2], *gaps]))
 
 
 def unitarity_suite(scores: SuiteScores, tolerance: float = 1e-11) -> list[SuiteCheck]:

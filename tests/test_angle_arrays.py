@@ -1,9 +1,9 @@
 """The closed form and the sweep tables over a scatterer's whole angle array.
 
-closed_form_arrays must give closed_form's bits at every angle, signed
-zeros included: its real-part arithmetic copies CPython's complex product
-and quotient.  A sweep's columns come from those arrays and from
-solve_numeric_arrays, and every cell must equal what evaluate_point gives
+closed_form_grid of one spec must give closed_form's bits at every angle,
+signed zeros included: its real-part arithmetic copies CPython's complex
+product and quotient.  A sweep's columns come from those arrays and from
+solve_numeric_grid, and every cell must equal what evaluate_point gives
 the angle, the discrepancy being Python's max(abs(dR), abs(dT)) also when
 dT is NaN.  A block layout's T scale is exactly 1 and is not summed.
 """
@@ -21,7 +21,7 @@ import qhscatter.sweeps as sweeps
 from qhscatter import ChainSpec, MultiCenterSpec, TwoCenterSpec, closed_form, solve_numeric, sweep_records
 from qhscatter.metric import half_log_ratio
 from qhscatter.potentials import MAX_N
-from qhscatter.scattering import _quot, closed_form_arrays, solve_numeric_arrays
+from qhscatter.scattering import _quot, closed_form_grid, solve_numeric_grid
 from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID, COLUMNS, evaluate_point, phi_grid
 from test_numeric_batch import VERIFY_ANGLES, bench_worker  # noqa: F401 (a fixture)
 
@@ -32,9 +32,9 @@ def _parts(z) -> str:
 
 
 def _assert_closed_arrays_are_closed_form(spec, phis):
-    R, T = closed_form_arrays(spec, phis)
-    assert R.shape == T.shape == (len(phis),)
-    for phi, r, t in zip(np.asarray(phis, dtype=float).tolist(), R.tolist(), T.tolist()):
+    R, T = closed_form_grid([spec], phis)
+    assert R.shape == T.shape == (1, len(phis))
+    for phi, r, t in zip(np.asarray(phis, dtype=float).tolist(), R[0].tolist(), T[0].tolist()):
         amp = closed_form(spec, phi)
         assert (_parts(r), _parts(t)) == (_parts(amp.R), _parts(amp.T)), (spec, phi)
 
@@ -74,8 +74,8 @@ class TestClosedArraysBitForBit:
         _assert_closed_arrays_are_closed_form(TwoCenterSpec(g, n), [p for p in phis if 0.0 < p < math.pi])
 
     def test_an_empty_array(self):
-        R, T = closed_form_arrays(TwoCenterSpec(0.5, 2), [])
-        assert R.shape == T.shape == (0,)
+        R, T = closed_form_grid([TwoCenterSpec(0.5, 2)], [])
+        assert R.shape == T.shape == (1, 0)
 
 
 def _random_parts(rng, count):
@@ -144,8 +144,8 @@ class TestColumnsAreEvaluatePoint:
 class TestNumericArrays:
     def test_components_of_solve_numeric(self):
         for spec in (TwoCenterSpec(0.9, 0), ChainSpec((0.4, -0.2, 0.6)), MultiCenterSpec((-7, 0, 5), (0.2, -0.5, 0.8))):
-            R, T = solve_numeric_arrays(spec, VERIFY_ANGLES)
-            for phi, r, t in zip(VERIFY_ANGLES.tolist(), R.tolist(), T.tolist()):
+            R, T = solve_numeric_grid([spec], VERIFY_ANGLES)
+            for phi, r, t in zip(VERIFY_ANGLES.tolist(), R[0].tolist(), T[0].tolist()):
                 amp = solve_numeric(spec, phi)
                 assert (_parts(r), _parts(t)) == (_parts(amp.R), _parts(amp.T))
 
@@ -170,7 +170,7 @@ class TestBlockScale:
         monkeypatch.setattr(scattering, "half_log_ratio", lambda g: calls.append(g) or half_log_ratio(g))
         for spec in (TwoCenterSpec(0.7, 3), TwoCenterSpec(-0.4, -1), MultiCenterSpec((-3, 4), (0.5, -0.2))):
             solve_numeric(spec, 1.0)
-            solve_numeric_arrays(spec, VERIFY_ANGLES)
+            solve_numeric_grid([spec], VERIFY_ANGLES)
         assert calls == []
         solve_numeric(ChainSpec((0.5, -0.3)), 1.0)
         assert len(calls) == 3

@@ -22,7 +22,15 @@ from qhscatter import ChainSpec, MultiCenterSpec, QhScatterError, TwoCenterSpec,
 from qhscatter.potentials import MAX_N
 from qhscatter.scattering import CHUNK_UNKNOWNS, closed_form_grid, solve_numeric_grid
 from qhscatter.cli import main
-from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID, DEFAULT_PHI_MAX, DEFAULT_PHI_MIN, sweep_records
+from qhscatter.sweeps import (
+    DEFAULT_G_GRID,
+    DEFAULT_N_GRID,
+    DEFAULT_PHI_MAX,
+    DEFAULT_PHI_MIN,
+    _grid_columns,
+    phi_grid,
+    sweep_records,
+)
 
 COUPLINGS = st.floats(-(1.0 - 1e-12), 1.0 - 1e-12)
 ANGLES = st.lists(st.floats(1e-9, math.pi - 1e-9), min_size=1, max_size=12)
@@ -154,33 +162,38 @@ class TestBitForBit:
         assert calls == expected
 
 
-def _force_in_fill(monkeypatch, targets):
-    """Make chosen points fail: targets maps (scatterer, phi) to 0.0 (singular) or 2.0 (broken).
+def _force_in_solve(monkeypatch, targets):
+    """Make chosen points fail: targets maps (two-center scatterer, phi) to 0.0 (singular) or 2.0 (broken).
 
-    The group fill of each layout is wrapped so that the system of a target
-    point has its incoming wave e(s), e(s + 1) at the first two sites scaled
-    by the factor, in R's column and on the right-hand side: 0 empties R's
-    column, 2 doubles T_h.  A point is told by its bond map and angle, so
-    the other scatterers of its group keep their systems.
+    zgbsv, the LAPACK call of the one-angle and the batched route alike, is
+    wrapped so that the system of a target point has its incoming wave
+    e(s), e(s + 1) at the first two sites scaled by the factor, in R's
+    column and on the right-hand side: 0 empties R's column, 2 doubles T_h.
+    A system is told by its size, its hop entries (the coupling) and its
+    2 cos(phi) diagonal (the angle), so the other scatterers of its layout
+    keep their systems; g and -g have the same hops and are forced alike.
     """
-    by_point = {(tuple(spec.bond_map().items()), phi): factor for (spec, phi), factor in targets.items()}
-    group_fill = scattering._group_fill
+    marks = []
+    for (spec, phi), factor in targets.items():
+        plan = scattering._plan(tuple(spec.bond_map()))
+        diagonal, hops = plan.entries[: plan.n_diagonal], plan.entries[plan.n_diagonal :][: 2 * len(spec.bond_map())]
+        marks.append((plan.n, diagonal, 2.0 * math.cos(phi), hops, -math.sqrt((1.0 - spec.g) * (1.0 + spec.g)), factor))
+    zgbsv = scattering.zgbsv
 
-    def forced_group_fill(plan, bond_maps, phis):
-        fill = group_fill(plan, bond_maps, phis)
+    def forced(kl, ku, ab, b, **kwargs):
+        for n, diagonal, two_cos, hops, hop, factor in marks:
+            if len(b) % n:
+                continue
+            blocks = ab.T.reshape(-1, 7 * n)  # one system per row, its band columns in turn
+            assert np.shares_memory(blocks, ab)
+            # numpy's cos and math's may differ in the last bit
+            hit = (abs(blocks[:, diagonal] - two_cos) < 1e-12).all(axis=1) & (blocks[:, hops] == hop).all(axis=1)
+            for i in np.flatnonzero(hit).tolist():
+                blocks[i, [4, 5]] *= factor
+                b[i * n : i * n + 2] *= factor
+        return zgbsv(kl, ku, ab, b, **kwargs)
 
-        def forced(sc, ang):
-            ab, rhs = fill(sc, ang)
-            for i, (s, a) in enumerate(zip(sc.tolist(), ang.tolist())):
-                factor = by_point.get((tuple(bond_maps[s].items()), float(phis[a])))
-                if factor is not None:
-                    ab[[4, 5], i] *= factor
-                    rhs[:2, i] *= factor
-            return ab, rhs
-
-        return forced
-
-    monkeypatch.setattr(scattering, "_group_fill", forced_group_fill)
+    monkeypatch.setattr(scattering, "zgbsv", forced)
 
 
 class TestFirstFailureInGridOrder:
@@ -197,28 +210,29 @@ class TestFirstFailureInGridOrder:
     def test_a_later_group_holds_the_first_failure(self, monkeypatch, late, early):
         # C fails at angle 1, in the group that runs first; B fails at angle 6, before C in grid order
         phis = self.PHIS.tolist()
-        _force_in_fill(monkeypatch, {(self.C, phis[1]): late, (self.B, phis[6]): early})
+        _force_in_solve(monkeypatch, {(self.C, phis[1]): late, (self.B, phis[6]): early})
         expected = self._first_error([self.B])
         assert expected[1].endswith(f"at phi={phis[6]!r}")
         assert expected[1].startswith("matching system singular" if early == 0.0 else "partner unitarity violated")
         assert self._first_error([self.A, self.B, self.C]) == expected
+        solve_numeric_grid([self.A], self.PHIS)  # A shares C's layout but not its hops, and is not forced
         # alone, C fails at its own angle, and the grid without B raises C's error
         assert self._first_error([self.C])[1].endswith(f"at phi={phis[1]!r}")
         assert self._first_error([self.A, self.C]) == self._first_error([self.C])
 
     def test_a_sweep_reports_it_too(self, monkeypatch):
         phis = self.PHIS.tolist()
-        _force_in_fill(monkeypatch, {(self.C, phis[0]): 0.0, (self.B, phis[8]): 2.0})
+        _force_in_solve(monkeypatch, {(self.C, phis[0]): 0.0, (self.B, phis[8]): 2.0})
         with pytest.raises(QhScatterError) as exc:
             sweep_records([self.A, self.B, self.C], self.PHIS, "both")
         assert str(exc.value).startswith("partner unitarity violated")
         assert str(exc.value).endswith(f"at phi={phis[8]!r}")
 
     def test_verify_reports_it_in_grid_order(self, monkeypatch, capsys):
-        # the suites answer one N at a time; g = -0.9, N = 50 still comes before g = -0.7, N = -1
+        # the grid's N = -1 group is solved first; g = -0.9, N = 50 still comes before g = -0.7, N = -1
         phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, 42)[1:-1].tolist()
         first, later = TwoCenterSpec(-0.9, 50), TwoCenterSpec(-0.7, -1)
-        _force_in_fill(monkeypatch, {(first, phis[5]): 2.0, (later, phis[2]): 0.0})
+        _force_in_solve(monkeypatch, {(first, phis[5]): 2.0, (later, phis[2]): 0.0})
         assert main(["verify"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("resonance: partner unitarity violated") and err.endswith(f"at phi={phis[5]!r}\n")
@@ -226,10 +240,42 @@ class TestFirstFailureInGridOrder:
     def test_a_refused_method_after_a_failure(self, monkeypatch):
         # a chain under 'both' is refused only once the scatterers before it are answered
         phis = self.PHIS.tolist()
-        _force_in_fill(monkeypatch, {(self.B, phis[3]): 0.0})
+        _force_in_solve(monkeypatch, {(self.B, phis[3]): 0.0})
         specs = [self.A, self.B, ChainSpec((0.5,))]
         with pytest.raises(QhScatterError) as exc:
             sweep_records(specs, self.PHIS, "both")
         assert str(exc.value) == f"matching system singular at phi={phis[3]!r}"
         with pytest.raises(QhScatterError, match="closed forms exist only"):
             sweep_records([self.A, ChainSpec((0.5,))], self.PHIS, "both")
+
+
+class TestANaturalRefusal:
+    """Band-edge points at weak coupling, where the self-check itself decides, with nothing forced.
+
+    At g = 1e-5, N = 0 and phi = 1e-9 the partner's defect is 1.5e-9, above
+    the 1e-9 bound, so the numeric route refuses the point today.  Whether
+    it refuses or answers, a sweep and the suites' one-call route must do
+    what the per-point loop of solve_numeric does.
+    """
+
+    GRIDS = {
+        "one point": ([TwoCenterSpec(1e-5, 0)], np.array([1e-9])),
+        "sweep": ([TwoCenterSpec(g, n) for g in (0.3, 1e-5) for n in (0, 1)], phi_grid(3, 1e-9, 0.5)),
+    }
+
+    @staticmethod
+    def _outcome(route):
+        try:
+            route()
+        except QhScatterError as exc:
+            return type(exc).__name__, str(exc)
+        return "answered"
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_the_batched_routes_refuse_as_the_loop_does(self, grid):
+        specs, phis = self.GRIDS[grid]
+        expected = self._outcome(lambda: [solve_numeric(s, p) for s in specs for p in phis.tolist()])
+        assert self._outcome(lambda: solve_numeric_grid(specs, phis)) == expected
+        for method in ("numeric", "both"):
+            assert self._outcome(lambda: sweep_records(specs, phis, method)) == expected
+        assert self._outcome(lambda: _grid_columns(specs, phis, "both")) == expected

@@ -1,9 +1,9 @@
 """The batched numeric route: many angles of one scatterer in one partner solve.
 
-solve_numeric_arrays must equal a loop of solve_numeric (the one-angle
-solve of the Hermitian partner) bit for bit, across chunk boundaries, on
-the verify grid, the benchmark grids and edge points, and for chains and
-multi-center layouts.  Failures must surface as the first failing angle in
+solve_numeric_grid of one scatterer must equal a loop of solve_numeric
+(the one-angle solve of the Hermitian partner) bit for bit, across chunk
+boundaries, on the verify grid, the benchmark grids and edge points, and
+for chains and multi-center layouts.  Failures must surface as the first failing angle in
 grid order, exactly as that loop would raise them.  H's own banded LU
 (build_matching_system and matching_row_residual, public and no longer
 used by the library) is the independent reference: the route agrees with
@@ -32,7 +32,7 @@ from qhscatter import (
     build_matching_system,
     matching_row_residual,
     solve_numeric,
-    solve_numeric_arrays,
+    solve_numeric_grid,
     sweep_records,
 )
 from qhscatter.cli import main
@@ -65,9 +65,9 @@ def _bits(amp):
 
 
 def _amplitudes(spec, phis):
-    """solve_numeric_arrays at phis, as the Amplitudes solve_numeric returns at each angle."""
-    R, T = solve_numeric_arrays(spec, phis)
-    return list(map(Amplitudes, R.tolist(), T.tolist(), np.asarray(phis, dtype=float).tolist()))
+    """solve_numeric_grid of spec alone at phis, as the Amplitudes solve_numeric returns at each angle."""
+    R, T = solve_numeric_grid([spec], phis)
+    return list(map(Amplitudes, R[0].tolist(), T[0].tolist(), np.asarray(phis, dtype=float).tolist()))
 
 
 def _assert_batch_is_the_one_angle_route(spec, phis):
@@ -142,8 +142,8 @@ class TestBitForBit:
         assert 7 * 16 * CHUNK_UNKNOWNS <= 1 << 20
 
     def test_empty_angle_list(self):
-        R, T = solve_numeric_arrays(TwoCenterSpec(0.5, 2), [])
-        assert R.shape == T.shape == (0,) and R.dtype == T.dtype == np.complex128
+        R, T = solve_numeric_grid([TwoCenterSpec(0.5, 2)], [])
+        assert R.shape == T.shape == (1, 0) and R.dtype == T.dtype == np.complex128
 
 
 class TestAgreesWithTheLuOnH:
@@ -286,7 +286,7 @@ class TestFailuresInGridOrder:
     )
     def test_refusal_in_the_middle_of_a_batch(self, monkeypatch, failures, first):
         _force(monkeypatch, {(self.SPEC, self.ANGLES[i]): f for i, f in failures.items()})
-        got = _first_error(lambda: solve_numeric_arrays(self.SPEC, self.ANGLES))
+        got = _first_error(lambda: solve_numeric_grid([self.SPEC], self.ANGLES))
         assert got == _first_error(lambda: solve_numeric(self.SPEC, self.ANGLES[first]))
         assert got.endswith(f"at phi={self.ANGLES[first]!r}")
         kind = "matching system singular" if failures[first] == SINGULAR else "partner unitarity violated"
@@ -341,7 +341,7 @@ class TestAngleArray:
     )
     def test_first_bad_angle(self, phis, bad):
         with pytest.raises(BandError) as exc:
-            solve_numeric_arrays(TwoCenterSpec(0.4, 2), phis)
+            solve_numeric_grid([TwoCenterSpec(0.4, 2)], phis)
         assert str(exc.value) == f"phi={bad!r} outside the open band interval (0, pi)"
 
     def test_good_angles_pass_through(self):

@@ -25,7 +25,7 @@ PUBLIC = [
     "build_metric",
     "build_potential",
     "closed_form",
-    "closed_form_arrays",
+    "closed_form_grid",
     "continuum_probe",
     "energy_from_phi",
     "matching_row_residual",
@@ -34,7 +34,7 @@ PUBLIC = [
     "positivity_check",
     "quasi_hermiticity_residual",
     "solve_numeric",
-    "solve_numeric_arrays",
+    "solve_numeric_grid",
     "sweep_records",
     "write_table",
 ]

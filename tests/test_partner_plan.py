@@ -22,7 +22,7 @@ from qhscatter import (
     TwoCenterSpec,
     closed_form,
     solve_numeric,
-    solve_numeric_arrays,
+    solve_numeric_grid,
 )
 from qhscatter.scattering import PLAN_CACHE, numeric_wave
 from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID
@@ -127,7 +127,7 @@ class TestOnePlanPerLayout:
         for spec in specs:
             for phi in np.linspace(0.1, 3.0, 20).tolist():
                 solve_numeric(spec, phi)
-            solve_numeric_arrays(spec, np.linspace(0.1, 3.0, 30))
+            solve_numeric_grid([spec], np.linspace(0.1, 3.0, 30))
             numeric_wave(spec, 0.8)
         assert walks == [tuple(specs[0].bond_map())]
         scattering._plan.cache_clear()

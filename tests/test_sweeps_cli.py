@@ -396,6 +396,29 @@ class TestCliGridFlagsTheModelDoesNotRead:
         assert capsys.readouterr().err == "error: --model chain does not read --g, --N\n"
 
 
+# an empty token in each kind of list flag
+EMPTY_TOKENS = [
+    ("--couplings", ["--model", "chain", "--couplings", "0.5,,0.3"]),
+    ("--g", ["--g", "0.5,", "--N", "1"]),
+    ("--N", ["--g", "0.5", "--N", "1,,2"]),
+    ("--couplings", ["--model", "chain", "--couplings", "0.5;;0.3"]),
+]
+
+
+class TestCliEmptyListTokens:
+    """An empty token in a comma or semicolon list is a usage error, not dropped."""
+
+    @pytest.mark.parametrize("flag, grid", EMPTY_TOKENS, ids=[" ".join(grid[-2:]) for _, grid in EMPTY_TOKENS])
+    @pytest.mark.parametrize("command", ["amplitudes", "sweep"])
+    def test_rejected(self, command, flag, grid, tmp_path, capsys):
+        tail = ["--phi", "1.0"] if command == "amplitudes" else ["--out", str(tmp_path / "s.csv")]
+        assert main([command, *grid, *tail]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: invalid" in captured.err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestCliProbe:
     def test_free_model_rejected(self, capsys):
         code = main(["probe-continuum", "--g", "0"])

@@ -17,7 +17,7 @@ import pytest
 
 import qhscatter.sweeps as sweeps
 from qhscatter import Amplitudes, ChainSpec, MultiCenterSpec, TwoCenterSpec
-from qhscatter.scattering import closed_form, solve_numeric, solve_numeric_arrays
+from qhscatter.scattering import closed_form, solve_numeric, solve_numeric_grid
 from qhscatter.sweeps import (
     COLUMNS,
     evaluate_point,
@@ -80,8 +80,8 @@ def reference_records(specs, phis, method):
         closed = [None if method == "numeric" else closed_form(spec, phi) for phi in phis]
         numeric = [None] * len(phis)
         if method != "closed":
-            R, T = solve_numeric_arrays(spec, phis)
-            numeric = list(map(Amplitudes, R.tolist(), T.tolist(), phis))
+            R, T = solve_numeric_grid([spec], phis)
+            numeric = list(map(Amplitudes, R[0].tolist(), T[0].tolist(), phis))
         for phi, amp_closed, amp_num in zip(phis, closed, numeric):
             records += _ref_point_records(spec, phi, method, amp_closed, amp_num)
     return records
