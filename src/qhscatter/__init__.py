@@ -34,7 +34,6 @@ from .potentials import (
     MultiCenterSpec,
     TwoCenterSpec,
     assemble_hamiltonian,
-    build_laplacian,
     build_potential,
 )
 from .scattering import (
@@ -74,7 +73,6 @@ __all__ = [
     "as_angle",
     "asymmetry_ratio",
     "assemble_hamiltonian",
-    "build_laplacian",
     "build_matching_system",
     "build_metric",
     "build_potential",

@@ -176,17 +176,6 @@ class BandedOperator:
         return m
 
 
-def build_laplacian(window: SiteWindow) -> BandedOperator:
-    """Kinetic part -Delta: diag entries 2, off-diagonal entries -1."""
-    n = window.n_sites
-    return BandedOperator(
-        window,
-        diag=np.full(n, 2.0, dtype=np.complex128),
-        upper=np.full(n - 1, -1.0, dtype=np.complex128),
-        lower=np.full(n - 1, -1.0, dtype=np.complex128),
-    )
-
-
 def build_potential(spec: ScattererSpec, window: SiteWindow) -> BandedOperator:
     """V[k,k+1] = -gamma, V[k+1,k] = +gamma on every bond k of the spec's bond map.
 
@@ -208,11 +197,5 @@ def build_potential(spec: ScattererSpec, window: SiteWindow) -> BandedOperator:
 
 
 def assemble_hamiltonian(potential: BandedOperator) -> BandedOperator:
-    """H = -Delta + V on the potential's window."""
-    lap = build_laplacian(potential.window)
-    return BandedOperator(
-        potential.window,
-        diag=lap.diag + potential.diag,
-        upper=lap.upper + potential.upper,
-        lower=lap.lower + potential.lower,
-    )
+    """H = -Delta + V on the potential's window: -Delta adds 2 on the diagonal and -1 off it."""
+    return BandedOperator(potential.window, 2.0 + potential.diag, -1.0 + potential.upper, -1.0 + potential.lower)

@@ -5,11 +5,11 @@ one row per evaluation; it is built from the amplitudes of the whole grid
 and written by one row template.  Numbers are printed with 17 significant
 digits so a re-parsed file reproduces the original doubles exactly;
 identical configurations produce byte-identical files.  Sweeps and the
-amplitude suites share one route (_grid_columns): closed_form_grid and
-solve_numeric_grid give R and T of every point as arrays, answering the
-scatterers of one bond layout (the two-center specs of one N, the chains of
-one length) as one batch, and the squares, defects and discrepancies are
-taken from them as evaluate_point takes them from closed_form and
+amplitude suites read the same arrays: closed_form_grid and
+solve_numeric_grid give R and T of every point, answering the scatterers
+of one bond layout (the two-center specs of one N, the chains of one
+length) as one batch, and the squares, defects and gaps are taken from
+them (_squares, _gaps) as evaluate_point takes them from closed_form and
 solve_numeric at one angle, with the same bits.  resonance_flag stays in
 the table as a column that reads 0.  A refusal is solve_numeric_grid's:
 the first failing point in grid order raises what solve_numeric raises.
@@ -169,65 +169,60 @@ def scatterer_specs(model: str, couplings, n_values=(), centers=()) -> list[Scat
     raise DomainError(f"unknown model {model!r}")
 
 
-def _grid_columns(specs: list[ScattererSpec], phis: np.ndarray, method: str) -> tuple[dict, tuple]:
-    """(the rows of specs at the angles phis as columns keyed by COLUMNS; |R_c - R_n| and |T_c - T_n|).
+def _squares(R: np.ndarray, T: np.ndarray) -> list[list]:
+    """The columns re_R through defect at each point of R and T, flattened.
+
+    The squares and the defect are taken on Python floats, in
+    evaluate_point's association, so each has its bits.
+    """
+    z = np.stack((R, T)).reshape(2, -1)
+    (re_R, re_T), (im_R, im_T) = z.real.tolist(), z.imag.tolist()
+    abs_R2 = [x**2 + y**2 for x, y in zip(re_R, im_R)]
+    abs_T2 = [x**2 + y**2 for x, y in zip(re_T, im_T)]
+    return [re_R, im_R, re_T, im_T, abs_R2, abs_T2, [abs(r2 + t2 - 1.0) for r2, t2 in zip(abs_R2, abs_T2)]]
+
+
+def _gaps(closed: tuple, numeric: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """|R_c - R_n| and |T_c - T_n| at each point of the (R, T) arrays closed and numeric, flattened."""
+    (R_c, T_c), (R_n, T_n) = closed, numeric
+    return tuple(np.hypot(d.real, d.imag).reshape(-1) for d in (R_c - R_n, T_c - T_n))
+
+
+def sweep_records(specs: list[ScattererSpec], phis: np.ndarray, method: str) -> dict[str, list]:
+    """The table of the scatterers specs at the angles phis: one list per name in COLUMNS.
 
     Rows run in the order of specs, phi inner, and each has evaluate_point's
     values at its point, bit for bit: closed_form_grid and solve_numeric_grid
-    answer every point as arrays, one batch per bond layout, and the
-    squares are taken on Python floats.  A pair shares one discrepancy
-    object, max(|dR|, |dT|) as max() takes it (a NaN in dT alone is
-    dropped); the gaps are kept apart under 'both', in grid order, and are
-    empty otherwise.  A scatterer the method does not fit is refused after
+    answer every point as arrays, one batch per bond layout.  A pair shares
+    one discrepancy object, max(|dR|, |dT|) as max() takes it (a NaN in dT
+    alone is dropped).  A scatterer the method does not fit is refused after
     the scatterers before it are answered, as a loop over specs would.
     """
+    if method not in ("numeric", "closed", "both"):
+        raise DomainError(f"unknown method {method!r}")
     for i, spec in enumerate(specs):
         try:
             _check_method(spec, method)
         except DomainError:
-            if i:
-                _grid_columns(specs[:i], phis, method)
+            if i:  # only the route that could raise first; closed_form_grid refuses only bad angles
+                (solve_numeric_grid if method == "both" else closed_form_grid)(specs[:i], phis)
             raise
     amps = {}  # (R, T) arrays of each method, closed first
     if method != "numeric":
         amps["closed"] = closed_form_grid(specs, phis)
     if method != "closed":
         amps["numeric"] = solve_numeric_grid(specs, phis)
-    # R and T of the rows, each point's rows side by side
-    z = np.stack(list(amps.values()), axis=-1).reshape(2, -1)
-    (re_R, re_T), (im_R, im_T) = z.real.tolist(), z.imag.tolist()
-    abs_R2 = [x**2 + y**2 for x, y in zip(re_R, im_R)]
-    abs_T2 = [x**2 + y**2 for x, y in zip(re_T, im_T)]
-    defect = [abs(r2 + t2 - 1.0) for r2, t2 in zip(abs_R2, abs_T2)]
-    count, gaps, discrepancy = len(re_R), ((), ()), [None] * len(re_R)
+    parts = _squares(*np.stack(list(amps.values()), axis=-1))  # each point's rows side by side
+    discrepancy = [None] * len(parts[0])
     if len(amps) == 2:
-        (R_c, T_c), (R_n, T_n) = amps.values()
-        gap_R, gap_T = (np.hypot(d.real, d.imag).reshape(-1) for d in (R_c - R_n, T_c - T_n))
+        gap_R, gap_T = _gaps(*amps.values())
         discrepancy = [d for d in np.where(gap_T > gap_R, gap_T, gap_R).tolist() for _ in (0, 1)]
-        gaps = gap_R.tolist(), gap_T.tolist()
     per_spec = len(phis) * len(amps)
     cells = [_scatterer_cells(spec) for spec in specs]
     g, n = (list(chain.from_iterable(repeat(cell[j], per_spec) for cell in cells)) for j in (0, 1))
-    columns = (
-        g,
-        n,
-        np.tile(np.repeat(phis, len(amps)), len(specs)).tolist(),
-        re_R, im_R, re_T, im_T, abs_R2, abs_T2, defect,
-        list(amps) * (len(phis) * len(specs)),
-        [0] * count,
-        discrepancy,
-    )
-    return dict(zip(COLUMNS, columns)), gaps
-
-
-def sweep_records(specs: list[ScattererSpec], phis: np.ndarray, method: str) -> dict[str, list]:
-    """The table of the scatterers specs at the angles phis: one list per name in COLUMNS.
-
-    Rows run in the order of specs, phi inner.  The scatterers that share
-    a bond layout are answered together, by one closed form and one
-    chunked numeric solve over all their points.
-    """
-    return _grid_columns(specs, phis, method)[0]
+    phi = np.tile(np.repeat(phis, len(amps)), len(specs)).tolist()
+    methods = list(amps) * (len(phis) * len(specs))
+    return dict(zip(COLUMNS, (g, n, phi, *parts, methods, [0] * len(phi), discrepancy)))
 
 
 # the row template prints these with 17 significant digits and the others with %s:
@@ -378,17 +373,17 @@ class SuiteScores(NamedTuple):
 def suite_scores() -> SuiteScores:
     """What the amplitude suites score at each point of the default grid, each point evaluated once.
 
-    The whole grid is one _grid_columns call, as a sweep of it is: the
-    specs of one N are one bond layout and one batch, and a refusal is the
-    first failing point in grid order, as solve_numeric_grid keeps it.
-    Only the defects and the gaps are kept, not the amplitudes.
+    The whole grid is one closed_form_grid and one solve_numeric_grid call,
+    as a sweep of it is: the specs of one N are one bond layout and one
+    batch, and a refusal is the first failing point in grid order, as
+    solve_numeric_grid keeps it.  Only the defects and the gaps are kept.
     """
     # strictly inside (DEFAULT_PHI_MIN, DEFAULT_PHI_MAX)
     phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, DEFAULT_PHI_COUNT + 2)[1:-1]
     specs = [TwoCenterSpec(g, n) for g in DEFAULT_G_GRID for n in DEFAULT_N_GRID]
-    columns, gaps = _grid_columns(specs, phis, "both")
-    defect = columns["defect"]
-    return SuiteScores(specs, phis, *np.array([defect[1::2], defect[::2], *gaps]))
+    closed, numeric = closed_form_grid(specs, phis), solve_numeric_grid(specs, phis)
+    defects = (np.array(_squares(*amps)[-1]) for amps in (numeric, closed))
+    return SuiteScores(specs, phis, *defects, *_gaps(closed, numeric))
 
 
 def unitarity_suite(scores: SuiteScores, tolerance: float = 1e-11) -> list[SuiteCheck]:

@@ -109,7 +109,8 @@ class TestColumnsAreEvaluatePoint:
 
     def test_discrepancy_is_pythons_max(self):
         spec, phis = TwoCenterSpec(-0.7, 10), phi_grid(200)
-        columns, (gap_R, gap_T) = sweeps._grid_columns([spec], phis, "both")
+        columns = sweep_records([spec], phis, "both")
+        gap_R, gap_T = (gap.tolist() for gap in sweeps._gaps(closed_form_grid([spec], phis), solve_numeric_grid([spec], phis)))
         for i, phi in enumerate(phis.tolist()):
             amp_c, amp_n = closed_form(spec, phi), solve_numeric(spec, phi)
             d_R, d_T = abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T)
@@ -130,7 +131,8 @@ class TestColumnsAreEvaluatePoint:
             return R, T
 
         monkeypatch.setattr(sweeps, "closed_form_grid", nan_at_angle_4)
-        columns, (gap_R, gap_T) = sweeps._grid_columns([spec], phis, "both")
+        columns = sweep_records([spec], phis, "both")
+        gap_R, gap_T = sweeps._gaps(nan_at_angle_4([spec], phis), solve_numeric_grid([spec], phis))
         amp_c, amp_n = closed_form(spec, phis[4]), solve_numeric(spec, phis[4])
         if part == "R":
             expected = max(abs(complex(math.nan, 0.0) - amp_n.R), abs(amp_c.T - amp_n.T))

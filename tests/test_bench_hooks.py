@@ -5,7 +5,7 @@ its ``HOOKS``.  A hook whose target is gone is skipped, and every per-layer
 metric that depends only on it silently drops out of the traced result, so
 the result line is valid JSON yet incomplete.  Removing or renaming a hooked
 function (``solve_banded``, ``matching_row_residual``, ``build_potential``,
-...; ROADMAP item 2) therefore needs a benchmark change that updates
+...; ROADMAP item 1) therefore needs a benchmark change that updates
 ``HOOKS`` first.  The module is executed from its source, so nothing is
 written under ``bench/``.
 """

@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qhscatter.scattering as scattering
-from qhscatter import ChainSpec, MultiCenterSpec, QhScatterError, TwoCenterSpec, closed_form, solve_numeric
+import qhscatter.sweeps as sweeps
+from qhscatter import BandError, ChainSpec, DomainError, MultiCenterSpec, QhScatterError, TwoCenterSpec, closed_form, solve_numeric
 from qhscatter.potentials import MAX_N
 from qhscatter.scattering import CHUNK_UNKNOWNS, closed_form_grid, solve_numeric_grid
 from qhscatter.cli import main
@@ -27,7 +28,6 @@ from qhscatter.sweeps import (
     DEFAULT_N_GRID,
     DEFAULT_PHI_MAX,
     DEFAULT_PHI_MIN,
-    _grid_columns,
     phi_grid,
     sweep_records,
 )
@@ -248,13 +248,27 @@ class TestFirstFailureInGridOrder:
         with pytest.raises(QhScatterError, match="closed forms exist only"):
             sweep_records([self.A, ChainSpec((0.5,))], self.PHIS, "both")
 
+    @pytest.mark.parametrize("method", ["closed", "both"])
+    def test_bad_angles_and_a_refused_method(self, method):
+        # a two-center spec before the chain meets the bad angle first; a chain first is refused first
+        with pytest.raises(BandError) as exc:
+            sweep_records([TwoCenterSpec(0.5, 0), ChainSpec((0.5,))], [0.0, 1.0], method)
+        assert str(exc.value) == "phi=0.0 outside the open band interval (0, pi)"
+        with pytest.raises(DomainError, match="closed forms exist only"):
+            sweep_records([ChainSpec((0.5,)), TwoCenterSpec(0.5, 0)], [0.0, 1.0], method)
+
+    def test_a_refused_method_solves_nothing_under_closed(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "solve_numeric_grid", lambda *a: pytest.fail("a numeric solve under closed"))
+        with pytest.raises(DomainError, match="closed forms exist only"):
+            sweep_records([self.A, self.B, ChainSpec((0.5,))], self.PHIS, "closed")
+
 
 class TestANaturalRefusal:
     """Band-edge points at weak coupling, where the self-check itself decides, with nothing forced.
 
     At g = 1e-5, N = 0 and phi = 1e-9 the partner's defect is 1.5e-9, above
     the 1e-9 bound, so the numeric route refuses the point today.  Whether
-    it refuses or answers, a sweep and the suites' one-call route must do
+    it refuses or answers, a sweep and the suites' scoring must do
     what the per-point loop of solve_numeric does.
     """
 
@@ -278,4 +292,10 @@ class TestANaturalRefusal:
         assert self._outcome(lambda: solve_numeric_grid(specs, phis)) == expected
         for method in ("numeric", "both"):
             assert self._outcome(lambda: sweep_records(specs, phis, method)) == expected
-        assert self._outcome(lambda: _grid_columns(specs, phis, "both")) == expected
+        assert self._outcome(lambda: _scores(specs, phis)) == expected
+
+
+def _scores(specs, phis):
+    """What suite_scores keeps, over the grid specs x phis: the numeric and closed defects and the gaps."""
+    closed, numeric = closed_form_grid(specs, phis), solve_numeric_grid(specs, phis)
+    return sweeps._squares(*numeric)[-1], sweeps._squares(*closed)[-1], sweeps._gaps(closed, numeric)

@@ -20,7 +20,6 @@ PUBLIC = [
     "as_angle",
     "asymmetry_ratio",
     "assemble_hamiltonian",
-    "build_laplacian",
     "build_matching_system",
     "build_metric",
     "build_potential",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhscatter import (
+    BandedOperator,
     ChainSpec,
     MultiCenterSpec,
     PositivityError,
@@ -14,12 +15,23 @@ from qhscatter import (
     TwoCenterSpec,
     WindowError,
     assemble_hamiltonian,
-    build_laplacian,
     build_potential,
 )
 from qhscatter.potentials import MAX_N
 
 couplings_in_band = st.floats(min_value=-0.9, max_value=0.9)
+
+
+def laplacian(window):
+    """-Delta on the window: 2 on the diagonal, -1 off it."""
+    n = window.n_sites
+    return BandedOperator(window, np.full(n, 2.0), np.full(n - 1, -1.0), np.full(n - 1, -1.0))
+
+
+def free_hamiltonian(window):
+    """H of the zero potential on the window: -Delta as assemble_hamiltonian adds it."""
+    n = window.n_sites
+    return assemble_hamiltonian(BandedOperator(window, np.zeros(n), np.zeros(n - 1), np.zeros(n - 1)))
 
 
 def element(op):
@@ -30,16 +42,16 @@ def element(op):
 
 class TestLaplacian:
     def test_smallest_window_matrix(self):
-        lap = build_laplacian(SiteWindow(1)).to_dense()
+        lap = free_hamiltonian(SiteWindow(1)).to_dense()
         expected = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=complex)
         assert np.array_equal(lap, expected)
 
     def test_hermitian(self):
-        lap = build_laplacian(SiteWindow(6)).to_dense()
+        lap = free_hamiltonian(SiteWindow(6)).to_dense()
         assert np.array_equal(lap, lap.conj().T)
 
     def test_truncated_spectrum(self):
-        eigs = np.sort(np.linalg.eigvalsh(build_laplacian(SiteWindow(1)).to_dense().real))
+        eigs = np.sort(np.linalg.eigvalsh(free_hamiltonian(SiteWindow(1)).to_dense().real))
         assert np.allclose(eigs, [2 - math.sqrt(2), 2, 2 + math.sqrt(2)], atol=1e-14)
 
 
@@ -215,7 +227,7 @@ class TestAssembly:
     def test_zero_potential_gives_laplacian(self):
         w = SiteWindow(5)
         v = build_potential(ChainSpec((0.0,)), w)
-        assert np.array_equal(assemble_hamiltonian(v).to_dense(), build_laplacian(w).to_dense())
+        assert np.array_equal(assemble_hamiltonian(v).to_dense(), laplacian(w).to_dense())
 
     def test_two_center_asymmetry_magnitude(self):
         g = 0.35

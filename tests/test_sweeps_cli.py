@@ -67,6 +67,12 @@ class TestEvaluatePoint:
 
 
 class TestTables:
+    @pytest.mark.parametrize("specs", [[], [TwoCenterSpec(0.5, 0)], [ChainSpec((0.5,))]], ids=["none", "two-center", "chain"])
+    def test_unknown_method_rejected_before_any_scatterer(self, specs):
+        with pytest.raises(DomainError) as exc:
+            sweep_records(specs, phi_grid(3), "bogus")
+        assert str(exc.value) == "unknown method 'bogus'"
+
     def test_one_list_per_column(self):
         table = small_table()
         assert list(table) == list(COLUMNS)
@@ -232,6 +238,14 @@ class TestCliMethodDefault:
 
 
 class TestCliVerify:
+    def test_each_suite_prints_its_lines_of_the_full_run(self, capsys):
+        assert main(["verify"]) == 0
+        full = capsys.readouterr().out.splitlines(keepends=True)
+        for suite in ("unitarity", "closed-vs-numeric", "metric"):
+            assert main(["verify", "--suite", suite]) == 0
+            own = [line for line in full if line.startswith(f"suite={suite} ")]
+            assert own and capsys.readouterr().out == "".join(own), suite
+
     def test_default_run_passes(self, capsys):
         code = main(["verify"])
         out = capsys.readouterr().out

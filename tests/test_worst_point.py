@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import qhscatter.sweeps as sweeps
 from qhscatter import ChainSpec, TwoCenterSpec
 from qhscatter.cli import main
-from qhscatter.sweeps import SuiteCheck, closed_vs_numeric_suite, metric_suite, suite_scores, unitarity_suite
+from qhscatter.sweeps import SuiteCheck, closed_vs_numeric_suite, metric_suite, suite_scores, sweep_records, unitarity_suite
 
 
 def scan_check(suite, label, tolerance, scored, point_label=str):
@@ -121,6 +121,20 @@ def _with(scores, name, changes):
     for point, value in changes:
         values[point] = value
     return scores._replace(**{name: values})
+
+
+class TestScoresAreTheSweep:
+    def test_default_grid(self, scores):
+        # the suites score what a sweep of their grid holds, bit for bit: the defects of its
+        # numeric and closed rows, and the per-point gaps between a pair's amplitudes
+        table = sweep_records(scores.specs, scores.phis, "both")
+        R, T = ([complex(x, y) for x, y in zip(table[f"re_{a}"], table[f"im_{a}"])] for a in "RT")
+        gap_R, gap_T = ([abs(c - n) for c, n in zip(z[::2], z[1::2])] for z in (R, T))
+        defect = table["defect"]
+        expected = (defect[1::2], defect[::2], gap_R, gap_T)
+        for got, want in zip(scores[2:], expected):
+            assert got.tobytes() == np.array(want).tobytes()
+        assert table["discrepancy"][::2] == [max(r, t) for r, t in zip(gap_R, gap_T)]
 
 
 class TestSuitesAreTheScan:
