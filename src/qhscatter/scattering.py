@@ -14,8 +14,11 @@ two plane-wave coefficients per longer free stretch, R and T_h; one banded
 LU with partial pivoting solves them, so the cost grows with the number of
 bonds and not with N.  Where each entry sits depends on the bond positions
 alone: each bond layout is planned once (its clusters, its constant entries
-and the places of the hops and phases, in a bounded cache), and each call
-fills in the couplings' hops, 2 cos(phi) and the angle's phases.
+and the places of the hops and phases, in a bounded cache).  The plan also
+keeps a band template with the constant entries written and the exact
+halves of each phase's k, so each one-angle call copies the template and
+fills in the couplings' hops, 2 cos(phi) and the angle's phases, splitting
+phi once and taking e(-k) as conj(e(k)) where the plan holds both.
 
 Scatterers whose bonds sit at the same positions share a plan and form a
 layout group: every two-center spec of one N, every chain of one length,
@@ -29,9 +32,9 @@ vary by scatterer.  So every system keeps the bits it has alone.  h
 reflects as H does, and T = T_h sqrt(theta_L/theta_R).  The self-check is
 the partner's unitarity |R|^2 + |T_h|^2 = 1, per system.  A chunk that
 holds a singular or failing system raises; solve_numeric_grid then runs
-solve_numeric at each point in grid order, so every batched route refuses
-the first failing point with the one-angle message, as a per-point loop
-does.
+solve_numeric in grid order at each point of that group and of the groups
+not yet solved, so every batched route refuses the first failing point
+with the one-angle message, as a per-point loop does.
 
 H's own matching rows over its matching radius at one angle
 (build_matching_system) and their residual (matching_row_residual) stay
@@ -71,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -280,6 +284,10 @@ class _Plan(NamedTuple):
     n_diagonal: int
     ks: tuple[int, ...]
     phase_sources: tuple[int, ...]
+    template: np.ndarray
+    fill_at: np.ndarray
+    pick: operator.itemgetter
+    k_halves: tuple[tuple[float, float, float, int], ...]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
@@ -299,6 +307,15 @@ def _plan(positions: tuple[int, ...]) -> _Plan:
     in the row of site b + 1, and the phases: with w = [e(k) for k in ks],
     the phase entries take concatenate((-w, -conj(w)))[phase_sources].  The
     right-hand side is w[:2], e(s) and e(s + 1) at the first two sites.
+
+    One angle's system is one array of 8 n, the band and then the
+    right-hand side: template holds it with the constants written and
+    zeros elsewhere, fill_at is entries followed by the right-hand side's
+    first two places, and pick takes the value of each from
+    [2 cos(phi), the hop of each bond, -w, -conj(w), w[0], w[1]].  k_halves
+    holds (k, k_hi, k_lo, mirror) for each k of ks: k as a float, its
+    exact halves as _exact_product splits k, and the index in ks of -k
+    where -k comes first, else -1.
     """
     clusters, n = _bond_clusters(positions)
     constants = {}  # flat index: 1.0, -1.0 for a free hop, or a stretch's phase of k = 0
@@ -339,36 +356,80 @@ def _plan(positions: tuple[int, ...]) -> _Plan:
     bond_hops = [hops.pop((b, side)) for side in (0, 1) for b in positions]
     constants.update(dict.fromkeys(hops.values(), -1.0))  # the hops of free rows
     ks = tuple(dict.fromkeys(k for _, k, _ in phases))
+    phase_sources = tuple(ks.index(k) + len(ks) * conjugated for _, k, conjugated in phases)
+    entries = diagonal + bond_hops + [index for index, _, _ in phases]
+    template = np.zeros(8 * n, dtype=np.complex128)
+    template[list(constants)] = list(constants.values())
+    nb, nk = len(positions), len(ks)
+    sources = [0] * len(diagonal) + [1 + i % nb for i in range(2 * nb)] + [1 + nb + i for i in phase_sources]
     return _Plan(
         n=n,
         layout=tuple(layout),
         constants=np.array(list(constants)),
         constant_values=np.array(list(constants.values()), dtype=np.complex128),
-        entries=np.array(diagonal + bond_hops + [index for index, _, _ in phases]),
+        entries=np.array(entries),
         n_diagonal=len(diagonal),
         ks=ks,
-        phase_sources=tuple(ks.index(k) + len(ks) * conjugated for _, k, conjugated in phases),
+        phase_sources=phase_sources,
+        template=template,
+        fill_at=np.array(entries + [7 * n, 7 * n + 1]),
+        pick=operator.itemgetter(*sources, 1 + nb + 2 * nk, 2 + nb + 2 * nk),
+        k_halves=tuple(_halves(k, ks[:i]) for i, k in enumerate(ks)),
     )
+
+
+def _halves(k: int, before: tuple[int, ...]) -> tuple[float, float, float, int]:
+    """(k, k_hi, k_lo, mirror): k as a float, its halves as _exact_product splits it, and -k's index in before, else -1."""
+    c = 134217729.0 * k
+    k_hi = c - (c - k)
+    return float(k), k_hi, k - k_hi, before.index(-k) if -k in before else -1
+
+
+def _point_phases(plan: _Plan, p: float) -> list[complex]:
+    """[-e(k) for k in plan.ks] + [-conj(e(k)) for k in plan.ks] at one angle p, each e(k) with _phase's bits.
+
+    The operations are _exact_product's and _phase's, but p is split once
+    and each k's halves come from the plan.  For |lo| < 1e-8, cos(lo)
+    rounds to 1 and sin(lo) to lo, so those two are not taken.  e(-k) is
+    conj(e(k)) exactly: cos is even, sin odd, and the halves, the error
+    term and each rounding change sign with k.
+    """
+    d = 134217729.0 * p
+    p_hi = d - (d - p)
+    p_lo = p - p_hi
+    cos, sin = math.cos, math.sin
+    neg, neg_conj = [], []
+    for k, k_hi, k_lo, mirror in plan.k_halves:
+        if mirror >= 0:
+            neg.append(neg_conj[mirror])
+            neg_conj.append(neg[mirror])
+            continue
+        hi = k * p
+        lo = k_lo * p_lo - (((hi - k_hi * p_hi) - k_lo * p_hi) - k_hi * p_lo)
+        cos_hi, sin_hi = cos(hi), sin(hi)
+        if -1e-8 < lo < 1e-8:
+            re, im = cos_hi - sin_hi * lo, sin_hi + cos_hi * lo
+        else:
+            cos_lo, sin_lo = cos(lo), sin(lo)
+            re, im = cos_hi * cos_lo - sin_hi * sin_lo, sin_hi * cos_lo + cos_hi * sin_lo
+        neg.append(complex(-re, -im))
+        neg_conj.append(complex(-re, im))
+    return neg + neg_conj
 
 
 def _partner_system(bonds: BondMap, p: float) -> tuple[_Plan, np.ndarray, np.ndarray]:
     """(plan, ab, rhs) of the partner system of bonds at one angle p, filled by its layout's plan.
 
-    ab has shape (7 n,) and rhs (n,).  The values stay Python scalars until
-    the one write that places them all.
+    ab has shape (7 n,) and rhs (n,), views of one copy of the plan's
+    template.  The values are Python scalars, 2 cos(phi), the hops and the
+    phases, until one write places them all where plan.fill_at says.
     """
     plan = _plan(tuple(bonds))
-    ab = np.zeros(7 * plan.n, dtype=np.complex128)
-    rhs = np.zeros(plan.n, dtype=np.complex128)
-    ab[plan.constants] = plan.constant_values
-    c2 = 2.0 * math.cos(p)
-    hops = [-math.sqrt((1.0 - g) * (1.0 + g)) for g in bonds.values()] * 2  # one per side
-    w = [_phase(k, p) for k in plan.ks]
-    rhs[:2] = w[:2]
-    w = [-v for v in w]
-    w += [v.conjugate() for v in w]  # -e(k), then -conj(e(k)), for k in ks
-    ab[plan.entries] = [c2] * plan.n_diagonal + hops + [w[i] for i in plan.phase_sources]
-    return plan, ab, rhs
+    system = plan.template.copy()
+    w = _point_phases(plan, p)
+    hops = [-math.sqrt((1.0 - g) * (1.0 + g)) for g in bonds.values()]
+    system[plan.fill_at] = plan.pick([2.0 * math.cos(p), *hops, *w, -w[0], -w[1]])
+    return plan, system[: 7 * plan.n], system[7 * plan.n :]
 
 
 def _solve_partner(bonds: BondMap, p: float) -> tuple[list, tuple]:
@@ -427,6 +488,8 @@ def solve_numeric(spec: ScattererSpec, phi: float) -> Amplitudes:
     p = as_angle(phi)
     bonds = spec.bond_map()
     x, _ = _solve_partner(bonds, p)
+    if isinstance(spec, MultiCenterSpec):  # blocks: the T scale is exactly 1, and T = T_h bit for bit
+        return Amplitudes(x[0], x[-1], p)
     return _partner_amplitudes(x, spec, bonds, p)
 
 
@@ -525,21 +588,24 @@ def solve_numeric_grid(specs: list, phis) -> tuple[np.ndarray, np.ndarray]:
     each such group is solved as one batch (_solve_group).  Each point
     gets solve_numeric's bits where numpy's cos and sin round as math's do
     (the tests check it).  The one refusal rule of the batched routes:
-    when a batch fails, solve_numeric runs at each point in grid order
-    (specs outer), and the first failing point raises its own error, or,
-    should every point answer, the batch's error is raised.
+    when a group's batch fails, solve_numeric runs in grid order (specs
+    outer) at each point of that group and of the groups not yet solved
+    (the groups solved before answered all their points), and the first
+    failing point raises its own error, or, should every one of them
+    answer, the batch's error is raised.
     """
     phis = _angle_array(phis)
     bond_maps = [spec.bond_map() for spec in specs]
     R, T = np.empty((2, len(specs), len(phis)), dtype=np.complex128)
-    try:
-        for rows in _layout_groups(tuple(bonds) for bonds in bond_maps).values():
-            R[rows], T[rows] = _solve_group([specs[i] for i in rows], [bond_maps[i] for i in rows], phis)
-    except (ResonanceError, DomainError):
-        for spec in specs:
-            for p in phis.tolist():
-                solve_numeric(spec, p)
-        raise
+    groups = list(_layout_groups(tuple(bonds) for bonds in bond_maps).values())
+    for i, rows in enumerate(groups):
+        try:
+            R[rows], T[rows] = _solve_group([specs[j] for j in rows], [bond_maps[j] for j in rows], phis)
+        except (ResonanceError, DomainError):
+            for j in sorted(j for later in groups[i:] for j in later):
+                for p in phis.tolist():
+                    solve_numeric(specs[j], p)
+            raise
     return R, T
 
 

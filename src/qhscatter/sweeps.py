@@ -127,24 +127,38 @@ def evaluate_point(spec: ScattererSpec, phi: float, method: str) -> list[dict]:
     """
     _check_method(spec, method)
     phi = as_angle(phi)
-    amps = {}
+    amps = []
     if method != "numeric":
-        amps["closed"] = closed_form(spec, phi)
+        amps.append(("closed", closed_form(spec, phi)))
     if method != "closed":
-        amps["numeric"] = solve_numeric(spec, phi)
+        amps.append(("numeric", solve_numeric(spec, phi)))
     gap = None
     if len(amps) == 2:
-        amp_c, amp_n = amps.values()
-        gap = max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T))
+        (_, closed), (_, numeric) = amps
+        gap = max(abs(closed.R - numeric.R), abs(closed.T - numeric.T))
     g, n = _scatterer_cells(spec)
-    records = []
-    for used, amp in amps.items():
-        R, T = amp.R, amp.T
-        abs_R2, abs_T2 = R.real**2 + R.imag**2, T.real**2 + T.imag**2
-        defect = abs(abs_R2 + abs_T2 - 1.0)
-        values = (g, n, phi, R.real, R.imag, T.real, T.imag, abs_R2, abs_T2, defect, used, 0, gap)
-        records.append(dict(zip(COLUMNS, values)))
-    return records
+    return [_record(g, n, phi, amp, used, gap) for used, amp in amps]
+
+
+def _record(g, n, phi: float, amp, method: str, gap) -> dict:
+    """One row of a sweep table as a dict keyed by COLUMNS, in that order."""
+    R, T = amp.R, amp.T
+    abs_R2, abs_T2 = R.real**2 + R.imag**2, T.real**2 + T.imag**2
+    return {
+        "g": g,
+        "N": n,
+        "phi": phi,
+        "re_R": R.real,
+        "im_R": R.imag,
+        "re_T": T.real,
+        "im_T": T.imag,
+        "abs_R2": abs_R2,
+        "abs_T2": abs_T2,
+        "defect": abs(abs_R2 + abs_T2 - 1.0),
+        "method": method,
+        "resonance_flag": 0,
+        "discrepancy": gap,
+    }
 
 
 def scatterer_specs(model: str, couplings, n_values=(), centers=()) -> list[ScattererSpec]:

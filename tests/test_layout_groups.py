@@ -19,7 +19,17 @@ from hypothesis import strategies as st
 
 import qhscatter.scattering as scattering
 import qhscatter.sweeps as sweeps
-from qhscatter import BandError, ChainSpec, DomainError, MultiCenterSpec, QhScatterError, TwoCenterSpec, closed_form, solve_numeric
+from qhscatter import (
+    BandError,
+    ChainSpec,
+    DomainError,
+    MultiCenterSpec,
+    QhScatterError,
+    ResonanceError,
+    TwoCenterSpec,
+    closed_form,
+    solve_numeric,
+)
 from qhscatter.potentials import MAX_N
 from qhscatter.scattering import CHUNK_UNKNOWNS, closed_form_grid, solve_numeric_grid
 from qhscatter.cli import main
@@ -169,25 +179,30 @@ def _force_in_solve(monkeypatch, targets):
     wrapped so that the system of a target point has its incoming wave
     e(s), e(s + 1) at the first two sites scaled by the factor, in R's
     column and on the right-hand side: 0 empties R's column, 2 doubles T_h.
-    A system is told by its size, its hop entries (the coupling) and its
-    2 cos(phi) diagonal (the angle), so the other scatterers of its layout
-    keep their systems; g and -g have the same hops and are forced alike.
+    A system is told by its size, its hop entries (the coupling), its
+    2 cos(phi) diagonal (the angle) and its incoming wave e(s) (the layout:
+    two separations can share a size and the places of the hops), so the
+    other scatterers keep their systems; g and -g have the same hops and
+    are forced alike.
     """
     marks = []
     for (spec, phi), factor in targets.items():
         plan = scattering._plan(tuple(spec.bond_map()))
         diagonal, hops = plan.entries[: plan.n_diagonal], plan.entries[plan.n_diagonal :][: 2 * len(spec.bond_map())]
-        marks.append((plan.n, diagonal, 2.0 * math.cos(phi), hops, -math.sqrt((1.0 - spec.g) * (1.0 + spec.g)), factor))
+        hop = -math.sqrt((1.0 - spec.g) * (1.0 + spec.g))
+        incoming = scattering._phase(plan.layout[0][0], phi)
+        marks.append((plan.n, diagonal, 2.0 * math.cos(phi), hops, hop, incoming, factor))
     zgbsv = scattering.zgbsv
 
     def forced(kl, ku, ab, b, **kwargs):
-        for n, diagonal, two_cos, hops, hop, factor in marks:
+        for n, diagonal, two_cos, hops, hop, incoming, factor in marks:
             if len(b) % n:
                 continue
             blocks = ab.T.reshape(-1, 7 * n)  # one system per row, its band columns in turn
             assert np.shares_memory(blocks, ab)
             # numpy's cos and math's may differ in the last bit
             hit = (abs(blocks[:, diagonal] - two_cos) < 1e-12).all(axis=1) & (blocks[:, hops] == hop).all(axis=1)
+            hit &= abs(b[::n] - incoming) < 1e-12
             for i in np.flatnonzero(hit).tolist():
                 blocks[i, [4, 5]] *= factor
                 b[i * n : i * n + 2] *= factor
@@ -293,6 +308,63 @@ class TestANaturalRefusal:
         for method in ("numeric", "both"):
             assert self._outcome(lambda: sweep_records(specs, phis, method)) == expected
         assert self._outcome(lambda: _scores(specs, phis)) == expected
+
+
+class TestTheReplayIsBounded:
+    """After a failed batch, solve_numeric replays only the failing group and the groups not yet solved.
+
+    The groups are solved in order of first appearance, and a group solved
+    before the failing one answered every point, so its points are not
+    solved again; the replay runs in grid order and stops at the first
+    failing point, or raises the batch's error once every point answered.
+    """
+
+    # groups in order: N = 1 (A, C), N = 2 (B), N = 3 (D)
+    A, B, C, D = TwoCenterSpec(0.3, 1), TwoCenterSpec(0.3, 2), TwoCenterSpec(-0.6, 1), TwoCenterSpec(0.3, 3)
+    PHIS = np.linspace(0.3, 2.8, 9)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        replayed = []
+        one_angle = scattering.solve_numeric
+
+        def spy(spec, phi):
+            replayed.append((spec, phi))
+            return one_angle(spec, phi)
+
+        monkeypatch.setattr(scattering, "solve_numeric", spy)
+        return replayed
+
+    def test_a_point_refusal_stops_the_replay(self, monkeypatch):
+        phis = self.PHIS.tolist()
+        _force_in_solve(monkeypatch, {(self.B, phis[6]): 0.0})
+        replayed = self._spy(monkeypatch)
+        with pytest.raises(QhScatterError) as exc:
+            solve_numeric_grid([self.A, self.B, self.C, self.D], self.PHIS)
+        assert str(exc.value) == f"matching system singular at phi={phis[6]!r}"
+        # B's angles up to the failing one; the loop over every point solved A's 9 too
+        assert replayed == [(self.B, p) for p in phis[:7]]
+
+    def test_a_batch_refusal_replays_its_group_and_the_later_ones(self, monkeypatch):
+        # B's batch fails though each of its points answers alone
+        solve_group = scattering._solve_group
+
+        def failing(specs, bond_maps, phis):
+            if specs[0] == self.B:
+                raise ResonanceError("the batch of B")
+            return solve_group(specs, bond_maps, phis)
+
+        monkeypatch.setattr(scattering, "_solve_group", failing)
+        replayed = self._spy(monkeypatch)
+        with pytest.raises(ResonanceError, match="^the batch of B$"):
+            solve_numeric_grid([self.D, self.A, self.B, self.C], self.PHIS)
+        # groups in order N = 3 (D), N = 1 (A, C), N = 2 (B): only B is replayed
+        assert replayed == [(self.B, p) for p in self.PHIS.tolist()]
+        replayed.clear()
+        with pytest.raises(ResonanceError, match="^the batch of B$"):
+            solve_numeric_grid([self.A, self.B, self.C, self.D], self.PHIS)
+        # N = 1 answered first; B, then D, in grid order
+        assert replayed == [(spec, p) for spec in (self.B, self.D) for p in self.PHIS.tolist()]
 
 
 def _scores(specs, phis):

@@ -38,6 +38,7 @@ from qhscatter import (
 from qhscatter.cli import main
 from qhscatter.scattering import CHUNK_UNKNOWNS
 from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID, phi_grid
+from test_layout_groups import _force_in_solve
 from test_oracle import mp_amplitudes
 from test_scattering import CHAIN_AND_MULTI_SPECS, _reference_wave, lu_on_h
 
@@ -247,30 +248,6 @@ def _first_error(fn):
 SINGULAR, BROKEN = 0.0, 2.0
 
 
-def _force(monkeypatch, targets):
-    """Make chosen angles fail: targets maps (scatterer, phi) to SINGULAR or BROKEN.
-
-    The incoming wave e(s), e(s + 1) at the first two sites s, s + 1 of the
-    scatterer's partner system is scaled by the factor at that angle: 0
-    empties R's column (a singular system), 2 doubles the incoming wave and
-    with it T_h, so |R|^2 + |T_h|^2 = 1 breaks.  A scatterer is told by s.
-    """
-    by_site = {}
-    for (spec, phi), factor in targets.items():
-        s = scattering._bond_clusters(spec.bond_map())[0][0][0] - 1
-        by_site.setdefault(s, []).append((phi, factor))
-        by_site.setdefault(s + 1, []).append((phi, factor))
-    phase = scattering._phase
-
-    def forced(k, p):
-        w = phase(k, p)
-        for phi, factor in by_site.get(k, []) if isinstance(k, int) else []:
-            w = np.where(p == phi, w * factor, w) if isinstance(p, np.ndarray) else (w * factor if p == phi else w)
-        return w
-
-    monkeypatch.setattr(scattering, "_phase", forced)
-
-
 class TestFailuresInGridOrder:
     SPEC = TwoCenterSpec(0.7, 3)
     ANGLES = np.linspace(0.3, 2.8, 9).tolist()
@@ -285,7 +262,7 @@ class TestFailuresInGridOrder:
         ],
     )
     def test_refusal_in_the_middle_of_a_batch(self, monkeypatch, failures, first):
-        _force(monkeypatch, {(self.SPEC, self.ANGLES[i]): f for i, f in failures.items()})
+        _force_in_solve(monkeypatch, {(self.SPEC, self.ANGLES[i]): f for i, f in failures.items()})
         got = _first_error(lambda: solve_numeric_grid([self.SPEC], self.ANGLES))
         assert got == _first_error(lambda: solve_numeric(self.SPEC, self.ANGLES[first]))
         assert got.endswith(f"at phi={self.ANGLES[first]!r}")
@@ -304,13 +281,13 @@ class TestFailuresInGridOrder:
     @pytest.mark.parametrize("factor", [BROKEN, SINGULAR])
     def test_sweep_raises_what_the_per_point_loop_raises(self, monkeypatch, factor):
         specs, phis = self.SWEEP_SPECS, self.SWEEP_ANGLES
-        _force(monkeypatch, self._targets(factor))
+        _force_in_solve(monkeypatch, self._targets(factor))
         expected = _first_error(lambda: [solve_numeric(s, p) for s in specs for p in phis])
         assert expected.endswith(f"at phi={float(phis[4])!r}")
         assert _first_error(lambda: sweep_records(specs, phis, "both")) == expected
 
     def test_cli_exits_3_on_a_refusal(self, tmp_path, monkeypatch, capsys):
-        _force(monkeypatch, self._targets(BROKEN))
+        _force_in_solve(monkeypatch, self._targets(BROKEN))
         rc = main(["sweep", "--g", "0.3", "--N", "0,1,4,6", "--phi-grid", "9", "--out", str(tmp_path / "s.csv")])
         assert rc == 3
         assert "partner unitarity violated" in capsys.readouterr().err

@@ -133,28 +133,34 @@ class TestOnePlanPerLayout:
         scattering._plan.cache_clear()
 
     def test_phase_and_zgbsv_are_looked_up_per_solve(self, monkeypatch):
-        # one phase per distinct k of the plan, with an int k, and one LAPACK call;
-        # the 8 ks of the two separated blocks less k = 0, a plan constant
+        # one call of the phase helper per solve, one phase per distinct k of the
+        # plan, and one LAPACK call; the 8 ks of the two separated blocks less
+        # k = 0, a plan constant, of which e(-k) is taken as conj(e(k)) for 2
         calls = []
-        phase, zgbsv = scattering._phase, scattering.zgbsv
+        phases, zgbsv = scattering._point_phases, scattering.zgbsv
 
-        def phase_spy(k, p):
-            calls.append(("phase", type(k)))
-            return phase(k, p)
+        def phases_spy(plan, p):
+            w = phases(plan, p)
+            calls.append(("phases", type(p), len(w)))
+            return w
 
         def zgbsv_spy(*args, **kwargs):
-            calls.append(("zgbsv", None))
+            calls.append(("zgbsv", None, None))
             return zgbsv(*args, **kwargs)
 
-        monkeypatch.setattr(scattering, "_phase", phase_spy)
+        monkeypatch.setattr(scattering, "_point_phases", phases_spy)
         monkeypatch.setattr(scattering, "zgbsv", zgbsv_spy)
         spec = TwoCenterSpec(0.4, 10)
-        ks = scattering._plan(tuple(spec.bond_map())).ks
+        plan = scattering._plan(tuple(spec.bond_map()))
+        ks = plan.ks
         assert len(ks) == len(set(ks)) == 7 and 0 not in ks
+        # ks = (s, s + 1, -1, ..., -s - 1, -s): the last two mirror the first two
+        assert [k for k, *_ in plan.k_halves] == list(ks) and ks[-2:] == (-ks[1], -ks[0])
+        assert [mirror for *_, mirror in plan.k_halves] == [-1] * 5 + [1, 0]
         for _ in range(2):
             calls.clear()
             solve_numeric(spec, 1.1)
-            assert calls == [("phase", int)] * 7 + [("zgbsv", None)]
+            assert calls == [("phases", float, 2 * len(ks)), ("zgbsv", None, None)]
 
     def test_cache_is_bounded(self):
         scattering._plan.cache_clear()
