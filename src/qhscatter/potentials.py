@@ -31,8 +31,9 @@ from .lattice import SiteWindow
 # bond k means the lattice link between sites k and k+1
 BondMap = dict[int, float]
 
-# the largest two-center separation: the numeric route jumps the 2N + 1 sites
-# between the blocks with the phase e(2N + 1), exact for 2N + 1 <= 2^53
+# the largest two-center separation: the phases e(k) of both routes are exact
+# for |k| <= 2^53, and the largest k the numeric route takes is 2N + 2, across
+# the 2N + 3 sites between the blocks (the closed form's is N + 2)
 MAX_N = 2**52 - 1
 
 
@@ -133,6 +134,11 @@ class TwoCenterSpec(MultiCenterSpec):
         N = int(N)
         # one update past the frozen __setattr__, which refuses every name here
         self.__dict__.update(centers=(-N - 2, N + 2), couplings=(g, g), g=g, N=N)
+
+    def bond_map(self) -> BondMap:
+        """MultiCenterSpec's bond map of the two blocks, in its order and with its bits, built directly."""
+        a, b, n = 0.0 + self.g, 0.0 - self.g, self.N
+        return {-n - 3: a, -n - 2: b, n + 1: a, n + 2: b}
 
     def __repr__(self) -> str:
         return f"TwoCenterSpec(g={self.g!r}, N={self.N!r})"

@@ -2,39 +2,32 @@
 
 One numeric route solves every scatterer (solve_numeric at one angle,
 solve_numeric_grid at many scatterers and angles, numeric_wave for the
-sampled wave).  It works on the Hermitian partner
-h = Theta^(1/2) H Theta^(-1/2), the real symmetric lattice whose row k reads
-
-    -t_{k-1} psi_{k-1} + 2 cos(phi) psi_k - t_k psi_{k+1} = 0,
-
-t_b = sqrt((1 - gamma_b)(1 + gamma_b)) on a bond b and 1 elsewhere.  The
-unknowns are psi on each bond cluster (the rows that touch a bond, one site
-beyond on each side, and any free stretch of fewer than JUMP_ROWS rows),
-two plane-wave coefficients per longer free stretch, R and T_h; one banded
-LU with partial pivoting solves them, so the cost grows with the number of
-bonds and not with N.  Where each entry sits depends on the bond positions
-alone: each bond layout is planned once (its clusters, its constant entries
-and the places of the hops and phases, in a bounded cache).  The plan also
-keeps a band template with the constant entries written and the exact
-halves of each phase's k, so each one-angle call copies the template and
-fills in the couplings' hops, 2 cos(phi) and the angle's phases, splitting
-phi once and taking e(-k) as conj(e(k)) where the plan holds both.
+sampled wave) on the Hermitian partner h = Theta^(1/2) H Theta^(-1/2), the
+real symmetric lattice whose row k reads -t_{k-1} psi_{k-1} + 2 cos(phi)
+psi_k - t_k psi_{k+1} = 0, with t_b = sqrt((1 - gamma_b)(1 + gamma_b)) on a
+bond b and 1 elsewhere.  Every bond is a point insertion between free
+segments and gives two rows between their waves (_bond_rows): a weak bond
+(gamma^2 <= STRONG) its S-matrix rows, r = gamma^2 e/D, r' = gamma^2
+conj(e)/D and tau = 2i t sin(phi)/D with D = 2i sin(phi) - gamma^2 e, a
+strong one the partner's own rows.  The only small quantities are
+gamma^2, t^2 and sin(phi), each exact to an ulp, and 2 cos(phi) never
+appears, so the rows hold at the band edges, at weak coupling and at sharp
+resonances.  K bonds give 2K unknowns in a band of 2 sub- and 2
+superdiagonals, solved by LU with partial pivoting: the cost grows with
+the bonds, not with N.
 
 Scatterers whose bonds sit at the same positions share a plan and form a
-layout group: every two-center spec of one N, every chain of one length,
-the multi-center specs of one set of centers.  solve_numeric_grid solves
+layout group (every two-center spec of one N, every chain of one length,
+the multi-center specs of one set of centers).  solve_numeric_grid solves
 each group's (scatterer, angle) systems together, stacked block-diagonally
-with no coupling between blocks, in chunks of at most CHUNK_UNKNOWNS
-unknowns, one LAPACK call per chunk.  The transcendental values, 2 cos(phi)
-and each phase e(k), are taken once on the angle array and gathered per
-system, never taken on a tiled array; only the hops and a chain's T scale
-vary by scatterer.  So every system keeps the bits it has alone.  h
-reflects as H does, and T = T_h sqrt(theta_L/theta_R).  The self-check is
-the partner's unitarity |R|^2 + |T_h|^2 = 1, per system.  A chunk that
-holds a singular or failing system raises; solve_numeric_grid then runs
-solve_numeric in grid order at each point of that group and of the groups
-not yet solved, so every batched route refuses the first failing point
-with the one-angle message, as a per-point loop does.
+in chunks of at most CHUNK_UNKNOWNS unknowns, one LAPACK call per chunk,
+by the one-angle operations on arrays, so every system keeps the bits it
+has alone.  h reflects as H does, and T = T_h sqrt(theta_L/theta_R).  The
+self-check is the partner's unitarity |R|^2 + |T_h|^2 = 1 per system.  A
+chunk that holds a singular or failing system raises; solve_numeric_grid
+then runs solve_numeric in grid order at each point of that group and of
+the groups not yet solved, so every batched route refuses the first failing
+point with the one-angle message, as a per-point loop does.
 
 H's own matching rows over its matching radius at one angle
 (build_matching_system) and their residual (matching_row_residual) stay
@@ -75,8 +68,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zgbsv
@@ -89,12 +83,13 @@ from .potentials import BondMap, MultiCenterSpec, ScattererSpec, TwoCenterSpec
 # partner unknowns per chunk of a batched solve: a chunk's band (112 bytes per
 # unknown) stays near 460 kB, so a batch's working memory does not grow with the grid
 CHUNK_UNKNOWNS = 1 << 12
-# the one-angle route jumps a free stretch of at least this many rows
-# between bond clusters; shorter stretches stay in the cluster as plain rows
-JUMP_ROWS = 8
 # bond layouts whose partner-system plan is kept; a plan depends on the bond
 # positions only, so a sweep or the verify grid needs one per N or chain length
 PLAN_CACHE = 64
+# a bond with gamma^2 above this takes the partner's rows, below it its S-matrix
+# rows: the partner's rows lose about eps/gamma^2 of a weak bond, and the S-matrix
+# rows of a bond beside a strong one miss a sharp resonance (to 1e-9 at 1/2)
+STRONG = 0.1
 
 
 @dataclass(frozen=True)
@@ -216,24 +211,6 @@ def matching_row_residual(spec: ScattererSpec | BondMap, phi: float, wave: WaveS
     return float(num.max())
 
 
-def _bond_clusters(bonds) -> tuple[list[list[int]], int]:
-    """([first, last] touched row of each bond cluster, left to right; partner unknowns).
-
-    bonds is a bond map or its bond positions.  Row k touches bonds k - 1
-    and k.  Touched rows with fewer than JUMP_ROWS free rows between them
-    share a cluster.  The partner system solves R, T_h, each cluster's
-    sites and (a, b) per jumped stretch.
-    """
-    rows = sorted({r for b in bonds for r in (b, b + 1)})
-    clusters = [[rows[0], rows[0]]]
-    for r in rows[1:]:
-        if r - clusters[-1][1] - 1 < JUMP_ROWS:
-            clusters[-1][1] = r
-        else:
-            clusters.append([r, r])
-    return clusters, 2 + sum(r1 - r0 + 3 for r0, r1 in clusters) + 2 * (len(clusters) - 1)
-
-
 def _exact_product(k, p):
     """(hi, lo) with hi = k*p rounded and hi + lo = k p exactly, for integers |k| <= 2^53.
 
@@ -251,16 +228,17 @@ def _exact_product(k, p):
 def _phase(k, p):
     """e(k) = exp(i k p) of the exact product k p; an array when k or p is one.
 
-    The rounded product k*p is off by up to half an ulp of itself.  Near
-    p = 0 or pi, where e(k) and e(-k) nearly coincide, the matching rows
-    amplify that by about 1/sin(p), and at large k the rounding error lo
-    itself grows to order 1.  exp(i (hi + lo)) is taken as exp(i hi)
-    exp(i lo) in real products; for |lo| < 1e-8, cos(lo) rounds to 1 and
-    sin(lo) to lo.
+    The rounded product k*p is off by up to half an ulp of itself, which
+    grows to order 1 at large k.  exp(i (hi + lo)) is taken as exp(i hi)
+    exp(i lo) in real products.  For |lo| < 1e-8, cos(lo) rounds to 1 and
+    sin(lo) to lo, so one number is spared those two calls.
     """
     hi, lo = _exact_product(k, p)
     if isinstance(hi, float):
-        cos_hi, sin_hi, cos_lo, sin_lo = math.cos(hi), math.sin(hi), math.cos(lo), math.sin(lo)
+        cos_hi, sin_hi = math.cos(hi), math.sin(hi)
+        if -1e-8 < lo < 1e-8:
+            return complex(cos_hi - sin_hi * lo, sin_hi + cos_hi * lo)
+        cos_lo, sin_lo = math.cos(lo), math.sin(lo)
         return complex(cos_hi * cos_lo - sin_hi * sin_lo, sin_hi * cos_lo + cos_hi * sin_lo)
     cos_hi, sin_hi, cos_lo, sin_lo = np.cos(hi), np.sin(hi), np.cos(lo), np.sin(lo)
     return _complex(cos_hi * cos_lo - sin_hi * sin_lo, sin_hi * cos_lo + cos_hi * sin_lo)
@@ -273,184 +251,133 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
+def _bond_rows(strong, left_flank, right_flank, g, t, s, c, e_left, e_right):
+    """The parts of one bond's 8 row entries, for floats and arrays alike; see _plan for their places.
+
+    The bond at b has coupling g and hop t; s, c = sin(phi), cos(phi).  On
+    its left lies the flank e(j) + R e(-j), e_left = e(b + 1), or a segment
+    of L sites from f, X C(j - f) + Y S(j - f) with C(m) = cos(m phi),
+    S(m) = sin(m phi)/s and e_left = e(L - 1); on its right the flank
+    T_h e(j), e_right = e(b), or a segment from b + 1.  With u, v the left
+    wave at b and b + 1 and u', v' the right one, a strong bond
+    (g^2 > STRONG) takes the partner's rows v - t v' = 0 and t u - u' = 0, a
+    weak one its S-matrix rows (v - t^2 e u) - t (v' - e u') = 0 and
+    t (conj(e) u - v) + (t^2 v' - conj(e) u') = 0 over
+    sigma = g^2 |c| + (2 - g^2) s, each side simplified by hand so that
+    g^2, t^2 and s enter as factors.  The entries come as (first row,
+    second row) on X, then Y, of the left side, then of the right side.
+    """
+    ar, ai, br, bi = e_left.real, e_left.imag, e_right.real, e_right.imag
+    if strong:
+        if left_flank:
+            er, ei = ar * c + ai * s, ai * c - ar * s  # e(b)
+            left = (ar, ai, t * er, t * ei, ar, -ai, t * er, -t * ei)
+        else:
+            q = ai / s  # S(L - 1)
+            left = (ar * c - ai * s, 0.0, t * ar, 0.0, ar + c * q, 0.0, t * q, 0.0)
+        if right_flank:
+            fr, fi = br * c - bi * s, br * s + bi * c
+            return left + (-t * fr, -t * fi, -br, -bi, -t * fr, t * fi, -br, bi)
+        return left + (-t, 0.0, -c, 0.0, 0.0, 0.0, 1.0, 0.0)
+    g2 = g * g
+    di = (2.0 - g2) * s  # D = -g2 c + i di
+    h = 1.0 / (g2 * abs(c) + di)
+    th, gc = t * h, g2 * c
+    ts = th * s
+    if left_flank:
+        er, ei = ar * c + ai * s, ai * c - ar * s
+        left = (g2 * h * ar, g2 * h * ai, 2.0 * ts * ei, -2.0 * ts * er,
+                (gc * er - di * ei) * h, -(di * er + gc * ei) * h, 0.0, 0.0)
+    else:
+        t2h = (1.0 - g) * (1.0 + g) * h
+        left = ((gc * ar - s * ai) * h, -t2h * s * ar, ts * ai, -ts * ar,
+                (ar + gc * ai / s) * h, -t2h * ai, -th * ar, -th * ai)
+    if right_flank:
+        fr, fi = br * c - bi * s, br * s + bi * c
+        return left + (0.0, 0.0, -(gc * br + di * bi) * h, (di * br - gc * bi) * h,
+                       2.0 * ts * bi, 2.0 * ts * br, -g2 * h * fr, g2 * h * fi)
+    return left + (-ts * s, ts * c, (s * s - g2) * h, s * c * h, -th * c, -ts, c * h, -s * h)
+
+
 class _Plan(NamedTuple):
-    """Where each entry of a bond layout's partner system sits; see _plan."""
+    """Where a bond layout's row entries sit, and the phases they read; see _plan."""
 
     n: int
-    layout: tuple[tuple[int, int, int], ...]
-    constants: np.ndarray
-    constant_values: np.ndarray
-    entries: np.ndarray
-    n_diagonal: int
+    positions: tuple[int, ...]
     ks: tuple[int, ...]
-    phase_sources: tuple[int, ...]
-    template: np.ndarray
-    fill_at: np.ndarray
-    pick: operator.itemgetter
-    k_halves: tuple[tuple[float, float, float, int], ...]
+    sides: tuple[tuple[int, int, bool, bool], ...]
+    places: np.ndarray
+    order: Callable[[list], tuple]
+    pack_into: Callable[..., None]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
-def _plan(positions: tuple[int, ...]) -> _Plan:
-    """The partner system of bonds at these positions, but for the couplings and the angle.
+def _plan(key: tuple[int, ...]) -> _Plan:
+    """The places of the row entries of bonds at the positions in key, in any order.
 
-    LAPACK band storage, column-major, for 2 sub- and 2 superdiagonals and
-    2 rows of fill-in, puts entry (i, j) at flat index 7 j + 4 + i - j.
-    x = [R, cluster sites..., a, b, cluster sites..., T_h], and layout holds
-    the (first site, last site, column of the first site) of each cluster;
-    the plane-wave coefficients (a, b) of a jumped stretch sit in the two
-    columns before the cluster on its right.  constants holds the flat
-    indices of the entries 1.0, of the free hops -1.0 and of the phases
-    -e(0) and -conj(e(0)) of a jumped stretch's first site.  entries holds
-    those of each call's values: the n_diagonal entries 2 cos(phi), the
-    hop -t_b of each bond b of positions in the row of site b, then those
-    in the row of site b + 1, and the phases: with w = [e(k) for k in ks],
-    the phase entries take concatenate((-w, -conj(w)))[phase_sources].  The
-    right-hand side is w[:2], e(s) and e(s + 1) at the first two sites.
-
-    One angle's system is one array of 8 n, the band and then the
-    right-hand side: template holds it with the constants written and
-    zeros elsewhere, fill_at is entries followed by the right-hand side's
-    first two places, and pick takes the value of each from
-    [2 cos(phi), the hop of each bond, -w, -conj(w), w[0], w[1]].  k_halves
-    holds (k, k_hi, k_lo, mirror) for each k of ks: k as a float, its
-    exact halves as _exact_product splits k, and the index in ks of -k
-    where -k comes first, else -1.
+    positions holds the bonds b_0 < ... < b_{K-1}, and the n = 2K unknowns
+    x = [R, X_1, Y_1, ..., X_{K-1}, Y_{K-1}, T_h] the waves of the segments
+    between them (_bond_rows).  ks holds the k of each phase e(k) the rows
+    read: b_0 + 1, then L - 1 for each segment of L sites, then b_{K-1}; as
+    L - 1 <= 2N + 2 <= 2^53, each is exact.  LAPACK band storage,
+    column-major, for 2 sub- and 2 superdiagonals and 2 rows of fill-in, puts
+    entry (i, j) at flat index 7 j + 4 + i - j, and bond k's rows 2k and
+    2k + 1 meet the columns 2k - 1 .. 2k + 2: places holds where each of its
+    16 values goes in the float view of one band.  Bond 0's first four
+    multiply the incoming wave's amplitude 1 and go to the right-hand side
+    negated; the last bond's last four multiply the right flank's absent
+    e(-j) and are dropped.  order and pack_into write one system's
+    values, in the order of their places and with zero pad bytes between,
+    into its band and right-hand side at once.
     """
-    clusters, n = _bond_clusters(positions)
-    constants = {}  # flat index: 1.0, -1.0 for a free hop, or a stretch's phase of k = 0
-    diagonal, hops, phases = [], {}, []  # phases: (flat index, k, conjugated)
-    layout = []
-    col = 1  # column of the next unknown; a cluster's row of site k has the column of psi_k
-    for r0, r1 in clusters:
-        s, e = r0 - 1, r1 + 1
-        if not layout:
-            # rows 0, 1: psi_j = e(j) + R e(-j) at the first two sites
-            for i, j in ((0, s), (1, s + 1)):
-                phases.append((4 + i, j, True))
-                constants[6 * (col + i) + i + 4] = 1.0
-        else:
-            # free rows g1..g2 jumped: psi_j = a e(j - g1) + b e(g1 - j) at sites
-            # g1 - 1, g1 (the last two of the cluster before) and g2, g2 + 1
-            g1, g2, a = layout[-1][1], s, col
-            col += 2
-            relations = ((a - 1, g1 - 1, a - 2), (a, g1, a - 1), (a + 1, g2, col), (a + 2, g2 + 1, col + 1))
-            for i, j, cj in relations:  # row, site, column of the site
-                constants[6 * cj + i + 4] = 1.0
-                if j == g1:  # -e(0) and -conj(e(0)), with e(0) = 1 + 0j at every angle
-                    constants[6 * a + i + 4], constants[6 * a + i + 10] = complex(-1.0, -0.0), complex(-1.0, 0.0)
-                else:
-                    phases += ((6 * a + i + 4, j - g1, False), (6 * a + i + 10, j - g1, True))
-        layout.append((s, e, col))
-        for i in range(col + 1, col + e - s):
-            # row of site k = i - col + s: -t_{k-1} psi_{k-1} + 2 cos(phi) psi_k - t_k psi_{k+1}
-            k = i - col + s
-            hops[k - 1, 1] = 7 * i - 2
-            hops[k, 0] = 7 * i + 10
-            diagonal.append(7 * i + 4)
-        col += e - s + 1
-    # the last two rows: psi_j = T_h e(j) at the last two sites
-    for i, j in ((col - 1, e - 1), (col, e)):
-        constants[6 * (i - 1) + i + 4] = 1.0
-        phases.append((6 * col + i + 4, j, False))
-    bond_hops = [hops.pop((b, side)) for side in (0, 1) for b in positions]
-    constants.update(dict.fromkeys(hops.values(), -1.0))  # the hops of free rows
-    ks = tuple(dict.fromkeys(k for _, k, _ in phases))
-    phase_sources = tuple(ks.index(k) + len(ks) * conjugated for _, k, conjugated in phases)
-    entries = diagonal + bond_hops + [index for index, _, _ in phases]
-    template = np.zeros(8 * n, dtype=np.complex128)
-    template[list(constants)] = list(constants.values())
-    nb, nk = len(positions), len(ks)
-    sources = [0] * len(diagonal) + [1 + i % nb for i in range(2 * nb)] + [1 + nb + i for i in phase_sources]
-    return _Plan(
-        n=n,
-        layout=tuple(layout),
-        constants=np.array(list(constants)),
-        constant_values=np.array(list(constants.values()), dtype=np.complex128),
-        entries=np.array(entries),
-        n_diagonal=len(diagonal),
-        ks=ks,
-        phase_sources=phase_sources,
-        template=template,
-        fill_at=np.array(entries + [7 * n, 7 * n + 1]),
-        pick=operator.itemgetter(*sources, 1 + nb + 2 * nk, 2 + nb + 2 * nk),
-        k_halves=tuple(_halves(k, ks[:i]) for i, k in enumerate(ks)),
-    )
+    positions = tuple(sorted(key))
+    n = 2 * len(positions)
+    ks = (positions[0] + 1, *(b - a - 1 for a, b in zip(positions, positions[1:])), positions[-1])
+    offsets = (-4, -3, -2, -1, 8, 9, 10, 11, 20, 21, 22, 23, 32, 33, 34, 35)
+    places = 28 * np.arange(len(positions))[:, None] + offsets
+    sides = tuple((b, k, i == 0, i == len(positions) - 1) for i, (b, k) in enumerate(zip(positions, ks)))
+    fill_at = np.concatenate((places.ravel()[4:-4], 14 * n + np.arange(4)))
+    order = np.argsort(fill_at)
+    gaps = np.diff(fill_at[order], prepend=-1) - 1
+    fmt = "=" + "".join(f"{gap * 8}xd" if gap else "d" for gap in gaps.tolist())  # native, as numpy reads it
+    return _Plan(n, positions, ks, sides, places, operator.itemgetter(*order.tolist()), struct.Struct(fmt).pack_into)
 
 
-def _halves(k: int, before: tuple[int, ...]) -> tuple[float, float, float, int]:
-    """(k, k_hi, k_lo, mirror): k as a float, its halves as _exact_product splits it, and -k's index in before, else -1."""
-    c = 134217729.0 * k
-    k_hi = c - (c - k)
-    return float(k), k_hi, k - k_hi, before.index(-k) if -k in before else -1
-
-
-def _point_phases(plan: _Plan, p: float) -> list[complex]:
-    """[-e(k) for k in plan.ks] + [-conj(e(k)) for k in plan.ks] at one angle p, each e(k) with _phase's bits.
-
-    The operations are _exact_product's and _phase's, but p is split once
-    and each k's halves come from the plan.  For |lo| < 1e-8, cos(lo)
-    rounds to 1 and sin(lo) to lo, so those two are not taken.  e(-k) is
-    conj(e(k)) exactly: cos is even, sin odd, and the halves, the error
-    term and each rounding change sign with k.
-    """
-    d = 134217729.0 * p
-    p_hi = d - (d - p)
-    p_lo = p - p_hi
-    cos, sin = math.cos, math.sin
-    neg, neg_conj = [], []
-    for k, k_hi, k_lo, mirror in plan.k_halves:
-        if mirror >= 0:
-            neg.append(neg_conj[mirror])
-            neg_conj.append(neg[mirror])
-            continue
-        hi = k * p
-        lo = k_lo * p_lo - (((hi - k_hi * p_hi) - k_lo * p_hi) - k_hi * p_lo)
-        cos_hi, sin_hi = cos(hi), sin(hi)
-        if -1e-8 < lo < 1e-8:
-            re, im = cos_hi - sin_hi * lo, sin_hi + cos_hi * lo
-        else:
-            cos_lo, sin_lo = cos(lo), sin(lo)
-            re, im = cos_hi * cos_lo - sin_hi * sin_lo, sin_hi * cos_lo + cos_hi * sin_lo
-        neg.append(complex(-re, -im))
-        neg_conj.append(complex(-re, im))
-    return neg + neg_conj
-
-
-def _partner_system(bonds: BondMap, p: float) -> tuple[_Plan, np.ndarray, np.ndarray]:
-    """(plan, ab, rhs) of the partner system of bonds at one angle p, filled by its layout's plan.
-
-    ab has shape (7 n,) and rhs (n,), views of one copy of the plan's
-    template.  The values are Python scalars, 2 cos(phi), the hops and the
-    phases, until one write places them all where plan.fill_at says.
-    """
+def _bond_system(bonds: BondMap, p: float) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    """(plan, ab, rhs) of the rows of bonds at one angle p: ab (7 n,) and rhs (n,), views of one array."""
     plan = _plan(tuple(bonds))
-    system = plan.template.copy()
-    w = _point_phases(plan, p)
-    hops = [-math.sqrt((1.0 - g) * (1.0 + g)) for g in bonds.values()]
-    system[plan.fill_at] = plan.pick([2.0 * math.cos(p), *hops, *w, -w[0], -w[1]])
+    s, c = math.sin(p), math.cos(p)
+    m = plan.ks[-1]
+    last = _phase(m, p)
+    rows = []
+    for b, k, left_flank, right_flank in plan.sides:
+        g = bonds[b]
+        # e(-m) is conj(e(m)) bit for bit: _phase's every operation keeps or changes sign with k
+        e = last.conjugate() if k == -m else _phase(k, p) if k else 1.0
+        rows += _bond_rows(g * g > STRONG, left_flank, right_flank, g, math.sqrt((1.0 - g) * (1.0 + g)), s, c, e, last)
+    values = rows[4:-4] + [-rows[0], -rows[1], -rows[2], -rows[3]]
+    system = bytearray(128 * plan.n)  # 8 n complex zeros
+    plan.pack_into(system, 0, *plan.order(values))
+    system = np.frombuffer(system, dtype=np.complex128)
     return plan, system[: 7 * plan.n], system[7 * plan.n :]
 
 
-def _solve_partner(bonds: BondMap, p: float) -> tuple[list, tuple]:
-    """Solve the compressed matching system of the Hermitian partner at one angle p.
+def _solve_partner(bonds: BondMap, p: float) -> tuple[complex, complex, list, _Plan]:
+    """(R, T_h, x, plan) of the partner's rows of bonds at one angle p; x = [R, X_1, ..., T_h] as a list.
 
-    Returns (x, layout), x a list of Python complex; see _plan for x and
-    layout.  Raises ResonanceError when the system is singular or its
-    solution breaks the partner's unitarity |R|^2 + |T_h|^2 = 1 by more
-    than 1e-9 (a non-finite value in x reaches R in the back substitution
-    and breaks it too).
+    Raises ResonanceError when the system is singular or its solution breaks
+    |R|^2 + |T_h|^2 = 1 by more than 1e-9 (a non-finite x breaks R too).
     """
-    plan, ab, rhs = _partner_system(bonds, p)
+    plan, ab, rhs = _bond_system(bonds, p)
     _, _, x, info = zgbsv(2, 2, ab.reshape(7, -1, order="F"), rhs, overwrite_ab=1, overwrite_b=1)
     if info != 0:
         raise ResonanceError(f"matching system singular at phi={p!r}")
     x = x.tolist()
-    R, T_h = x[0], x[-1]
+    R, T_h = x[0] + 0j, x[-1] + 0j  # +0j: an exact zero's sign as _solve_systems gives it
     defect = abs(R.real**2 + R.imag**2 + T_h.real**2 + T_h.imag**2 - 1.0)
     if not defect <= 1e-9:
         raise ResonanceError(f"partner unitarity violated (defect {defect:.2e}) at phi={p!r}")
-    return x, plan.layout
+    return R, T_h, x, plan
 
 
 def _t_scale(spec: ScattererSpec, bonds: BondMap, p: float) -> float:
@@ -469,28 +396,27 @@ def _t_scale(spec: ScattererSpec, bonds: BondMap, p: float) -> float:
         raise DomainError(f"|T| exceeds the double range at phi={p!r}") from None
 
 
-def _partner_amplitudes(x, spec: ScattererSpec, bonds: BondMap, p: float) -> Amplitudes:
-    """R = R_h and T = T_h sqrt(theta_L/theta_R) from _solve_partner's x."""
+def _amplitudes(spec: ScattererSpec, bonds: BondMap, p: float, R: complex, T_h: complex) -> Amplitudes:
+    """R = R_h and T = T_h sqrt(theta_L/theta_R); blocks keep T = T_h bit for bit."""
+    if isinstance(spec, MultiCenterSpec):
+        return Amplitudes(R, T_h, p)
     scale = _t_scale(spec, bonds, p)
-    R, T_h = x[0], x[-1]
     return Amplitudes(R=R, T=complex(T_h.real * scale, T_h.imag * scale), phi=p)
 
 
 def solve_numeric(spec: ScattererSpec, phi: float) -> Amplitudes:
     """Matching-solver amplitudes at one angle, on the Hermitian partner.
 
-    Solves the compressed matching system of the partner h (one banded LU
-    with partial pivoting, O(#bonds) unknowns whatever N) and maps T back:
-    R = R_h, T = T_h sqrt(theta_L/theta_R).  Works for every scatterer
-    family.  Raises ResonanceError when the system is singular or the
-    solution breaks the partner's unitarity.
+    Solves the partner's two rows per bond (one banded LU with partial
+    pivoting, 2 unknowns per bond whatever N) and maps T back: R = R_h,
+    T = T_h sqrt(theta_L/theta_R).  Works for every scatterer family.
+    Raises ResonanceError when the system is singular or the solution
+    breaks the partner's unitarity.
     """
     p = as_angle(phi)
     bonds = spec.bond_map()
-    x, _ = _solve_partner(bonds, p)
-    if isinstance(spec, MultiCenterSpec):  # blocks: the T scale is exactly 1, and T = T_h bit for bit
-        return Amplitudes(x[0], x[-1], p)
-    return _partner_amplitudes(x, spec, bonds, p)
+    R, T_h, _, _ = _solve_partner(bonds, p)
+    return _amplitudes(spec, bonds, p, R, T_h)
 
 
 def _layout_groups(keys) -> dict:
@@ -501,49 +427,22 @@ def _layout_groups(keys) -> dict:
     return groups
 
 
-def _group_fill(plan: _Plan, bond_maps: list[BondMap], phis: np.ndarray):
-    """fill(sc, ang): (ab, rhs) of the partner systems of scatterer sc[i] at angle phis[ang[i]].
-
-    The scatterers' bonds sit where plan says.  ab (7 n, m) and rhs (n, m)
-    hold the m systems side by side in Fortran order, each laid out as
-    _partner_system lays out one angle.  2 cos(phi) and each phase e(k) are
-    taken once on phis and each hop once per scatterer; fill only gathers
-    them, so every entry has the bits it has alone.
-    """
-    hop_at = plan.n_diagonal + 2 * len(bond_maps[0])  # the phase entries follow two hops per bond
-    diagonal, hop_entries, phase_entries = np.split(plan.entries, [plan.n_diagonal, hop_at])
-    two_cos = 2.0 * np.cos(phis)
-    w = np.array([_phase(k, phis) for k in plan.ks]).reshape(len(plan.ks), len(phis))
-    phases = np.concatenate((-w, (-w).conj()))[list(plan.phase_sources)]
-    hops = np.array([[-math.sqrt((1.0 - g) * (1.0 + g)) for g in bonds.values()] * 2 for bonds in bond_maps]).T
-
-    def fill(sc: np.ndarray, ang: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ab = np.zeros((7 * plan.n, len(sc)), dtype=np.complex128, order="F")
-        rhs = np.zeros((plan.n, len(sc)), dtype=np.complex128, order="F")
-        ab[plan.constants] = plan.constant_values[:, None]
-        ab[diagonal] = two_cos[ang]
-        ab[hop_entries] = hops[:, sc]
-        ab[phase_entries] = phases[:, ang]
-        rhs[:2] = w[:2, ang]
-        return ab, rhs
-
-    return fill
-
-
 def _solve_systems(ab: np.ndarray, rhs: np.ndarray, n: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, T_h) of a chunk's systems of n unknowns each, at the angles phis, solved in one LAPACK call.
 
+    ab and rhs hold the systems' bands and right-hand sides in turn, flat.
     The systems sit uncoupled on the band's diagonal, so each gets the
     solution it gets alone.  Raises ResonanceError at the angle of the
     singular system, or else of the first that breaks the partner's
     unitarity by more than 1e-9 (a non-finite x breaks R); which point
     fails first in grid order is solve_numeric_grid's to find.
     """
-    _, _, x, info = zgbsv(2, 2, ab.reshape(7, -1, order="F"), rhs.reshape(-1, order="F"), overwrite_ab=1, overwrite_b=1)
+    _, _, x, info = zgbsv(2, 2, ab.reshape(7, -1, order="F"), rhs, overwrite_ab=1, overwrite_b=1)
     if info != 0:
         raise ResonanceError(f"matching system singular at phi={float(phis[(info - 1) // n])!r}")
-    x = x.reshape(-1, n).T
-    R, T_h = x[0], x[-1]
+    x = x.reshape(-1, n)
+    # a block's zero multipliers into the next block may flip the sign of an exact zero; +0j makes it +0
+    R, T_h = x[:, 0] + 0j, x[:, -1] + 0j
     defect = abs(R.real**2 + R.imag**2 + T_h.real**2 + T_h.imag**2 - 1.0)
     i = int(np.argmin(defect <= 1e-9))  # the first defect above 1e-9 or NaN, else 0
     if not defect[i] <= 1e-9:
@@ -554,30 +453,57 @@ def _solve_systems(ab: np.ndarray, rhs: np.ndarray, n: int, phis: np.ndarray) ->
 def _solve_group(specs: list, bond_maps: list[BondMap], phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R and T, each (len(specs), len(phis)), of scatterers whose bonds share one layout.
 
-    The (scatterer, angle) systems go scatterer outer, angle inner, in
-    chunks of at most CHUNK_UNKNOWNS unknowns (one system at least), one
-    zgbsv call per chunk.  The angles go in spans of whole chunks whose
-    values (2 cos(phi), the phases and the phase entries) take no more room
-    than a chunk's band, so a span's fill stays as small as a chunk, and
-    one scatterer's chunks start every CHUNK_UNKNOWNS // n angles, as they
-    always have.  Each scatterer's T scale is taken once, before any
-    chunk, at the first angle (an empty phis takes none).
+    The rows are _bond_system's, by the same operations on arrays: sin, cos
+    and the phases once on the angle array, each hop once per scatterer, and
+    _bond_rows over (scatterer, angle, bond) once per kind of bond and run
+    of scatterers with the same strong bonds, so every entry keeps its bits.
+    The angles go in spans of at most 7 chunks' systems (one angle at least),
+    the systems scatterer outer, angle inner, in chunks of at most
+    CHUNK_UNKNOWNS unknowns (one system at least), one zgbsv call per chunk.
+    Each T scale is taken once, at the first angle (an empty phis takes none).
     """
     plan = _plan(tuple(bond_maps[0]))
-    step = max(1, CHUNK_UNKNOWNS // plan.n)
-    per_angle = 1 + len(plan.ks) + len(plan.phase_sources)
-    span = step * max(1, 7 * CHUNK_UNKNOWNS // (per_angle * step))
+    n, k = plan.n, len(plan.positions)
+    step = max(1, CHUNK_UNKNOWNS // n)
+    span = max(1, 7 * step // len(specs))
+    couplings = np.array([[bonds[b] for b in plan.positions] for bonds in bond_maps])
+    # the scatterers with the same strong bonds in turn; in each such run, the bonds of one
+    # row form and the same kind of sides go to _bond_rows together
+    runs = _layout_groups(map(tuple, (couplings * couplings > STRONG).tolist()))
+    order = np.array([i for at in runs.values() for i in at])
+    couplings = couplings[order][:, None, :]
+    hops = np.sqrt((1.0 - couplings) * (1.0 + couplings))  # as math.sqrt rounds it
+    batches, first = [], 0
+    for strong, at in runs.items():
+        kinds = _layout_groups((form, left, right) for form, (_, _, left, right) in zip(strong, plan.sides))
+        batches += [(slice(first, first + len(at)), kind, np.array(bonds)) for kind, bonds in kinds.items()]
+        first += len(at)
     R, T = np.empty((2, len(specs), len(phis)), dtype=np.complex128)
-    scales = np.array([_t_scale(spec, bonds, p) for spec, bonds in zip(specs, bond_maps) for p in phis[:1].tolist()])
+    scales = np.array([_t_scale(specs[i], bond_maps[i], p) for i in order.tolist() for p in phis[:1].tolist()])
     for a0 in range(0, len(phis), span):
         angles = phis[a0 : a0 + span]
-        fill = _group_fill(plan, bond_maps, angles)
-        pairs = len(specs) * len(angles)
-        for start in range(0, pairs, step):
-            sc, ang = np.divmod(np.arange(start, min(start + step, pairs)), len(angles))
-            R_h, T_h = _solve_systems(*fill(sc, ang), plan.n, angles[ang])
-            R[sc, a0 + ang] = R_h
-            T[sc, a0 + ang] = _complex(T_h.real * scales[sc], T_h.imag * scales[sc])
+        s, c, e = np.sin(angles)[:, None], np.cos(angles)[:, None], _phase(np.array(plan.ks), angles[:, None])
+        ab = np.zeros((len(specs), len(angles), 7 * n), dtype=np.complex128)
+        rhs = np.zeros((len(specs), len(angles), n), dtype=np.complex128)
+        band, right = ab.view(np.float64), rhs.view(np.float64)
+        for run, (strong, left_flank, right_flank), at in batches:
+            g, t = couplings[run, :, at], hops[run, :, at]
+            rows = _bond_rows(strong, left_flank, right_flank, g, t, s, c, e[:, at], e[:, -1:])
+            values = np.empty((run.stop - run.start, len(angles), len(at), 16))
+            for j, part in enumerate(rows):
+                values[:, :, :, j] = part
+            # bond 0's first four go to the right-hand side, the last bond's last four are dropped (see _plan)
+            first, last = 4 * left_flank, 16 - 4 * right_flank
+            if left_flank:  # the flank's kind holds bond 0 alone
+                right[run, :, :4] = -values[:, :, 0, :4]
+            band[run, :, plan.places[at, first:last]] = values[:, :, :, first:last]
+        ab, rhs = ab.reshape(-1, 7 * n), rhs.reshape(-1, n)
+        for start in range(0, len(ab), step):
+            sc, ang = np.divmod(np.arange(start, min(start + step, len(ab))), len(angles))
+            chunk = slice(start, start + step)
+            R_h, T_h = _solve_systems(ab[chunk].reshape(-1), rhs[chunk].reshape(-1), n, angles[ang])
+            R[order[sc], a0 + ang] = R_h
+            T[order[sc], a0 + ang] = _complex(T_h.real * scales[sc], T_h.imag * scales[sc])
     return R, T
 
 
@@ -612,28 +538,28 @@ def solve_numeric_grid(specs: list, phis) -> tuple[np.ndarray, np.ndarray]:
 def numeric_wave(spec: ScattererSpec, phi: float) -> tuple[Amplitudes, WaveSample]:
     """solve_numeric plus the sampled wave over the sites [-(A+2), A+2].
 
-    The partner's wave comes from the solved cluster sites, the plane waves
-    of the jumped stretches and the asymptotic flanks; it maps back to H
-    site by site as psi_k = psi_h,k sqrt(theta_L/theta_k).
+    The partner's wave (_bond_rows' segments, e(j - f) = e(j) conj(e(f)))
+    maps back to H site by site as psi_k = psi_h,k sqrt(theta_L/theta_k).
     """
     p = as_angle(phi)
     bonds = spec.bond_map()
-    x, layout = _solve_partner(bonds, p)
+    R, T_h, x, plan = _solve_partner(bonds, p)
     window = SiteWindow(spec.matching_radius + 2)
     m, ks = window.half_width, window.sites
+    positions = np.array(plan.positions)
+    segment = np.searchsorted(positions, ks)  # the bonds left of each site
     phases = _phase(ks, p)
-    vals = np.where(ks < layout[0][0], phases + x[0] * phases.conj(), x[-1] * phases)
-    for (_, g1, _), (s, _, col) in zip(layout, layout[1:]):
-        w = _phase(np.arange(1, s - g1), p)  # e(k - g1) inside the stretch
-        vals[g1 + m + 1 : s + m] = x[col - 2] * w + x[col - 1] * w.conj()
-    for s, e, col in layout:
-        vals[s + m : e + m + 1] = x[col : col + e - s + 1]
+    vals = np.where(segment == 0, phases + R * phases.conj(), T_h * phases)
+    inner = np.flatnonzero((segment > 0) & (segment < len(positions)))
+    i = segment[inner] - 1  # segment i + 1 starts at b_i + 1
+    w = phases[inner] * phases[positions[i] + 1 + m].conj()
+    vals[inner] = np.array(x[1::2])[i] * w.real + np.array(x[2::2])[i] * (w.imag / math.sin(p))
     # bond b lies left of the sites from b + 1 on
     half_log = np.zeros(window.n_sites)
     for b, g in bonds.items():
         half_log[b + m + 1] = half_log_ratio(g)
     vals *= np.exp(np.cumsum(half_log))
-    return _partner_amplitudes(x, spec, bonds, p), WaveSample(window, vals)
+    return _amplitudes(spec, bonds, p, R, T_h), WaveSample(window, vals)
 
 
 def _quot(ar, ai, br, bi):

@@ -147,14 +147,22 @@ class TestBitForBit:
         _assert_grouped_is_alone(specs, phis)
 
     def test_spans_of_many_angles(self, monkeypatch):
-        # 40 blocks have 238 phase entries per angle: 300 angles take three spans of the fill
+        # 40 blocks have 160 unknowns: 25 systems a chunk, and 2 scatterers take spans
+        # of 87 angles (7 chunks), so 300 angles take four spans, each with its one phase call
         centers = tuple(range(-400, 400, 20))
         specs = [MultiCenterSpec(centers, tuple(np.random.default_rng(s).uniform(-0.9, 0.9, 40))) for s in (1, 2)]
         phis = np.linspace(0.02, math.pi - 0.02, 300)
-        spans, group_fill = [], scattering._group_fill
-        monkeypatch.setattr(scattering, "_group_fill", lambda plan, b, p: spans.append(len(p)) or group_fill(plan, b, p))
+        spans, phase = [], scattering._phase
+        ks = scattering._plan(tuple(specs[0].bond_map())).ks
+
+        def spy(k, p):
+            if isinstance(k, np.ndarray) and k.tolist() == list(ks):
+                spans.append(len(p))
+            return phase(k, p)
+
+        monkeypatch.setattr(scattering, "_phase", spy)
         _assert_grouped_is_alone(specs, phis, closed=False)
-        assert len(spans) == 3 and sum(spans) == 300
+        assert spans == [87, 87, 87, 39]
 
     def test_a_group_is_one_batch(self, monkeypatch):
         # the verify grid's 80 scatterers make 8 layouts, each solved in chunks of whole (scatterer, angle) pairs
@@ -176,33 +184,28 @@ def _force_in_solve(monkeypatch, targets):
     """Make chosen points fail: targets maps (two-center scatterer, phi) to 0.0 (singular) or 2.0 (broken).
 
     zgbsv, the LAPACK call of the one-angle and the batched route alike, is
-    wrapped so that the system of a target point has its incoming wave
-    e(s), e(s + 1) at the first two sites scaled by the factor, in R's
-    column and on the right-hand side: 0 empties R's column, 2 doubles T_h.
-    A system is told by its size, its hop entries (the coupling), its
-    2 cos(phi) diagonal (the angle) and its incoming wave e(s) (the layout:
-    two separations can share a size and the places of the hops), so the
-    other scatterers keep their systems; g and -g have the same hops and
-    are forced alike.
+    wrapped so that the system of a target point has R's column (the first
+    two entries of bond 0's rows) and its right-hand side (the incoming
+    wave) scaled by the factor: 0 empties R's column, 2 doubles T_h.  A
+    system is told by all its entries, which the one-angle fill of the
+    point gives (numpy's cos and sin may round apart from math's in the
+    last bit), so the other scatterers and angles keep their systems; g
+    and -g have the same rows and are forced alike.
     """
     marks = []
     for (spec, phi), factor in targets.items():
-        plan = scattering._plan(tuple(spec.bond_map()))
-        diagonal, hops = plan.entries[: plan.n_diagonal], plan.entries[plan.n_diagonal :][: 2 * len(spec.bond_map())]
-        hop = -math.sqrt((1.0 - spec.g) * (1.0 + spec.g))
-        incoming = scattering._phase(plan.layout[0][0], phi)
-        marks.append((plan.n, diagonal, 2.0 * math.cos(phi), hops, hop, incoming, factor))
+        _, ab, rhs = scattering._bond_system(spec.bond_map(), phi)
+        marks.append((ab.copy(), rhs.copy(), factor))
     zgbsv = scattering.zgbsv
 
     def forced(kl, ku, ab, b, **kwargs):
-        for n, diagonal, two_cos, hops, hop, incoming, factor in marks:
+        for ab_ref, rhs_ref, factor in marks:
+            n = len(rhs_ref)
             if len(b) % n:
                 continue
             blocks = ab.T.reshape(-1, 7 * n)  # one system per row, its band columns in turn
             assert np.shares_memory(blocks, ab)
-            # numpy's cos and math's may differ in the last bit
-            hit = (abs(blocks[:, diagonal] - two_cos) < 1e-12).all(axis=1) & (blocks[:, hops] == hop).all(axis=1)
-            hit &= abs(b[::n] - incoming) < 1e-12
+            hit = (abs(blocks - ab_ref) < 1e-12).all(axis=1) & (abs(b.reshape(-1, n) - rhs_ref) < 1e-12).all(axis=1)
             for i in np.flatnonzero(hit).tolist():
                 blocks[i, [4, 5]] *= factor
                 b[i * n : i * n + 2] *= factor
@@ -230,7 +233,7 @@ class TestFirstFailureInGridOrder:
         assert expected[1].endswith(f"at phi={phis[6]!r}")
         assert expected[1].startswith("matching system singular" if early == 0.0 else "partner unitarity violated")
         assert self._first_error([self.A, self.B, self.C]) == expected
-        solve_numeric_grid([self.A], self.PHIS)  # A shares C's layout but not its hops, and is not forced
+        solve_numeric_grid([self.A], self.PHIS)  # A shares C's layout but not its rows, and is not forced
         # alone, C fails at its own angle, and the grid without B raises C's error
         assert self._first_error([self.C])[1].endswith(f"at phi={phis[1]!r}")
         assert self._first_error([self.A, self.C]) == self._first_error([self.C])
@@ -281,10 +284,11 @@ class TestFirstFailureInGridOrder:
 class TestANaturalRefusal:
     """Band-edge points at weak coupling, where the self-check itself decides, with nothing forced.
 
-    At g = 1e-5, N = 0 and phi = 1e-9 the partner's defect is 1.5e-9, above
-    the 1e-9 bound, so the numeric route refuses the point today.  Whether
-    it refuses or answers, a sweep and the suites' scoring must do
-    what the per-point loop of solve_numeric does.
+    At g = 1e-5, N = 0 and phi = 1e-9 the rows of the old cluster route
+    broke the partner's unitarity by 1.5e-9, above the 1e-9 bound, and the
+    point was refused; the bond rows answer it within 1e-15 of mpmath.
+    Whether the routes refuse or answer, a sweep and the suites' scoring
+    must do what the per-point loop of solve_numeric does.
     """
 
     GRIDS = {

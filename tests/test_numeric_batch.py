@@ -120,7 +120,7 @@ class TestBitForBit:
     )
     def test_across_chunk_boundaries(self, spec, count, monkeypatch):
         phis = np.linspace(0.2, 2.9, count)
-        n = scattering._bond_clusters(spec.bond_map())[1]
+        n = scattering._plan(tuple(spec.bond_map())).n
         per_call = max(1, CHUNK_UNKNOWNS // n)
         sizes = []
         zgbsv = scattering.zgbsv

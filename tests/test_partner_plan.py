@@ -1,12 +1,13 @@
-"""The partner system's plan: laid out once per bond layout, filled per angle.
+"""The bond rows' plan: laid out once per bond layout, filled per angle.
 
-scattering._plan holds what depends only on where the bonds sit; each call
-writes the couplings' hops and the angle's diagonal and phases where the
-plan says.  The filled band and right-hand side must equal the per-entry
-reference of partner_reference.py byte for byte, at one angle and for a
-batch, so every solution keeps its bits.  Layouts are shared between
-scatterers that differ only in their couplings, and the cache stays
-bounded.
+scattering._plan holds what depends only on where the bonds sit: their
+order, the phases the rows read and the places of the entries.  The
+batched route must hand LAPACK, for every (scatterer, angle) system, the
+band and right-hand side that the one-angle fill (_bond_system) builds,
+byte for byte: on the verify grid, at edge points, near the band edges,
+for chains and for multi-center layouts, with strong and weak bonds in
+one batch.  Layouts are shared between scatterers that differ only in
+their couplings, and the cache stays bounded.
 """
 
 import math
@@ -26,7 +27,6 @@ from qhscatter import (
 )
 from qhscatter.scattering import PLAN_CACHE, numeric_wave
 from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID
-from partner_reference import reference_partner_system
 from test_numeric_batch import VERIFY_ANGLES, bench_worker  # noqa: F401 (a fixture)
 from test_scattering import CHAIN_AND_MULTI_SPECS
 
@@ -36,7 +36,7 @@ LONG_CHAIN = ChainSpec(tuple(np.random.default_rng(4).uniform(-0.9, 0.9, 1000)))
 
 
 def _negated(spec):
-    """spec with every coupling negated: the same bond positions, other hops."""
+    """spec with every coupling negated: the same bond positions and rows."""
     if isinstance(spec, TwoCenterSpec):
         return TwoCenterSpec(-spec.g, spec.N)
     if isinstance(spec, ChainSpec):
@@ -44,62 +44,59 @@ def _negated(spec):
     return MultiCenterSpec(spec.centers, tuple(-g for g in spec.couplings))
 
 
-def _assert_fills_the_reference(spec, phis):
-    """The plan's fill equals the reference at each angle of phis alone and for phis as one batch.
+def _assert_grid_fills_as_one_angle(specs, phis, monkeypatch):
+    """The systems the batch hands zgbsv are the one-angle fills of its points, byte for byte.
 
-    The batches are the group fill of spec alone at all of phis, and of
-    spec with its negated twin (one layout) at their (scatterer, angle)
-    pairs in a shuffled order, each column the reference's column of its pair.
+    specs share one layout; the batch may take them in another order (runs
+    of the same strong bonds), so the systems are compared as multisets.
     """
-    bonds, twin = spec.bond_map(), _negated(spec).bond_map()
-    batch = np.asarray(phis, dtype=np.float64)
-    plan = scattering._plan(tuple(bonds))
-    cases = []
-    for p in batch.tolist():
-        one_plan, ab, rhs = scattering._partner_system(bonds, p)
-        assert one_plan == plan
-        cases.append((ab, rhs, reference_partner_system(bonds, p)))
-    refs = [reference_partner_system(b, batch) for b in (bonds, twin)]
-    alone = scattering._group_fill(plan, [bonds], batch)
-    cases.append((*alone(np.zeros(len(batch), dtype=int), np.arange(len(batch))), refs[0]))
-    sc, ang = np.divmod(np.random.default_rng(len(batch)).permutation(2 * len(batch)), len(batch))
-    pair_ref = [np.asfortranarray(np.stack([refs[i][k][:, a] for i, a in zip(sc, ang)], axis=1)) for k in (0, 1)]
-    pair = scattering._group_fill(plan, [bonds, twin], batch)
-    cases.append((*pair(sc, ang), (*pair_ref, refs[0][2])))
-    for ab, rhs, (ab_ref, rhs_ref, layout_ref) in cases:
-        assert ab.shape == ab_ref.shape and rhs.shape == rhs_ref.shape
-        assert ab.flags.f_contiguous and rhs.flags.f_contiguous
-        assert ab.tobytes() == ab_ref.tobytes()
-        assert rhs.tobytes() == rhs_ref.tobytes()
-        assert plan.layout == tuple(layout_ref) and rhs.shape[0] == plan.n
+    systems, zgbsv = [], scattering.zgbsv
+
+    def spy(kl, ku, ab, b, **kwargs):
+        systems.append((ab.T.copy(), b.copy()))
+        return zgbsv(kl, ku, ab, b, **kwargs)
+
+    monkeypatch.setattr(scattering, "zgbsv", spy)
+    solve_numeric_grid(specs, phis)
+    monkeypatch.setattr(scattering, "zgbsv", zgbsv)
+    n = scattering._plan(tuple(specs[0].bond_map())).n
+    bands = np.concatenate([ab.reshape(-1, 7 * n) for ab, _ in systems])
+    rhs = np.concatenate([b.reshape(-1, n) for _, b in systems])
+    expected = []
+    for spec in specs:
+        for phi in np.asarray(phis, dtype=float).tolist():
+            _, ab_one, rhs_one = scattering._bond_system(spec.bond_map(), phi)
+            expected.append(ab_one.tobytes() + rhs_one.tobytes())
+    assert sorted(band.tobytes() + right.tobytes() for band, right in zip(bands, rhs)) == sorted(expected)
 
 
-class TestFillIsTheReference:
-    @pytest.mark.parametrize("g", DEFAULT_G_GRID)
-    def test_verify_grid(self, g):
-        for n in DEFAULT_N_GRID:
-            _assert_fills_the_reference(TwoCenterSpec(g, n), VERIFY_ANGLES)
+class TestGridFillIsTheOneAngleFill:
+    @pytest.mark.parametrize("n", DEFAULT_N_GRID)
+    def test_verify_grid(self, n, monkeypatch):
+        # weak and strong couplings of one separation share a batch
+        _assert_grid_fills_as_one_angle([TwoCenterSpec(g, n) for g in DEFAULT_G_GRID], VERIFY_ANGLES, monkeypatch)
 
-    def test_edge_points(self, bench_worker):  # noqa: F811
-        # sampled edge scatterers at their own angles and at the band edges
+    def test_edge_points(self, bench_worker, monkeypatch):  # noqa: F811
+        # sampled edge scatterers and their twins at their own angles and at the band edges
         points, _ = bench_worker.edge_inputs(1)
-        for g, n, phi in random.Random(7).sample(points, 60):
-            _assert_fills_the_reference(TwoCenterSpec(g, n), [phi, *EDGE_ANGLES])
+        for g, n, phi in random.Random(7).sample(points, 40):
+            spec = TwoCenterSpec(g, n)
+            _assert_grid_fills_as_one_angle([spec, _negated(spec)], [phi, *EDGE_ANGLES], monkeypatch)
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 3, 10, 50, 200, 8000, 10**9])
-    def test_edge_separations_near_the_band_edges(self, n):
-        for g in (0.999999999, -0.4, 1e-6):
-            _assert_fills_the_reference(TwoCenterSpec(g, n), EDGE_ANGLES)
+    def test_edge_separations_near_the_band_edges(self, n, monkeypatch):
+        specs = [TwoCenterSpec(g, n) for g in (0.999999999, -0.4, 1e-6, 0.0, -0.0)]
+        _assert_grid_fills_as_one_angle(specs, EDGE_ANGLES, monkeypatch)
 
     @pytest.mark.parametrize(
         "spec", [ChainSpec((0.5,)), ChainSpec((0.8, -0.5, 0.3, -0.7)), LONG_CHAIN], ids=["1", "4", "1000"]
     )
-    def test_chains(self, spec):
-        _assert_fills_the_reference(spec, [1e-9, 0.4, 1.7, math.pi - 1e-9])
+    def test_chains(self, spec, monkeypatch):
+        _assert_grid_fills_as_one_angle([spec, _negated(spec)], [1e-9, 0.4, 1.7, math.pi - 1e-9], monkeypatch)
 
     @pytest.mark.parametrize("spec", MULTI_CENTER, ids=repr)
-    def test_multi_center(self, spec):
-        _assert_fills_the_reference(spec, [1e-9, 0.4, 1.7, 2.9, math.pi - 1e-9])
+    def test_multi_center(self, spec, monkeypatch):
+        _assert_grid_fills_as_one_angle([spec, _negated(spec)], [1e-9, 0.4, 1.7, 2.9, math.pi - 1e-9], monkeypatch)
 
 
 class TestOnePlanPerLayout:
@@ -112,16 +109,8 @@ class TestOnePlanPerLayout:
             ref = closed_form(spec, 1.0)
             assert max(abs(ref.R - amp.R), abs(ref.T - amp.T)) <= 1e-12
 
-    def test_layout_work_runs_once(self, monkeypatch):
-        # the cluster walk runs when a layout is first planned, not per solve
-        walks = []
-        clusters = scattering._bond_clusters
-
-        def spy(positions):
-            walks.append(tuple(positions))
-            return clusters(positions)
-
-        monkeypatch.setattr(scattering, "_bond_clusters", spy)
+    def test_layout_work_runs_once(self):
+        # a layout is planned when it is first met, not per solve
         scattering._plan.cache_clear()
         specs = [TwoCenterSpec(g, 7) for g in (0.2, -0.6, 0.95)]
         for spec in specs:
@@ -129,38 +118,34 @@ class TestOnePlanPerLayout:
                 solve_numeric(spec, phi)
             solve_numeric_grid([spec], np.linspace(0.1, 3.0, 30))
             numeric_wave(spec, 0.8)
-        assert walks == [tuple(specs[0].bond_map())]
+        assert scattering._plan.cache_info().misses == 1
         scattering._plan.cache_clear()
 
-    def test_phase_and_zgbsv_are_looked_up_per_solve(self, monkeypatch):
-        # one call of the phase helper per solve, one phase per distinct k of the
-        # plan, and one LAPACK call; the 8 ks of the two separated blocks less
-        # k = 0, a plan constant, of which e(-k) is taken as conj(e(k)) for 2
+    @pytest.mark.parametrize(
+        "spec, phases",
+        [(TwoCenterSpec(0.4, 10), 2), (TwoCenterSpec(0.95, -1), 1), (ChainSpec((0.5, 0.3, -0.2)), 2)],
+        ids=["separated", "merged", "chain"],
+    )
+    def test_phase_and_zgbsv_are_looked_up_per_solve(self, monkeypatch, spec, phases):
+        # the phases of the flanks and of each segment longer than one site, e(-k) taken as
+        # conj(e(k)) (the blocks' e(b_0 + 1) mirrors e(b_{K-1})), and one LAPACK call
         calls = []
-        phases, zgbsv = scattering._point_phases, scattering.zgbsv
+        phase, zgbsv = scattering._phase, scattering.zgbsv
 
-        def phases_spy(plan, p):
-            w = phases(plan, p)
-            calls.append(("phases", type(p), len(w)))
-            return w
+        def phase_spy(k, p):
+            calls.append(("phase", k))
+            return phase(k, p)
 
         def zgbsv_spy(*args, **kwargs):
-            calls.append(("zgbsv", None, None))
+            calls.append(("zgbsv", None))
             return zgbsv(*args, **kwargs)
 
-        monkeypatch.setattr(scattering, "_point_phases", phases_spy)
+        monkeypatch.setattr(scattering, "_phase", phase_spy)
         monkeypatch.setattr(scattering, "zgbsv", zgbsv_spy)
-        spec = TwoCenterSpec(0.4, 10)
-        plan = scattering._plan(tuple(spec.bond_map()))
-        ks = plan.ks
-        assert len(ks) == len(set(ks)) == 7 and 0 not in ks
-        # ks = (s, s + 1, -1, ..., -s - 1, -s): the last two mirror the first two
-        assert [k for k, *_ in plan.k_halves] == list(ks) and ks[-2:] == (-ks[1], -ks[0])
-        assert [mirror for *_, mirror in plan.k_halves] == [-1] * 5 + [1, 0]
         for _ in range(2):
             calls.clear()
             solve_numeric(spec, 1.1)
-            assert calls == [("phases", float, 2 * len(ks)), ("zgbsv", None, None)]
+            assert [kind for kind, _ in calls] == ["phase"] * phases + ["zgbsv"]
 
     def test_cache_is_bounded(self):
         scattering._plan.cache_clear()

@@ -329,6 +329,23 @@ class TestExactPhasesAtLargeN:
         wide = MultiCenterSpec((-(MAX_N + 2), 0, MAX_N + 2), (0.5, 0.3, 0.5))
         assert solve_numeric(wide, 0.3).unitarity_defect <= 1e-14
 
+    @pytest.mark.parametrize("n", [MAX_N - 1, MAX_N])
+    @pytest.mark.parametrize("phi", [1e-7, 2.9])
+    def test_separations_past_2_to_the_52(self, n, phi):
+        # 2N + 5 is not a double here: the rows take exact phases only at the flanks' sites and
+        # across the segment between the blocks, whose 2N + 2 <= 2^53 is
+        spec = TwoCenterSpec(0.5, n)
+        amp_c, amp_n = closed_form(spec, phi), solve_numeric(spec, phi)
+        assert max(abs(amp_c.R - amp_n.R), abs(amp_c.T - amp_n.T)) <= 1e-14
+
+    @pytest.mark.parametrize("g, phi", [(0.0, 1e-200), (0.5, 1e-300)])
+    def test_the_smallest_angles(self, g, phi, capsys):
+        # a free lattice stays transparent, and a block at phi = 1e-300 reflects all
+        assert main(["amplitudes", "--g", repr(g), "--N", "3", "--phi", repr(phi), "--method", "numeric"]) == 0
+        amp = solve_numeric(TwoCenterSpec(g, 3), phi)
+        R, T = (0.0, 1.0) if g == 0.0 else (-1.0, 0.0)
+        assert max(abs(amp.R - R), abs(amp.T - T)) <= 1e-15
+
     def test_beyond_the_largest_separation_rejected(self):
         with pytest.raises(ValueError, match=str(MAX_N)):
             TwoCenterSpec(0.5, MAX_N + 1)
@@ -603,7 +620,7 @@ class TestSelfCheckBitExact:
 
 
 class TestNumericWave:
-    """numeric_wave: the partner's wave mapped back to H site by site, jumped stretches included."""
+    """numeric_wave: the partner's wave, flanks and segments, mapped back to H site by site."""
 
     @pytest.mark.parametrize("spec", TWO_CENTER_SPECS + CHAIN_AND_MULTI_SPECS, ids=repr)
     @pytest.mark.parametrize("phi", [1e-6, 1.9, math.pi - 1e-6])
