@@ -9,6 +9,7 @@ continuum probe's angle phi = kappa*h.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +22,14 @@ def as_angle(phi) -> float:
 
     phi parametrizes the lattice band energy E = (2 - 2 cos phi)/h^2.  The
     endpoints are band edges where the plane-wave ansatz degenerates and
-    are rejected, as are NaN and the infinities.
+    are rejected, as are NaN, the infinities and the angles below the
+    smallest normal double, where the solver's rows lose their precision.
     """
     p = float(phi)
     if not 0.0 < p < math.pi:
         raise BandError(f"phi={p!r} outside the open band interval (0, pi)")
+    if p < sys.float_info.min:
+        raise BandError(f"phi={p!r} below the smallest normal double {sys.float_info.min!r}")
     return p
 
 

@@ -50,17 +50,16 @@ phase.  Im U = -k sin(M phi)^2, so U = 0 needs k sin(M phi) = 0, and then
 U = -q < 0; V likewise with cos for sin.  Neither vanishes for |g| < 1 and
 0 < phi < pi, so the form answers every angle of the band.
 
-closed_form takes one angle in Python complex arithmetic; closed_form_grid
-takes many two-center specs at an angle array in the same operations on
-real and imaginary parts, written out as CPython performs them (a float
-operand is the complex (x, 0.0), a quotient divides through by the larger
-part of the divisor as _Py_c_quot does), so every point keeps the one-angle
-bits, signed zeros included.  sin(phi) and cos(phi) are taken once on the
-angle array and e((N + 2) phi) once per N, and the specs of one N share
-each operation over their (g, phi) array.  The grid routes return R and
-T as complex arrays with one row per scatterer.  Squares such as |R|^2
-are taken on Python floats by the callers: numpy's a*a and glibc's
-pow(a, 2), which x**2 calls, differ in the last bit for some doubles.
+closed_form (one angle) and closed_form_grid (many two-center specs at an
+angle array) run one body, _closed, on floats and on arrays: the same IEEE
+operations on real and imaginary parts, so every point keeps the one-angle
+bits, signed zeros included.  -conj(W)/W of W = U or V is taken as
+((b - a)(b + a) + 2i a b)/(a^2 + b^2) with a + i b = W/(|Re W| + |Im W|),
+which keeps every square inside the double range.  sin(phi) and cos(phi)
+are taken once on the angle array and e((N + 2) phi) once per N, and the
+specs of one N share each operation over their (g, phi) array.  The grid
+routes return R and T as complex arrays with one row per scatterer, and
+every square such as |R|^2 is the product x*x + y*y.
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ import functools
 import math
 import operator
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -103,8 +103,8 @@ class Amplitudes:
     @property
     def unitarity_defect(self) -> float:
         """| |R|^2 + |T|^2 - 1 |, computed from the stored amplitudes."""
-        r2 = self.R.real**2 + self.R.imag**2
-        t2 = self.T.real**2 + self.T.imag**2
+        R, T = self.R, self.T
+        r2, t2 = R.real * R.real + R.imag * R.imag, T.real * T.real + T.imag * T.imag
         return abs(r2 + t2 - 1.0)
 
 
@@ -128,9 +128,9 @@ class MatchingSystem:
 
 
 def _angle_array(phi) -> np.ndarray:
-    """A sequence of angles as a 1-D float array, each inside (0, pi)."""
+    """A sequence of angles as a 1-D float array, each one as_angle accepts."""
     phis = np.asarray(phi, dtype=np.float64).reshape(-1)
-    outside = ~((phis > 0.0) & (phis < math.pi))  # NaN included
+    outside = ~((phis >= sys.float_info.min) & (phis < math.pi))  # NaN included
     if outside.any():
         as_angle(phis[outside.argmax()])  # raises BandError for the first
     return phis
@@ -374,7 +374,7 @@ def _solve_partner(bonds: BondMap, p: float) -> tuple[complex, complex, list, _P
         raise ResonanceError(f"matching system singular at phi={p!r}")
     x = x.tolist()
     R, T_h = x[0] + 0j, x[-1] + 0j  # +0j: an exact zero's sign as _solve_systems gives it
-    defect = abs(R.real**2 + R.imag**2 + T_h.real**2 + T_h.imag**2 - 1.0)
+    defect = abs(R.real * R.real + R.imag * R.imag + T_h.real * T_h.real + T_h.imag * T_h.imag - 1.0)
     if not defect <= 1e-9:
         raise ResonanceError(f"partner unitarity violated (defect {defect:.2e}) at phi={p!r}")
     return R, T_h, x, plan
@@ -443,7 +443,7 @@ def _solve_systems(ab: np.ndarray, rhs: np.ndarray, n: int, phis: np.ndarray) ->
     x = x.reshape(-1, n)
     # a block's zero multipliers into the next block may flip the sign of an exact zero; +0j makes it +0
     R, T_h = x[:, 0] + 0j, x[:, -1] + 0j
-    defect = abs(R.real**2 + R.imag**2 + T_h.real**2 + T_h.imag**2 - 1.0)
+    defect = abs(R.real * R.real + R.imag * R.imag + T_h.real * T_h.real + T_h.imag * T_h.imag - 1.0)
     i = int(np.argmin(defect <= 1e-9))  # the first defect above 1e-9 or NaN, else 0
     if not defect[i] <= 1e-9:
         raise ResonanceError(f"partner unitarity violated (defect {defect[i]:.2e}) at phi={float(phis[i])!r}")
@@ -455,8 +455,8 @@ def _solve_group(specs: list, bond_maps: list[BondMap], phis: np.ndarray) -> tup
 
     The rows are _bond_system's, by the same operations on arrays: sin, cos
     and the phases once on the angle array, each hop once per scatterer, and
-    _bond_rows over (scatterer, angle, bond) once per kind of bond and run
-    of scatterers with the same strong bonds, so every entry keeps its bits.
+    _bond_rows once per kind of bond (row form, left flank, right flank) over
+    all (scatterer, bond) pairs of that kind, so every entry keeps its bits.
     The angles go in spans of at most 7 chunks' systems (one angle at least),
     the systems scatterer outer, angle inner, in chunks of at most
     CHUNK_UNKNOWNS unknowns (one system at least), one zgbsv call per chunk.
@@ -467,43 +467,39 @@ def _solve_group(specs: list, bond_maps: list[BondMap], phis: np.ndarray) -> tup
     step = max(1, CHUNK_UNKNOWNS // n)
     span = max(1, 7 * step // len(specs))
     couplings = np.array([[bonds[b] for b in plan.positions] for bonds in bond_maps])
-    # the scatterers with the same strong bonds in turn; in each such run, the bonds of one
-    # row form and the same kind of sides go to _bond_rows together
-    runs = _layout_groups(map(tuple, (couplings * couplings > STRONG).tolist()))
-    order = np.array([i for at in runs.values() for i in at])
-    couplings = couplings[order][:, None, :]
     hops = np.sqrt((1.0 - couplings) * (1.0 + couplings))  # as math.sqrt rounds it
-    batches, first = [], 0
-    for strong, at in runs.items():
-        kinds = _layout_groups((form, left, right) for form, (_, _, left, right) in zip(strong, plan.sides))
-        batches += [(slice(first, first + len(at)), kind, np.array(bonds)) for kind, bonds in kinds.items()]
-        first += len(at)
+    strong = (couplings * couplings > STRONG).tolist()
+    pairs = _layout_groups((form, left, right) for row in strong for form, (_, _, left, right) in zip(row, plan.sides))
+    kinds = []  # each kind's scatterers and bonds, and their couplings and hops as columns
+    for kind, flat in pairs.items():
+        sc, bond = np.divmod(flat, k)
+        kinds.append((kind, sc, bond, couplings[sc, bond][:, None], hops[sc, bond][:, None]))
     R, T = np.empty((2, len(specs), len(phis)), dtype=np.complex128)
-    scales = np.array([_t_scale(specs[i], bond_maps[i], p) for i in order.tolist() for p in phis[:1].tolist()])
+    scales = np.array([_t_scale(spec, bonds, p) for spec, bonds in zip(specs, bond_maps) for p in phis[:1].tolist()])
     for a0 in range(0, len(phis), span):
         angles = phis[a0 : a0 + span]
-        s, c, e = np.sin(angles)[:, None], np.cos(angles)[:, None], _phase(np.array(plan.ks), angles[:, None])
+        s, c, e = np.sin(angles), np.cos(angles), _phase(np.array(plan.ks), angles[:, None])
         ab = np.zeros((len(specs), len(angles), 7 * n), dtype=np.complex128)
         rhs = np.zeros((len(specs), len(angles), n), dtype=np.complex128)
-        band, right = ab.view(np.float64), rhs.view(np.float64)
-        for run, (strong, left_flank, right_flank), at in batches:
-            g, t = couplings[run, :, at], hops[run, :, at]
-            rows = _bond_rows(strong, left_flank, right_flank, g, t, s, c, e[:, at], e[:, -1:])
-            values = np.empty((run.stop - run.start, len(angles), len(at), 16))
+        # float views with the angle axis last, so a pair's values at every angle go to one place
+        band, right = (z.view(np.float64).transpose(0, 2, 1) for z in (ab, rhs))
+        for (form, left_flank, right_flank), sc, bond, g, t in kinds:
+            rows = _bond_rows(form, left_flank, right_flank, g, t, s, c, e[:, bond].T, e[:, -1])
+            values = np.empty((len(bond), 16, len(angles)))
             for j, part in enumerate(rows):
-                values[:, :, :, j] = part
+                values[:, j] = part
             # bond 0's first four go to the right-hand side, the last bond's last four are dropped (see _plan)
             first, last = 4 * left_flank, 16 - 4 * right_flank
-            if left_flank:  # the flank's kind holds bond 0 alone
-                right[run, :, :4] = -values[:, :, 0, :4]
-            band[run, :, plan.places[at, first:last]] = values[:, :, :, first:last]
+            if left_flank:  # the flank's kinds hold bond 0 alone
+                right[sc, :4] = -values[:, :4]
+            band[sc[:, None], plan.places[bond, first:last]] = values[:, first:last]
         ab, rhs = ab.reshape(-1, 7 * n), rhs.reshape(-1, n)
         for start in range(0, len(ab), step):
             sc, ang = np.divmod(np.arange(start, min(start + step, len(ab))), len(angles))
             chunk = slice(start, start + step)
             R_h, T_h = _solve_systems(ab[chunk].reshape(-1), rhs[chunk].reshape(-1), n, angles[ang])
-            R[order[sc], a0 + ang] = R_h
-            T[order[sc], a0 + ang] = _complex(T_h.real * scales[sc], T_h.imag * scales[sc])
+            R[sc, a0 + ang] = R_h
+            T[sc, a0 + ang] = _complex(T_h.real * scales[sc], T_h.imag * scales[sc])
     return R, T
 
 
@@ -562,75 +558,45 @@ def numeric_wave(spec: ScattererSpec, phi: float) -> tuple[Amplitudes, WaveSampl
     return _amplitudes(spec, bonds, p, R, T_h), WaveSample(window, vals)
 
 
-def _quot(ar, ai, br, bi):
-    """The parts of (ar + i ai)/(br + i bi) as CPython's _Py_c_quot divides, per element.
-
-    It divides through by the larger of |br| and |bi|; b is never 0 or NaN here.
-    """
-    by_re = np.abs(br) >= np.abs(bi)
-    with np.errstate(all="ignore"):  # the branch not taken may divide by 0 or overflow
-        ratio = np.where(by_re, bi / br, br / bi)
-        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
-        return re, np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+def _minus_conj_ratio(re, im):
+    """The parts of -conj(W)/W of W = re + i im, floats or arrays; see the module docstring."""
+    scale = abs(re) + abs(im)
+    a, b = re / scale, im / scale
+    norm = a * a + b * b
+    return (b - a) * (b + a) / norm, 2.0 * a * b / norm
 
 
-def _closed(spec: TwoCenterSpec, p: float) -> tuple[complex, complex]:
-    """(R, T) of the closed form at one angle p, in Python complex arithmetic; see the module docstring."""
-    g = spec.g
-    q = (1.0 - g) * (1.0 + g) * math.sin(p)
-    k = 2.0 * g * g * math.cos(p)
-    e = _phase(spec.N + 2, p)  # cos(M phi) + i sin(M phi)
-    U = -q - k * e.imag * e
-    V = 1j * q - k * e.real * e
-    r_minus_t = -U.conjugate() / U
-    r_plus_t = -V.conjugate() / V
-    return (r_plus_t + r_minus_t) / 2.0, (r_plus_t - r_minus_t) / 2.0
-
-
-def _closed_group(g: np.ndarray, sin: np.ndarray, cos: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R, T) of _closed for the couplings g (a column) of one N at angles with these sin, cos and e(N + 2).
-
-    The operations are _closed's, taken on real parts as CPython performs
-    them: a float x is the complex (x, 0.0) in a sum or product, so
-    x e = (x c - 0.0 s, x s + 0.0 c), and a quotient is _quot's.  Each
-    point thus gets one angle's bits, signed zeros included, and R and T
-    are complex arrays of shape (len(g), len(e)).
-    """
-    q = (1.0 - g) * (1.0 + g) * sin
-    k = 2.0 * g * g * cos
-    c, s = e.real, e.imag
-    ks, kc = k * s, k * c
-    u = -q - (ks * c - 0.0 * s), 0.0 - (ks * s + 0.0 * c)
-    v = (0.0 * q - 0.0) - (kc * c - 0.0 * s), (0.0 + q) - (kc * s + 0.0 * c)  # 1j q = (0.0 q - 0.0, 0.0 + q)
-    mr, mi = _quot(-u[0], u[1], *u)  # -conj(U)/U
-    pr, pi = _quot(-v[0], v[1], *v)
-    sr, si, dr, di = pr + mr, pi + mi, pr - mr, pi - mi
-    # z / 2.0 divides by 2.0 + 0.0j: ratio 0.0, denominator 2.0
-    R = _complex((sr + si * 0.0) / 2.0, (si - sr * 0.0) / 2.0)
-    T = _complex((dr + di * 0.0) / 2.0, (di - dr * 0.0) / 2.0)
-    return R, T
+def _closed(g, s, c, er, ei):
+    """(Re R, Im R, Re T, Im T) of the closed form; s, c = sin(phi), cos(phi), er + i ei = e(N + 2)."""
+    q = (1.0 - g) * (1.0 + g) * s
+    k = 2.0 * g * g * c
+    ks, kc = k * ei, k * er
+    mr, mi = _minus_conj_ratio(-q - ks * er, -ks * ei)  # R - T = -conj(U)/U
+    pr, pi = _minus_conj_ratio(-kc * er, q - kc * ei)  # R + T = -conj(V)/V
+    return (pr + mr) / 2.0, (pi + mi) / 2.0, (pr - mr) / 2.0, (pi - mi) / 2.0
 
 
 def closed_form(spec: TwoCenterSpec, phi: float) -> Amplitudes:
     """Closed amplitudes of a two-center scatterer at any N >= -1 and any angle of the band."""
     p = as_angle(phi)
-    R, T = _closed(spec, p)
-    return Amplitudes(R=R, T=T, phi=p)
+    e = _phase(spec.N + 2, p)
+    r_re, r_im, t_re, t_im = _closed(spec.g, math.sin(p), math.cos(p), e.real, e.imag)
+    return Amplitudes(R=complex(r_re, r_im), T=complex(t_re, t_im), phi=p)
 
 
 def closed_form_grid(specs: list, phis) -> tuple[np.ndarray, np.ndarray]:
     """closed_form's R and T of each two-center spec at every angle of phis, each of shape (len(specs), len(phis)).
 
     sin(phi) and cos(phi) are taken once on phis and e(N + 2) once per N;
-    the specs of one N are answered together by _closed_group.
+    the specs of one N are answered together by _closed.
     """
     phis = _angle_array(phis)
     sin, cos = np.sin(phis), np.cos(phis)
     R, T = np.empty((2, len(specs), len(phis)), dtype=np.complex128)
     for n, rows in _layout_groups(spec.N for spec in specs).items():
         g = np.array([specs[i].g for i in rows])[:, None]
-        R[rows], T[rows] = _closed_group(g, sin, cos, _phase(n + 2, phis))
+        e = _phase(n + 2, phis)
+        R.real[rows], R.imag[rows], T.real[rows], T.imag[rows] = _closed(g, sin, cos, e.real, e.imag)
     return R, T
 
 

@@ -143,7 +143,7 @@ def evaluate_point(spec: ScattererSpec, phi: float, method: str) -> list[dict]:
 def _record(g, n, phi: float, amp, method: str, gap) -> dict:
     """One row of a sweep table as a dict keyed by COLUMNS, in that order."""
     R, T = amp.R, amp.T
-    abs_R2, abs_T2 = R.real**2 + R.imag**2, T.real**2 + T.imag**2
+    abs_R2, abs_T2 = R.real * R.real + R.imag * R.imag, T.real * T.real + T.imag * T.imag
     return {
         "g": g,
         "N": n,
@@ -183,17 +183,11 @@ def scatterer_specs(model: str, couplings, n_values=(), centers=()) -> list[Scat
     raise DomainError(f"unknown model {model!r}")
 
 
-def _squares(R: np.ndarray, T: np.ndarray) -> list[list]:
-    """The columns re_R through defect at each point of R and T, flattened.
-
-    The squares and the defect are taken on Python floats, in
-    evaluate_point's association, so each has its bits.
-    """
-    z = np.stack((R, T)).reshape(2, -1)
-    (re_R, re_T), (im_R, im_T) = z.real.tolist(), z.imag.tolist()
-    abs_R2 = [x**2 + y**2 for x, y in zip(re_R, im_R)]
-    abs_T2 = [x**2 + y**2 for x, y in zip(re_T, im_T)]
-    return [re_R, im_R, re_T, im_T, abs_R2, abs_T2, [abs(r2 + t2 - 1.0) for r2, t2 in zip(abs_R2, abs_T2)]]
+def _squares(R: np.ndarray, T: np.ndarray) -> list[np.ndarray]:
+    """The columns re_R through defect at each point of R and T, as flat arrays, each with evaluate_point's bits."""
+    re_R, im_R, re_T, im_T = (part.reshape(-1) for z in (R, T) for part in (z.real, z.imag))
+    abs_R2, abs_T2 = re_R * re_R + im_R * im_R, re_T * re_T + im_T * im_T
+    return [re_R, im_R, re_T, im_T, abs_R2, abs_T2, abs(abs_R2 + abs_T2 - 1.0)]
 
 
 def _gaps(closed: tuple, numeric: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +220,8 @@ def sweep_records(specs: list[ScattererSpec], phis: np.ndarray, method: str) -> 
         amps["closed"] = closed_form_grid(specs, phis)
     if method != "closed":
         amps["numeric"] = solve_numeric_grid(specs, phis)
-    parts = _squares(*np.stack(list(amps.values()), axis=-1))  # each point's rows side by side
+    # each point's rows side by side, each column's list built on its own
+    parts = [part.tolist() for part in _squares(*np.stack(list(amps.values()), axis=-1))]
     discrepancy = [None] * len(parts[0])
     if len(amps) == 2:
         gap_R, gap_T = _gaps(*amps.values())
@@ -396,7 +391,7 @@ def suite_scores() -> SuiteScores:
     phis = np.linspace(DEFAULT_PHI_MIN, DEFAULT_PHI_MAX, DEFAULT_PHI_COUNT + 2)[1:-1]
     specs = [TwoCenterSpec(g, n) for g in DEFAULT_G_GRID for n in DEFAULT_N_GRID]
     closed, numeric = closed_form_grid(specs, phis), solve_numeric_grid(specs, phis)
-    defects = (np.array(_squares(*amps)[-1]) for amps in (numeric, closed))
+    defects = (_squares(*amps)[-1] for amps in (numeric, closed))
     return SuiteScores(specs, phis, *defects, *_gaps(closed, numeric))
 
 

@@ -6,8 +6,8 @@ separated blocks (N >= 1) has
 
     C + D = i q/V,                 C - D = -q/U.
 
-q, U and V are recomputed here in the operations of scattering._closed at
-one angle, so closed_form_wave's amplitudes are closed_form's.
+q, U and V are recomputed here as the module docstring defines them, at
+one angle; closed_form_wave's amplitudes are closed_form's.
 """
 
 import math

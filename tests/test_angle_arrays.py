@@ -1,8 +1,8 @@
 """The closed form and the sweep tables over a scatterer's whole angle array.
 
 closed_form_grid of one spec must give closed_form's bits at every angle,
-signed zeros included: its real-part arithmetic copies CPython's complex
-product and quotient.  A sweep's columns come from those arrays and from
+signed zeros included: both run one body, scattering._closed, whose
+operations give the same bits on floats as on arrays.  A sweep's columns come from those arrays and from
 solve_numeric_grid, and every cell must equal what evaluate_point gives
 the angle, the discrepancy being Python's max(abs(dR), abs(dT)) also when
 dT is NaN.  A block layout's T scale is exactly 1 and is not summed.
@@ -10,6 +10,7 @@ dT is NaN.  A block layout's T scale is exactly 1 and is not summed.
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import qhscatter.sweeps as sweeps
 from qhscatter import ChainSpec, MultiCenterSpec, TwoCenterSpec, closed_form, solve_numeric, sweep_records
 from qhscatter.metric import half_log_ratio
 from qhscatter.potentials import MAX_N
-from qhscatter.scattering import _quot, closed_form_grid, solve_numeric_grid
+from qhscatter.scattering import closed_form_grid, solve_numeric_grid
 from qhscatter.sweeps import DEFAULT_G_GRID, DEFAULT_N_GRID, COLUMNS, evaluate_point, phi_grid
 from test_numeric_batch import VERIFY_ANGLES, bench_worker  # noqa: F401 (a fixture)
 
@@ -71,30 +72,35 @@ class TestClosedArraysBitForBit:
     )
     def test_any_scatterer_and_angles_near_the_band_edges(self, g, n, near, inside):
         phis = near + [math.pi - d for d in near] + inside
-        _assert_closed_arrays_are_closed_form(TwoCenterSpec(g, n), [p for p in phis if 0.0 < p < math.pi])
+        # angles below the smallest normal double are refused (tests/test_sweeps_cli.py)
+        phis = [p for p in phis if sys.float_info.min <= p < math.pi]
+        _assert_closed_arrays_are_closed_form(TwoCenterSpec(g, n), phis)
 
     def test_an_empty_array(self):
         R, T = closed_form_grid([TwoCenterSpec(0.5, 2)], [])
         assert R.shape == T.shape == (1, 0)
 
 
-def _random_parts(rng, count):
-    """Real and imaginary parts with signed zeros, tiny, huge and ordinary magnitudes."""
-    special = [0.0, -0.0, 1.0, -1.0, 5e-324, -1e-300, 1e300, 2.0]
-    return np.array([
-        rng.choice(special) if rng.random() < 0.2 else rng.choice((-1, 1)) * 10 ** rng.uniform(-30, 30)
-        for _ in range(count)
-    ])
+ONE_BODY_COUPLINGS = (0.0, -0.0, 1e-300, -1e-300, 1.0 - 1e-16, -(1.0 - 1e-16), 0.3)
+ONE_BODY_ANGLES = (sys.float_info.min, 1e-12, 1.0, math.pi - 1e-15)
 
 
-def test_quot_is_python_complex_division():
-    rng = random.Random(7)
-    ar, ai, br, bi = (_random_parts(rng, 20000) for _ in range(4))
-    keep = (br != 0.0) | (bi != 0.0)
-    ar, ai, br, bi = ar[keep], ai[keep], br[keep], bi[keep]
-    re, im = _quot(ar, ai, br, bi)
-    for z, a, b in zip(zip(re.tolist(), im.tolist()), map(complex, ar, ai), map(complex, br, bi)):
-        assert repr(z) == _parts(a / b), (a, b)
+@pytest.mark.parametrize("n", [-1, 0, 50, MAX_N])
+def test_closed_is_one_body_on_floats_and_arrays(n):
+    # _closed's arguments at each point, as closed_form takes them
+    points = []
+    for g in ONE_BODY_COUPLINGS:
+        for phi in ONE_BODY_ANGLES:
+            e = scattering._phase(n + 2, phi)
+            points.append((g, math.sin(phi), math.cos(phi), e.real, e.imag))
+    many = scattering._closed(*(np.array(column) for column in zip(*points)))
+    for i, point in enumerate(points):
+        one = scattering._closed(*point)
+        assert all(type(part) is float and math.isfinite(part) for part in one), point
+        single = scattering._closed(*(np.array([x]) for x in point))
+        assert repr(one) == repr(tuple(part.item() for part in single)) == repr(tuple(part[i].item() for part in many))
+    for g in ONE_BODY_COUPLINGS:
+        _assert_closed_arrays_are_closed_form(TwoCenterSpec(g, n), ONE_BODY_ANGLES)
 
 
 class TestColumnsAreEvaluatePoint:

@@ -177,8 +177,10 @@ def _sweep_row(tmp_path, couplings):
     out = tmp_path / "chain.csv"
     code = main(["sweep", "--model", "chain", "--couplings", couplings, "--phi-grid", "1:1.0:1.0",
                  "--out", str(out)])
-    rows = list(csv.DictReader(out.open())) if code == 0 else []
-    return code, rows
+    if code != 0:
+        return code, []
+    with out.open() as fh:
+        return code, list(csv.DictReader(fh))
 
 
 def test_sweep_answers_a_chain_of_a_thousand_couplings(tmp_path, capsys):
@@ -282,7 +284,8 @@ def test_cli_answers_a_weak_band_edge_point_alone_and_in_a_sweep(tmp_path, capsy
     assert main(["amplitudes", "--g", "1e-5", "--N", "0", "--phi", "1e-9"]) == 0
     out = tmp_path / "edge.csv"
     assert main(["sweep", "--g", "0.3,1e-5", "--N", "0,1", "--phi-grid", "3:1e-9:0.5", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 24 and max(float(row["defect"]) for row in rows) <= 1e-11
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -218,6 +219,65 @@ class TestCliSweep:
     def test_missing_out(self, capsys):
         code = main(["sweep", "--g", "0.3", "--N", "0", "--phi-grid", "3"])
         assert code == 2
+
+
+    @pytest.mark.parametrize("message, err", [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+                                              ("", "out of memory")])
+    def test_a_grid_too_large_for_memory(self, message, err, tmp_path, capsys, monkeypatch):
+        # numpy's allocation failure is a MemoryError; raised here without allocating
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        argv = ["sweep", "--g", "0.5", "--N", "0", "--phi-grid", "1000000000000", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestCliAnglesBelowTheSmallestNormal:
+    """Below the smallest normal double, sin(phi) is subnormal: every route refuses the angle with exit 2.
+
+    The weak rows' normaliser g^2 |cos phi| + (2 - g^2) sin phi underflows
+    there, and the free lattice was refused with exit 3.  From the smallest
+    normal double up, the same points answer.
+    """
+
+    SMALLEST_NORMAL = repr(sys.float_info.min)
+
+    @staticmethod
+    def _runs(g, phi, tmp_path):
+        return [
+            ["amplitudes", "--g", g, "--N", "0", "--phi", phi],
+            ["amplitudes", "--g", g, "--N", "50", "--phi", phi, "--method", "closed"],
+            ["amplitudes", "--model", "chain", "--couplings", g, "--phi", phi],
+            ["sweep", "--g", f"0.3,{g}", "--N", "-1,0", "--phi-grid", f"2:{phi}:1.0", "--out", str(tmp_path / "x.csv")],
+            ["sweep", "--model", "chain", "--couplings", g, "--phi-grid", f"2:{phi}:1.0", "--out", str(tmp_path / "x.csv")],
+        ]
+
+    @pytest.mark.parametrize("g", ["0", "1e-300", "0.5"])
+    @pytest.mark.parametrize("phi", ["5e-324", "1e-310", "3e-309"])
+    def test_refused(self, g, phi, tmp_path, capsys):
+        expected = f"error: phi={float(phi)!r} below the smallest normal double {self.SMALLEST_NORMAL}\n"
+        for argv in self._runs(g, phi, tmp_path):
+            assert (main(argv), capsys.readouterr().err) == (2, expected), argv
+        assert main(["probe-continuum", "--g", g, "--h-list", f"0.1,{phi}"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: free model has no wall limit (g must be nonzero)\n" if g == "0" else expected)
+
+    @pytest.mark.parametrize("g", ["0", "1e-300", "0.5"])
+    def test_the_smallest_normal_answers(self, g, tmp_path, capsys):
+        # two-center points are unitary; a chain's |R|^2 + |T|^2 is 1 in its metric only
+        for argv in self._runs(g, self.SMALLEST_NORMAL, tmp_path):
+            assert main(argv) == 0, argv
+            if argv[0] == "sweep":
+                defects = [float(row["defect"]) for row in csv.DictReader(io.StringIO((tmp_path / "x.csv").read_text()))]
+            else:
+                defects = [float(field.split("=")[1]) for field in capsys.readouterr().out.split() if "defect=" in field]
+            assert defects and all(math.isfinite(d) for d in defects)
+            assert "--N" not in argv or max(defects) <= 1e-11
+        if g != "0":
+            assert main(["probe-continuum", "--g", g, "--h-list", f"0.1,{self.SMALLEST_NORMAL}"]) == 0
 
 
 class TestCliMethodDefault:
