@@ -166,6 +166,13 @@ def cmd_probe_continuum(args) -> int:
             raise QhScatterError(
                 f"--halvings {args.halvings} must be at least 1 and keep h_start / 2**halvings a positive double"
             )
+        # the last angle, kappa * h, must be a normal double; a bad kappa is continuum_probe's to name
+        phi = args.kappa * math.ldexp(args.h_start, -args.halvings)
+        if args.kappa > 0.0 and phi < sys.float_info.min:
+            raise QhScatterError(
+                f"--halvings {args.halvings} with --h-start {args.h_start!r} takes kappa*h to {phi!r},"
+                f" below the smallest normal double {sys.float_info.min!r}"
+            )
         hs = [math.ldexp(args.h_start, -i) for i in range(args.halvings + 1)]
     result = continuum_probe(g, args.kappa, hs)
     lines = ["h,phi,abs_T,abs_R,abs_psi0"]

@@ -2,9 +2,10 @@
 
 A sweep's table holds one list per column, in a fixed column order, and
 one row per evaluation; it is built from the amplitudes of the whole grid
-and written by one row template.  Numbers are printed with 17 significant
-digits so a re-parsed file reproduces the original doubles exactly;
-identical configurations produce byte-identical files.  Sweeps and the
+and written by one row template, each distinct phi, defect and discrepancy
+formatted once.  CSV prints numbers with 17 significant digits and JSON
+with the shortest repr, so a re-parsed file reproduces the original doubles
+exactly; identical configurations produce byte-identical files.  Sweeps and the
 amplitude suites read the same arrays: closed_form_grid and
 solve_numeric_grid give R and T of every point, answering the scatterers
 of one bond layout (the two-center specs of one N, the chains of one
@@ -235,29 +236,80 @@ def sweep_records(specs: list[ScattererSpec], phis: np.ndarray, method: str) -> 
 
 
 # the row template prints these with 17 significant digits and the others with %s:
-# method and resonance_flag as they are, the text columns (labels, an empty N or
-# discrepancy) formatted beforehand
-_FLOAT_COLUMNS = ("phi", "re_R", "im_R", "re_T", "im_T", "abs_R2", "abs_T2", "defect")
-_TEXT_COLUMNS = ("g", "N", "discrepancy")
+# the text columns and the repeated columns formatted beforehand, method and
+# resonance_flag as they are (a str quoted where csv.writer would quote it)
+_FLOAT_COLUMNS = ("re_R", "im_R", "re_T", "im_T", "abs_R2", "abs_T2")
+_TEXT_COLUMNS = ("g", "N")
 _ROW = ",".join("%.17g" if c in _FLOAT_COLUMNS else "%s" for c in COLUMNS) + "\n"
+# float columns with few distinct values: phi repeats for every scatterer and
+# method, and defect and discrepancy sit at rounding level wherever the answers
+# are right.  The other float columns are mostly distinct, and grouping them
+# would cost more than it saves.
+_REPEATED_COLUMNS = ("phi", "defect", "discrepancy")
+
+
+def _quote(text: str) -> str:
+    """text as csv.writer writes a cell with QUOTE_MINIMAL: in double quotes, inner ones doubled, if it holds , " CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _cells(column: list) -> list[str]:
-    """The text of a label, N or discrepancy column, formatted once per run of one object.
+    """The CSV text of a label or N column, formatted and quoted once per run of one object.
 
     A scatterer repeats one g and one N over its rows, and a closed and
-    numeric pair shares one discrepancy.
+    numeric pair shares one discrepancy, when a discrepancy column that is
+    not all floats comes here.
     """
     cells = []
     for _, run in groupby(column, key=id):
         run = list(run)
-        cells += [_fmt(run[0])] * len(run)
+        cells += [_quote(_fmt(run[0]))] * len(run)
     return cells
+
+
+def _as_is(column: list) -> list:
+    """A method or resonance_flag column for %s: its cells as they are, each str quoted as csv.writer quotes it.
+
+    Each distinct str is checked once, so a column that needs no quotes is
+    returned itself.
+    """
+    distinct = set(column) if set(map(type, column)) <= {int, str} else column  # a set needs hashable cells
+    if any(isinstance(v, str) and _quote(v) is not v for v in distinct):
+        return [_quote(v) if isinstance(v, str) else v for v in column]
+    return column
+
+
+def _once_per_value(column: list, encode, fallback) -> list[str]:
+    """The texts of a column of floats, encode called once on its distinct values.
+
+    Values are grouped by their bits, so 0.0 and -0.0 stay apart and NaNs
+    are never merged by equality; encode maps a list of floats to their
+    texts.  A column that is not all floats is handed to fallback whole.
+    """
+    if not column or not all(map(isinstance, column, repeat(float))):
+        return fallback(column)
+    values = np.array(column, dtype=np.float64)
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    texts = np.array(encode(values[first].tolist()), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _g17(values: list) -> list[str]:
+    return list(map("%.17g".__mod__, values))
 
 
 def render_csv(table: dict[str, list]) -> str:
     """The table as CSV: a header, then one row template applied to all rows at once."""
-    cells = [_cells(table[c]) if c in _TEXT_COLUMNS else table[c] for c in COLUMNS]
+    cells = []
+    for c in COLUMNS:
+        if c in _REPEATED_COLUMNS:
+            cells.append(_once_per_value(table[c], _g17, _cells))
+        elif c in _TEXT_COLUMNS:
+            cells.append(_cells(table[c]))
+        else:
+            cells.append(table[c] if c in _FLOAT_COLUMNS else _as_is(table[c]))
     values = tuple(chain.from_iterable(zip(*cells)))
     return (",".join(COLUMNS) + "\n" + _ROW * len(table["phi"])) % values
 
@@ -285,7 +337,11 @@ def render_json(table: dict[str, list]) -> str:
     count = len(table["phi"])
     if not count:
         return "[]\n"
-    values = tuple(chain.from_iterable(zip(*(_json_cells(table[c]) for c in COLUMNS))))
+    columns = (
+        _once_per_value(table[c], _json_cells, _json_cells) if c in _REPEATED_COLUMNS else _json_cells(table[c])
+        for c in COLUMNS
+    )
+    values = tuple(chain.from_iterable(zip(*columns)))
     return ("[\n" + ",\n".join([_JSON_ROW] * count) + "\n]\n") % values
 
 

@@ -530,6 +530,26 @@ class TestCliProbe:
             f"error: --halvings {halvings} must be at least 1 and keep h_start / 2**halvings a positive double\n"
         )
 
+    @pytest.mark.parametrize("h_start, halvings", [(0.2, 1070), (1e-300, 30), (0.2, 1020)])
+    def test_halvings_past_the_smallest_normal_angle_named(self, h_start, halvings, capsys):
+        # h_start / 2**halvings is a positive double, but the last angle is subnormal
+        phi = math.ldexp(h_start, -halvings)
+        assert 0.0 < phi < sys.float_info.min
+        assert main(["probe-continuum", "--g", "0.5", f"--h-start={h_start!r}", f"--halvings={halvings}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --halvings {halvings} with --h-start {h_start!r} takes kappa*h to {phi!r},"
+            " below the smallest normal double 2.2250738585072014e-308\n"
+        )
+
+    def test_last_normal_angle_answered(self, capsys):
+        # 0.2 / 2**1019 = 1.6 * 2**-1022 is the last halving of 0.2 that stays normal
+        assert main(["probe-continuum", "--g", "0.5", "--halvings", "1019"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:-3]
+        assert len(rows) == 1020
+        assert float(rows[-1].split(",")[1]) == math.ldexp(0.2, -1019) >= sys.float_info.min
+
     @pytest.mark.parametrize("h_start", ["nan", "-0.2", "0", "inf"])
     def test_h_start_outside_the_open_range_is_named(self, h_start, capsys):
         # --halvings keeps its default and is not blamed; inf halved stays inf

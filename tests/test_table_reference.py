@@ -124,6 +124,26 @@ SPECIAL_ROWS = [
 ]
 
 
+# phi, defect and discrepancy holding the values that grouping by bits must keep
+# apart or alike: 0.0 beside -0.0, NaN, +-inf, the smallest subnormal, a numpy
+# float and repeats of each
+_REPEATED = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, np.float64(0.1), 0.1, 1e-17, 0.0, -0.0, math.nan, 5e-324]
+REPEATED_ROWS = [
+    _special_row(0.3, n, (phi, 0.5, -0.5, 0.25, 0.0, 0.5, 0.5, defect), "both", 0, gap)
+    for n, (phi, defect, gap) in enumerate(zip(_REPEATED, _REPEATED[::-1], _REPEATED[3:] + _REPEATED[:3]))
+]
+# a discrepancy column that is not all floats: an int prints as the integer
+MIXED_GAP_ROWS = [{**row, "discrepancy": 2**60 if i == 2 else row["discrepancy"]} for i, row in enumerate(REPEATED_ROWS)]
+
+SPECIAL_TABLES = {
+    "special": SPECIAL_ROWS,
+    "one": SPECIAL_ROWS[:1],
+    "empty": [],
+    "repeated": REPEATED_ROWS,
+    "mixed-gap": MIXED_GAP_ROWS,
+}
+
+
 def two_center(method, couplings=(0.4, -0.9), n_values=(-1, 0, 1, 2, 50), count=41):
     return scatterer_specs("two-center", couplings, n_values), phi_grid(count), method
 
@@ -167,12 +187,27 @@ class TestColumnsMatchDictRows:
         _, table, records = tables
         assert render_json(table).encode() == reference_json(records).encode()
 
-    @pytest.mark.parametrize("rows", [SPECIAL_ROWS, SPECIAL_ROWS[:1], []], ids=["special", "one", "empty"])
+    @pytest.mark.parametrize("rows", SPECIAL_TABLES.values(), ids=SPECIAL_TABLES)
     def test_json_bytes_of_special_cells(self, rows):
         # None, NaN, +-inf, -0.0, int N, chain labels, method strings, a numpy
         # float, and a label that the encoder's separator would split
         table = {c: [row[c] for row in rows] for c in COLUMNS}
         assert render_json(table) == json.dumps(rows, indent=1) + "\n"
+
+    @pytest.mark.parametrize("rows", SPECIAL_TABLES.values(), ids=SPECIAL_TABLES)
+    def test_csv_bytes_of_special_cells(self, rows):
+        # as above, and a label and a method that csv.writer quotes
+        table = {c: [row[c] for row in rows] for c in COLUMNS}
+        assert render_csv(table) == reference_csv(rows)
+
+    def test_csv_text_cells_read_back(self):
+        # csv.writer leaves a CR bare under lineterminator="\n"; render_csv quotes it, so a reader reads it back
+        labels = ["a, b", 'say "hi"', "c\rd", "e\nf", "plain"]
+        rows = [{**SPECIAL_ROWS[0], "g": label, "method": label} for label in labels]
+        text = render_csv({c: [row[c] for row in rows] for c in COLUMNS})
+        read = list(csv.reader(io.StringIO(text, newline="")))
+        assert read[0] == list(COLUMNS)
+        assert [(row[0], row[10]) for row in read[1:]] == [(label, label) for label in labels]
 
     def test_grids_reach_every_kind_of_cell(self, tables):
         name, table, _ = tables
