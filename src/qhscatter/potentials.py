@@ -96,6 +96,8 @@ class MultiCenterSpec:
         if max(map(abs, centers)) > MAX_N + 2:
             raise ValueError(f"centers {centers} reach beyond +-{MAX_N + 2}")
         for a, b in zip(centers, centers[1:]):
+            if b <= a:
+                raise ValueError(f"centers {a} and {b} out of order; centers must be strictly increasing")
             if b - a < 2:
                 raise ValueError(
                     f"centers {a} and {b} too close; blocks must be disjoint or share one site"

@@ -59,7 +59,10 @@ which keeps every square inside the double range.  sin(phi) and cos(phi)
 are taken once on the angle array and e((N + 2) phi) once per N, and the
 specs of one N share each operation over their (g, phi) array.  The grid
 routes return R and T as complex arrays with one row per scatterer, and
-every square such as |R|^2 is the product x*x + y*y.
+every square such as |R|^2 is the product x*x + y*y.  At one angle,
+_closed_and_partner gives closed_form's and solve_numeric's amplitudes of
+a two-center spec in one pass, sin(phi), cos(phi) and e(N + 2) taken once
+for both, with the bits of each.
 """
 
 from __future__ import annotations
@@ -343,12 +346,14 @@ def _plan(key: tuple[int, ...]) -> _Plan:
     return _Plan(n, positions, ks, sides, places, operator.itemgetter(*order.tolist()), struct.Struct(fmt).pack_into)
 
 
-def _bond_system(bonds: BondMap, p: float) -> tuple[_Plan, np.ndarray, np.ndarray]:
-    """(plan, ab, rhs) of the rows of bonds at one angle p: ab (7 n,) and rhs (n,), views of one array."""
+def _bond_system(bonds: BondMap, p: float, angle: tuple | None = None) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    """(plan, ab, rhs) of the rows of bonds at one angle p: ab (7 n,) and rhs (n,), views of one array.
+
+    angle is (sin(p), cos(p), e(m)) of the last bond m = plan.ks[-1], when the caller has taken them.
+    """
     plan = _plan(tuple(bonds))
-    s, c = math.sin(p), math.cos(p)
     m = plan.ks[-1]
-    last = _phase(m, p)
+    s, c, last = angle or (math.sin(p), math.cos(p), _phase(m, p))
     rows = []
     for b, k, left_flank, right_flank in plan.sides:
         g = bonds[b]
@@ -362,13 +367,14 @@ def _bond_system(bonds: BondMap, p: float) -> tuple[_Plan, np.ndarray, np.ndarra
     return plan, system[: 7 * plan.n], system[7 * plan.n :]
 
 
-def _solve_partner(bonds: BondMap, p: float) -> tuple[complex, complex, list, _Plan]:
+def _solve_partner(bonds: BondMap, p: float, angle: tuple | None = None) -> tuple[complex, complex, list, _Plan]:
     """(R, T_h, x, plan) of the partner's rows of bonds at one angle p; x = [R, X_1, ..., T_h] as a list.
 
-    Raises ResonanceError when the system is singular or its solution breaks
-    |R|^2 + |T_h|^2 = 1 by more than 1e-9 (a non-finite x breaks R too).
+    angle goes to _bond_system.  Raises ResonanceError when the system is
+    singular or its solution breaks |R|^2 + |T_h|^2 = 1 by more than 1e-9
+    (a non-finite x breaks R too).
     """
-    plan, ab, rhs = _bond_system(bonds, p)
+    plan, ab, rhs = _bond_system(bonds, p, angle)
     _, _, x, info = zgbsv(2, 2, ab.reshape(7, -1, order="F"), rhs, overwrite_ab=1, overwrite_b=1)
     if info != 0:
         raise ResonanceError(f"matching system singular at phi={p!r}")
@@ -582,6 +588,22 @@ def closed_form(spec: TwoCenterSpec, phi: float) -> Amplitudes:
     e = _phase(spec.N + 2, p)
     r_re, r_im, t_re, t_im = _closed(spec.g, math.sin(p), math.cos(p), e.real, e.imag)
     return Amplitudes(R=complex(r_re, r_im), T=complex(t_re, t_im), phi=p)
+
+
+def _closed_and_partner(spec: TwoCenterSpec, p: float) -> tuple[complex, complex, complex, complex]:
+    """closed_form's R and T, then solve_numeric's, of a two-center spec at a checked angle p, in one pass.
+
+    sin(p), cos(p) and e(N + 2) are taken once for both routes: the last
+    bond of a two-center spec sits at N + 2, so its plan's ks[-1] is N + 2
+    and _bond_system's last phase is the closed form's e bit for bit.  The
+    blocks' T is T_h, as _amplitudes returns it.  Raises what
+    _solve_partner raises.
+    """
+    s, c = math.sin(p), math.cos(p)
+    e = _phase(spec.N + 2, p)
+    r_re, r_im, t_re, t_im = _closed(spec.g, s, c, e.real, e.imag)
+    R, T_h, _, _ = _solve_partner(spec.bond_map(), p, (s, c, e))
+    return complex(r_re, r_im), complex(t_re, t_im), R, T_h
 
 
 def closed_form_grid(specs: list, phis) -> tuple[np.ndarray, np.ndarray]:

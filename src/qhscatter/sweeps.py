@@ -42,7 +42,7 @@ from .potentials import (
     build_potential,
 )
 from .lattice import SiteWindow, as_angle
-from .scattering import closed_form, closed_form_grid, solve_numeric, solve_numeric_grid
+from .scattering import _closed_and_partner, closed_form, closed_form_grid, solve_numeric, solve_numeric_grid
 
 COLUMNS = (
     "g",
@@ -124,26 +124,23 @@ def evaluate_point(spec: ScattererSpec, phi: float, method: str) -> list[dict]:
 
     The records are the point's rows of a sweep table, as dicts keyed by
     COLUMNS: the closed row first, then the numeric row, where present; a
-    pair shares its discrepancy.
+    pair shares its discrepancy.  'both' takes closed_form's and
+    solve_numeric's amplitudes in one pass over the angle, which shares
+    sin, cos and the phase between them (scattering._closed_and_partner).
     """
     _check_method(spec, method)
     phi = as_angle(phi)
-    amps = []
-    if method != "numeric":
-        amps.append(("closed", closed_form(spec, phi)))
-    if method != "closed":
-        amps.append(("numeric", solve_numeric(spec, phi)))
-    gap = None
-    if len(amps) == 2:
-        (_, closed), (_, numeric) = amps
-        gap = max(abs(closed.R - numeric.R), abs(closed.T - numeric.T))
     g, n = _scatterer_cells(spec)
-    return [_record(g, n, phi, amp, used, gap) for used, amp in amps]
+    if method == "both":
+        R_c, T_c, R_n, T_n = _closed_and_partner(spec, phi)
+        gap = max(abs(R_c - R_n), abs(T_c - T_n))
+        return [_record(g, n, phi, R_c, T_c, "closed", gap), _record(g, n, phi, R_n, T_n, "numeric", gap)]
+    amp = closed_form(spec, phi) if method == "closed" else solve_numeric(spec, phi)
+    return [_record(g, n, phi, amp.R, amp.T, method, None)]
 
 
-def _record(g, n, phi: float, amp, method: str, gap) -> dict:
+def _record(g, n, phi: float, R: complex, T: complex, method: str, gap) -> dict:
     """One row of a sweep table as a dict keyed by COLUMNS, in that order."""
-    R, T = amp.R, amp.T
     abs_R2, abs_T2 = R.real * R.real + R.imag * R.imag, T.real * T.real + T.imag * T.imag
     return {
         "g": g,

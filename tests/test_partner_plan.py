@@ -47,8 +47,9 @@ def _negated(spec):
 def _assert_grid_fills_as_one_angle(specs, phis, monkeypatch):
     """The systems the batch hands zgbsv are the one-angle fills of its points, byte for byte.
 
-    specs share one layout; the batch may take them in another order (runs
-    of the same strong bonds), so the systems are compared as multisets.
+    specs share one layout; a grid of many angles goes in spans, span outer,
+    so the batch hands over its systems in another order than scatterer
+    outer, angle inner, and the systems are compared as multisets.
     """
     systems, zgbsv = [], scattering.zgbsv
 

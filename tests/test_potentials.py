@@ -218,6 +218,13 @@ class TestMultiCenter:
         with pytest.raises(ValueError):
             MultiCenterSpec((0, 1), (0.5, 0.5))
 
+    @pytest.mark.parametrize("centers", [(3, -5), (3, 3), (-4, 0, 0, 5)])
+    def test_unordered_centers_named(self, centers):
+        a, b = next((a, b) for a, b in zip(centers, centers[1:]) if b <= a)
+        message = f"centers {a} and {b} out of order; centers must be strictly increasing"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultiCenterSpec(centers, (0.5,) * len(centers))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             MultiCenterSpec((0, 4), (0.5,))

@@ -434,6 +434,12 @@ class TestCliOneScatterer:
         assert main(["amplitudes", "--g", "0.3", "--phi", "1.0"]) == 2
         assert "needs g and N" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("centers", ["3,-5", "3,3"])
+    def test_unordered_centers_rejected(self, centers, capsys):
+        assert main(["amplitudes", "--model", "multi-center", "--g", "0.4", "--centers", centers, "--phi", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "strictly increasing" in err and "too close" not in err
+
 
 # (model, its own grid flags, a flag it does not read) for every such pair
 MODEL_AND_UNREAD_FLAG = [
